@@ -252,10 +252,12 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
             rows.append(("ratio-violation", v.i, v.j, "", "", v.ell,
                          False, "", v.reason))
     if "separation" in want:
-        word = "xy" * ((nmax + 1) // 2)
-        pts = diophantine.orbit_of_word(word[:nmax], alpha, beta, prec)
-        rep = diophantine.orbit_separation_check(pts, records[:nmax - 1])
-        summary["separation"] = {"points": nmax,
+        # an exact zero ends the minima early; check the prefix they cover
+        n_pts = min(nmax, len(records) + 1)
+        word = "xy" * ((n_pts + 1) // 2)
+        pts = diophantine.orbit_of_word(word[:n_pts], alpha, beta, prec)
+        rep = diophantine.orbit_separation_check(pts, records)
+        summary["separation"] = {"points": n_pts,
                                  "pairs_checked": rep.pairs_checked,
                                  "violations": len(rep.violations),
                                  "undecided": rep.undecided,

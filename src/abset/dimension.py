@@ -14,7 +14,6 @@ import mpmath
 
 from .exact import mod1
 
-OPTIMAL_COVER_CAP = 2000
 DEFAULT_PREC_BITS = 128
 LOG_DIGITS = 12
 
@@ -57,26 +56,6 @@ def min_gap(points) -> Fraction:
     return Fraction(best)
 
 
-def hausdorff_distance(a_points, b_points) -> Fraction:
-    """Circular Hausdorff distance between two finite nonempty sets."""
-    aa = _normalize(a_points)
-    bb = _normalize(b_points)
-    if not aa or not bb:
-        raise ValueError("hausdorff_distance needs nonempty sets")
-
-    def directed(src, dst):
-        worst = Fraction(0)
-        for p in src:
-            i = bisect.bisect_left(dst, p)
-            cands = [dst[i % len(dst)], dst[(i - 1) % len(dst)]]
-            d = min(min(abs(p - q), 1 - abs(p - q)) for q in cands)
-            if d > worst:
-                worst = d
-        return worst
-
-    return max(directed(aa, bb), directed(bb, aa))
-
-
 def maximal_separated_subset(points, rho: Fraction) -> List[Fraction]:
     """Greedy maximal rho-separated subset, scanning from the smallest
     point upward with the wrap distance checked against the first pick.
@@ -101,39 +80,6 @@ def maximal_separated_subset(points, rho: Fraction) -> List[Fraction]:
             continue
         chosen.append(p)
     return chosen
-
-
-def optimal_interval_covering(points, rho: Fraction) -> int:
-    """Exact minimum number of closed arcs of length rho covering the set.
-
-    O(n^2) over candidate first-arc anchors; refuses sets larger than
-    OPTIMAL_COVER_CAP.  Some optimal covering has every arc start at a
-    point of the set, so anchoring at points loses nothing.
-    """
-    rho = Fraction(rho)
-    if rho <= 0:
-        raise ValueError("arc length must be positive")
-    pts = _normalize(points)
-    if not pts:
-        raise ValueError("cannot cover the empty set")
-    n = len(pts)
-    if n > OPTIMAL_COVER_CAP:
-        raise ValueError(f"exact covering capped at {OPTIMAL_COVER_CAP} points; got {n}")
-    if rho >= 1 or n == 1:
-        return 1
-    ext = pts + [p + 1 for p in pts]  # unrolled circle
-    best = n
-    for start in range(n):
-        # each of the n points appears exactly once in ext[start:start+n]
-        count = 0
-        pos = start
-        while pos < start + n and count < best:
-            count += 1
-            reach = ext[pos] + rho  # arc [ext[pos], ext[pos] + rho], closed
-            pos = bisect.bisect_right(ext, reach, lo=pos + 1, hi=start + n)
-        if pos >= start + n:
-            best = min(best, count)
-    return best
 
 
 @dataclass(frozen=True)

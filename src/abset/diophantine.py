@@ -17,12 +17,18 @@ earlier value.  On top of the minima sit four scans:
   * assouad_lower_probe: the localized covering case analysis behind
     the min(s/t, r/t, r) lower-bound exponent.
 
-Precision discipline: irrational inputs are dyadic midpoint-plus-radius
-values (ApproxReal).  Every comparison is certified only when the
-midpoints differ by more than the summed radii times 2**GUARD_BITS;
-anything closer is "unknown", which scans report and never resolve
-silently.  Exact rationals ride the same code paths with radius zero,
-where every comparison is decided.
+Representation: the scans hold every circle value as an integer
+midpoint and an integer radius over one common denominator.  An exact
+rational pair sits on the lcm of its two denominators with radius zero;
+any other pair is rounded onto the dyadic grid 2**-(prec+16), and its
+radius covers the rounding and the input error.  Records and orbit
+points leave the scans as a Fraction when the radius is zero and as an
+ApproxReal (midpoint-plus-radius) otherwise.
+
+Precision discipline: a comparison is certified only when the midpoints
+differ by more than the summed radii times 2**GUARD_BITS; anything
+closer is "unknown", which scans report and never resolve silently.
+With radius zero every comparison is decided, ties included.
 """
 
 import math
@@ -94,10 +100,6 @@ class ApproxReal:
     def hi(self) -> Fraction:
         return self.mid + self.rad
 
-    @property
-    def is_exact(self) -> bool:
-        return self.rad == 0
-
     def __add__(self, other) -> "ApproxReal":
         o = _as_value(other)
         return ApproxReal(self.mid + o.mid, self.rad + o.rad)
@@ -138,10 +140,6 @@ class ApproxReal:
         # distance-to-Z is 1-Lipschitz, so the radius carries over
         return ApproxReal(dist_to_int(self.mid), self.rad)
 
-    def shifted_mod1(self) -> "ApproxReal":
-        """Translate the midpoint into [0, 1) by an exact integer."""
-        return ApproxReal(self.mid - math.floor(self.mid), self.rad)
-
     def __str__(self):
         return f"{dec_sci(self.mid)} +- {dec_sci(self.rad)}" if self.rad else dec_sci(self.mid)
 
@@ -156,14 +154,6 @@ def _as_value(x) -> ApproxReal:
     return ApproxReal.exact(x)
 
 
-def _abs_val(v: ApproxReal) -> ApproxReal:
-    if v.lo >= 0:
-        return v
-    if v.hi <= 0:
-        return -v
-    return _from_bounds(_ZERO, max(-v.lo, v.hi))
-
-
 def try_cmp(a, b) -> Optional[int]:
     """-1, 0, +1 when the order of a and b is certain, else None.
 
@@ -172,20 +162,14 @@ def try_cmp(a, b) -> Optional[int]:
     margins inside the guard zone are deliberately reported as unknown.
     """
     d = _as_value(a) - _as_value(b)
-    if d.rad == 0:
-        return (d.mid > 0) - (d.mid < 0)
-    if abs(d.mid) > d.rad * (1 << GUARD_BITS):
-        return 1 if d.mid > 0 else -1
-    return None
+    return _decide(d.mid, d.rad)
 
 
-def cmp_certified(a, b, context: str = "compare") -> int:
-    c = try_cmp(a, b)
-    if c is None:
-        d = _as_value(a) - _as_value(b)
-        raise InsufficientPrecision(context, f"midpoint gap {dec_sci(abs(d.mid))} "
-                                             f"within guard of radius {dec_sci(d.rad)}")
-    return c
+def _decide(gap, rad) -> Optional[int]:
+    """The sign of gap, or None when rad > 0 and |gap| <= rad * 2**GUARD_BITS."""
+    if rad and abs(gap) <= rad * (1 << GUARD_BITS):
+        return None
+    return (gap > 0) - (gap < 0)
 
 
 def margin_bits(a, b) -> Optional[int]:
@@ -369,23 +353,24 @@ class MinimaRecord:
     u: Tuple[int, int]
     minimal: bool
 
-    def interval(self) -> Tuple[Fraction, Fraction]:
-        if isinstance(self.delta, ApproxReal):
-            return (self.delta.lo, self.delta.hi)
-        return (self.delta, self.delta)
-
 
 class _MinimaData:
-    """Internal scan result: records plus the raw dyadic units."""
+    """Internal scan result: records plus their values in integer units."""
 
-    __slots__ = ("kind", "records", "units", "scale_bits", "zero_at")
+    __slots__ = ("records", "den", "units", "zero_at")
 
-    def __init__(self, kind, records, units, scale_bits, zero_at):
-        self.kind = kind                # "exact" | "dyadic"
+    def __init__(self, records, den, units, zero_at):
         self.records = records          # List[MinimaRecord]
-        self.units = units              # List[(d_units, rad_units)] | None
-        self.scale_bits = scale_bits    # P with denominator 2**P | None
+        self.den = den                  # common denominator of the units
+        self.units = units              # List[(d_units, rad_units)]
         self.zero_at = zero_at          # n of an exact zero, or None
+
+
+def _value(mid: int, rad: int, den: int) -> Union[Fraction, ApproxReal]:
+    """mid/den as a Fraction when exact, else with radius rad/den."""
+    if rad:
+        return ApproxReal(Fraction(mid, den), Fraction(rad, den))
+    return Fraction(mid, den)
 
 
 def _resolve_input(value, prec_bits: int):
@@ -400,12 +385,18 @@ def _resolve_input(value, prec_bits: int):
 
 
 def _resolve_pair(alpha, beta, prec_bits: int):
+    """-> (den, (a_mid, a_rad), (b_mid, b_rad)): the pair in integer units.
+
+    An exact pair sits on the lcm of its denominators with radius zero;
+    otherwise both values are rounded onto the dyadic grid 2**-(prec+16).
+    """
     a = _resolve_input(alpha, prec_bits)
     b = _resolve_input(beta, prec_bits)
     if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return "exact", a, b, None
-    # dyadic grid: both on a common denominator 2**P
-    p = prec_bits + 16
+        den = math.lcm(a.denominator, b.denominator)
+        return den, (a.numerator * (den // a.denominator), 0), \
+            (b.numerator * (den // b.denominator), 0)
+    den = 1 << (prec_bits + 16)
     cap = Fraction(1, 1 << MIN_INPUT_BITS)
     units = []
     for x in (a, b):
@@ -413,47 +404,29 @@ def _resolve_pair(alpha, beta, prec_bits: int):
         if x.rad > cap:
             raise UsageError(f"input radius {dec_sci(x.rad)} is coarser than "
                              f"the required {MIN_INPUT_BITS} bits")
-        num = x.mid.numerator << p
+        num = x.mid.numerator * den
         u = (num + (x.mid.denominator >> 1)) // x.mid.denominator
-        slack = Fraction(x.rad) * (1 << p) + 1
+        slack = Fraction(x.rad) * den + 1
         units.append((u, math.ceil(slack)))
-    return "dyadic", units[0], units[1], p
+    return den, units[0], units[1]
 
 
-def _minima_exact(alpha: Fraction, beta: Fraction, n_max: int) -> _MinimaData:
-    records: List[MinimaRecord] = []
-    best: Optional[Fraction] = None
-    zero_at = None
-    step = alpha - beta
-    for n in range(1, n_max + 1):
-        val = n * beta
-        d_min = dist_to_int(val)
-        a_min = 0
-        for a in range(1, n + 1):
-            val += step
-            d = dist_to_int(val)
-            if d < d_min:                      # strict: ties keep the smallest a
-                d_min, a_min = d, a
-        minimal = best is None or d_min <= best
-        records.append(MinimaRecord(n, d_min, (a_min, n - a_min), minimal))
-        if minimal:
-            best = d_min
-        if d_min == 0:
-            zero_at = n
-            break
-    return _MinimaData("exact", records, None, None, zero_at)
+def _minima_impl(alpha, beta, n_max: int, prec_bits: int) -> _MinimaData:
+    """The quadratic minima scan; stops at an exact zero.
 
-
-def _minima_dyadic(ua: Tuple[int, int], ub: Tuple[int, int], p: int,
-                   n_max: int) -> _MinimaData:
-    one = 1 << p
+    Ties between candidates are decided toward the smallest a when the
+    radius is zero and refused otherwise; so are ties with the running
+    minimum, which count as minimal when exact.
+    """
+    if n_max < 1:
+        raise UsageError("minima scan needs n_max >= 1")
+    one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(alpha, beta, prec_bits)
     half = one >> 1
-    a_mid, a_rad = ua
-    b_mid, b_rad = ub
     step = a_mid - b_mid
     records: List[MinimaRecord] = []
     units: List[Tuple[int, int]] = []
     best: Optional[Tuple[int, int]] = None      # (d_units, rad_units)
+    zero_at = None
     for n in range(1, n_max + 1):
         val = n * b_mid
         d_min = None
@@ -470,37 +443,31 @@ def _minima_dyadic(ua: Tuple[int, int], ub: Tuple[int, int], p: int,
         def rad_of(a):
             return (n - a) * b_rad + a * a_rad
         rad_min = rad_of(a_min)
-        for a, d in enumerate(dists):
-            if a == a_min:
-                continue
-            if d - d_min <= (rad_min + rad_of(a)) << GUARD_BITS:
-                raise InsufficientPrecision(
-                    "minima-argmin",
-                    f"n={n}: candidates a={a_min} and a={a} are not separable")
+        if a_rad or b_rad:              # with radius zero the argmin is decided
+            for a, d in enumerate(dists):
+                if a == a_min:
+                    continue
+                if d - d_min <= (rad_min + rad_of(a)) << GUARD_BITS:
+                    raise InsufficientPrecision(
+                        "minima-argmin",
+                        f"n={n}: candidates a={a_min} and a={a} are not separable")
         if best is None:
             minimal = True
         else:
-            gap = best[0] - d_min
-            if abs(gap) <= (best[1] + rad_min) << GUARD_BITS:
+            c = _decide(best[0] - d_min, best[1] + rad_min)
+            if c is None:
                 raise InsufficientPrecision(
                     "minima-flag", f"n={n}: tie with the running minimum")
-            minimal = gap > 0
-        records.append(MinimaRecord(
-            n, ApproxReal(Fraction(d_min, one), Fraction(rad_min, one)),
-            (a_min, n - a_min), minimal))
+            minimal = c >= 0
+        records.append(MinimaRecord(n, _value(d_min, rad_min, one),
+                                    (a_min, n - a_min), minimal))
         units.append((d_min, rad_min))
         if minimal:
             best = (d_min, rad_min)
-    return _MinimaData("dyadic", records, units, p, None)
-
-
-def _minima_impl(alpha, beta, n_max: int, prec_bits: int) -> _MinimaData:
-    if n_max < 1:
-        raise UsageError("minima scan needs n_max >= 1")
-    kind, a, b, p = _resolve_pair(alpha, beta, prec_bits)
-    if kind == "exact":
-        return _minima_exact(a, b, n_max)
-    return _minima_dyadic(a, b, p, n_max)
+        if d_min == 0 and rad_min == 0:
+            zero_at = n
+            break
+    return _MinimaData(records, one, units, zero_at)
 
 
 def delta_n(alpha, beta, n: int, prec_bits: int = DEFAULT_PREC) -> MinimaRecord:
@@ -606,8 +573,13 @@ class RatioScanReport:
 
 
 # float prefilter: pairs whose ratio is farther than this from every
-# integer cannot be within any tolerance below ~1e-12
+# integer cannot be within any tolerance up to _SCREEN / 2.  It applies
+# only where the float ratio is accurate to well below _SCREEN: the base
+# value is at least _TINY (so a ratio over an underflowed value is tiny
+# too) and the ratio is below _SCREEN_MAX.
 _SCREEN = 1e-9
+_SCREEN_MAX = float(1 << 20)
+_TINY = 2.0 ** -1000
 
 
 def primitive_decomposition(u: Tuple[int, int],
@@ -666,44 +638,37 @@ def integer_ratio_scan(alpha, beta, n_max: int, tol=Fraction(1, 1 << 64),
                 raise InvariantViolation("collinearity-decomposition",
                                          f"pair ({ri.n},{rj.n}): {b} != {ell}*{a}")
 
-    if data.kind == "exact":
-        for i in range(len(recs)):
-            di = recs[i].delta
-            if di == 0:
-                continue
-            for j in range(i + 1, len(recs)):
-                dj = recs[j].delta
-                pairs += 1
-                ell = int((2 * dj + di) // (2 * di))       # nearest integer
-                if ell < 1:
+    one, units = data.den, data.units
+    tp, tq = tol.numerator, tol.denominator
+    screen = tol <= _SCREEN / 2
+    fl = [d / one for d, _ in units]          # once per record, never overflows
+    for i in range(len(recs)):
+        d_i, r_i = units[i]
+        c = _decide(d_i, r_i)
+        if c is None:
+            # sign of the base value itself is unclear; flagged as (n, 0)
+            undecided.append((recs[i].n, 0))
+        if not c:
+            continue
+        f_i = fl[i] if screen and fl[i] >= _TINY else None
+        for j in range(i + 1, len(recs)):
+            pairs += 1
+            if f_i is not None:
+                ratio = fl[j] / f_i
+                if ratio < 0.5 or (ratio < _SCREEN_MAX
+                                   and abs(ratio - round(ratio)) > _SCREEN):
                     continue
-                if abs(dj - ell * di) <= tol * di:
-                    audit(recs[i], recs[j], ell)
-    else:
-        units = data.units
-        one = 1 << data.scale_bits
-        fl = [float(d) for d, _ in units]
-        for i in range(len(recs)):
-            du_i, ru_i = units[i]
-            if du_i <= ru_i << GUARD_BITS:
-                # sign of the base value itself is unclear; flagged as (n, 0)
-                undecided.append((recs[i].n, 0))
+            d_j, r_j = units[j]
+            ell = (2 * d_j + d_i) // (2 * d_i)          # nearest integer
+            if ell < 1:
                 continue
-            d_i = ApproxReal(Fraction(du_i, one), Fraction(ru_i, one))
-            for j in range(i + 1, len(recs)):
-                pairs += 1
-                ratio = fl[j] / fl[i]
-                ell = math.floor(ratio + 0.5)
-                if ell < 1 or abs(ratio - ell) > _SCREEN:
-                    continue
-                du_j, ru_j = units[j]
-                d_j = ApproxReal(Fraction(du_j, one), Fraction(ru_j, one))
-                off = _abs_val(d_j - d_i.scaled(ell))
-                c = try_cmp(off, d_i.scaled(tol))
-                if c is None:
-                    undecided.append((recs[i].n, recs[j].n))
-                elif c <= 0:
-                    audit(recs[i], recs[j], ell)
+            # |d_j - ell*d_i| <= tol*d_i, scaled by tq
+            off = abs(d_j - ell * d_i)
+            c = _decide(tq * off - tp * d_i, tq * (r_j + ell * r_i) + tp * r_i)
+            if c is None:
+                undecided.append((recs[i].n, recs[j].n))
+            elif c <= 0:
+                audit(recs[i], recs[j], ell)
     return RatioScanReport(n_max, tol, tuple(recs), tuple(qualifying),
                            tuple(violations), tuple(undecided), pairs,
                            data.zero_at)
@@ -817,43 +782,26 @@ def orbit_of_word(word: Union[WordExpr, str], alpha, beta,
                 raise UsageError(f"bad word expression: {exc}") from None
     else:
         seq = letters(word)
-    kind, a, b, p = _resolve_pair(alpha, beta, prec_bits)
+    one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(alpha, beta, prec_bits)
     out: List[Union[Fraction, ApproxReal]] = []
-    if kind == "exact":
-        val = _ZERO
-        for ch in seq:
-            val += a if ch == "x" else b
-            val -= math.floor(val)
-            out.append(val)
-        return out
-    one = 1 << p
-    (a_mid, a_rad), (b_mid, b_rad) = a, b
     mid = 0
     rad = 0
     for ch in seq:
         mid += a_mid if ch == "x" else b_mid
         rad += a_rad if ch == "x" else b_rad
         mid %= one
-        out.append(ApproxReal(Fraction(mid, one), Fraction(rad, one)))
+        out.append(_value(mid, rad, one))
     return out
 
 
-def _point_units(points) -> Optional[Tuple[int, List[Tuple[int, int]]]]:
-    """(P, [(mid_units, rad_units)]) when every point is dyadic, else None."""
-    scale = 0
-    for pt in points:
-        v = _as_value(pt)
-        for fr in (v.mid, v.rad):
-            den = fr.denominator
-            if den & (den - 1):
-                return None
-            scale = max(scale, den.bit_length() - 1)
-    out = []
-    for pt in points:
-        v = _as_value(pt)
-        out.append((v.mid.numerator << (scale - (v.mid.denominator.bit_length() - 1)),
-                    v.rad.numerator << (scale - (v.rad.denominator.bit_length() - 1))))
-    return scale, out
+def _point_units(values) -> Tuple[int, List[Tuple[int, int]]]:
+    """(den, [(mid_units, rad_units)]) on the lcm of all denominators."""
+    vals = [_as_value(v) for v in values]
+    den = 1
+    for v in vals:
+        den = math.lcm(den, v.mid.denominator, v.rad.denominator)
+    return den, [(v.mid.numerator * (den // v.mid.denominator),
+                  v.rad.numerator * (den // v.rad.denominator)) for v in vals]
 
 
 @dataclass(frozen=True)
@@ -879,80 +827,31 @@ def orbit_separation_check(points, records: Sequence[MinimaRecord]) -> Separatio
         if rec.n != g:
             raise UsageError("minima records must cover gaps 1, 2, ... in order")
 
-    pt_units = _point_units(points)
-    rec_units = _point_units([r.delta for r in records[:n_pts - 1]])
+    one, units = _point_units(list(points) + [r.delta for r in records[:n_pts - 1]])
+    pu, du = units[:n_pts], units[n_pts:]
+    half = one >> 1
     violations: List[Tuple[int, int]] = []
     undecided = 0
     worst: Optional[int] = None
     pairs = 0
-    if pt_units is not None and rec_units is not None:
-        p1, pu = pt_units
-        p2, du = rec_units
-        p = max(p1, p2)
-        pu = [(m << (p - p1), r << (p - p1)) for m, r in pu]
-        du = [(m << (p - p2), r << (p - p2)) for m, r in du]
-        one = 1 << p
-        half = one >> 1
-        for i in range(n_pts):
-            mi, ri = pu[i]
-            for j in range(i + 1, n_pts):
-                pairs += 1
-                r = (pu[j][0] - mi) % one
-                d = r if r <= half else one - r
-                dm, dr = du[j - i - 1]
-                gap = d - dm
-                radsum = ri + pu[j][1] + dr
-                if abs(gap) <= radsum << GUARD_BITS:
-                    undecided += 1
-                elif gap < 0:
-                    violations.append((i + 1, j + 1))
-                else:
-                    bits = gap.bit_length() - max(1, radsum).bit_length()
-                    if worst is None or bits < worst:
-                        worst = bits
-    else:
-        for i in range(n_pts):
-            vi = _as_value(points[i])
-            for j in range(i + 1, n_pts):
-                pairs += 1
-                d = (_as_value(points[j]) - vi).dist_to_nearest_int()
-                delta = records[j - i - 1].delta
-                c = try_cmp(d, delta)
-                if c is None:
-                    undecided += 1
-                elif c < 0:
-                    violations.append((i + 1, j + 1))
-                else:
-                    mb = margin_bits(d, delta)
-                    if mb is not None and (worst is None or mb < worst):
-                        worst = mb
+    for i in range(n_pts):
+        mi, ri = pu[i]
+        for j in range(i + 1, n_pts):
+            pairs += 1
+            r = (pu[j][0] - mi) % one
+            d = r if r <= half else one - r
+            dm, dr = du[j - i - 1]
+            gap = d - dm
+            radsum = ri + pu[j][1] + dr
+            if radsum and abs(gap) <= radsum << GUARD_BITS:
+                undecided += 1
+            elif gap < 0:
+                violations.append((i + 1, j + 1))
+            elif radsum:                # an exact pair carries no margin
+                bits = gap.bit_length() - radsum.bit_length()
+                if worst is None or bits < worst:
+                    worst = bits
     return SeparationReport(pairs, tuple(violations), undecided, worst)
-
-
-def vector_sum_bound(alpha, beta, rec_a: MinimaRecord, rec_b: MinimaRecord,
-                     prec_bits: int = DEFAULT_PREC) -> Tuple[Optional[bool], str]:
-    """||(u_a + u_b).(alpha, beta)|| <= delta_a + delta_b (triangle bound).
-
-    Returns (decision, rendered value); a certified failure raises, since
-    the bound is forced by the metric.
-    """
-    kind, a, b, p = _resolve_pair(alpha, beta, prec_bits)
-    ua, ub = rec_a.u, rec_b.u
-    ca, cb = ua[0] + ub[0], ua[1] + ub[1]
-    if kind == "exact":
-        val: Union[Fraction, ApproxReal] = dist_to_int(ca * a + cb * b)
-    else:
-        one = 1 << p
-        mid = (ca * a[0] + cb * b[0]) % one
-        mid = min(mid, one - mid)
-        val = ApproxReal(Fraction(mid, one),
-                         Fraction(ca * a[1] + cb * b[1], one))
-    bound = _as_value(rec_a.delta) + _as_value(rec_b.delta)
-    c = try_cmp(val, bound)
-    if c == 1:
-        raise InvariantViolation("triangle-bound",
-                                 f"u_a={ua} u_b={ub}: {val} > {bound}")
-    return (None if c is None else True), str(_as_value(val))
 
 
 @dataclass(frozen=True)

@@ -55,15 +55,6 @@ def ceil_root_ratio(num: int, den: int, k: int) -> int:
     return t
 
 
-def ceil_pow(fr: Fraction, num: int, den: int) -> int:
-    """Exact ceil(fr ** (num/den)) for fr > 0, num >= 0, den >= 1."""
-    if fr <= 0:
-        raise ValueError("ceil_pow needs fr > 0")
-    p = fr.numerator ** num
-    q = fr.denominator ** num
-    return ceil_root_ratio(p, q, den)
-
-
 def pow_bracket(fr: Fraction, num: int, den: int, bits: int = 64):
     """Rational bracket (lo, hi) with lo <= fr**(num/den) <= hi.
 
@@ -117,11 +108,6 @@ def dist_to_int(fr) -> Fraction:
     return m if m <= HALF else 1 - m
 
 
-def circ_dist(a, b) -> Fraction:
-    """Circle distance between two rationals taken mod 1."""
-    return dist_to_int(Fraction(a) - Fraction(b))
-
-
 def round_half_even_div(a: int, b: int) -> int:
     """round(a / b) with ties to even, for a >= 0, b >= 1."""
     q, r = divmod(a, b)
@@ -172,8 +158,3 @@ def dec_sci(fr, sig: int = 12) -> str:
     digits = str(m).rjust(sig, "0")
     mantissa = digits[0] + "." + digits[1:] if sig > 1 else digits
     return f"{sign}{mantissa}e{e:+03d}"
-
-
-def f64(fr) -> str:
-    """repr of the nearest float64; report-column convenience only."""
-    return repr(float(Fraction(fr)))

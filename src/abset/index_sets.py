@@ -1,94 +1,19 @@
 """Symbolic sets of positive integer time indices.
 
-Components are intervals, finite sets, strided block patterns, and
-nested periodic blocks (a block repeated along several layers of
-periods, as produced by recursively substituted words).  Membership and
-counting are exact; unions assume pairwise-disjoint components, which is
-what the construction-produced sets guarantee.
+Each component is a nested periodic block: one block of consecutive
+indices repeated along several layers of periods, as produced by
+recursively substituted words.  Membership and counting are exact;
+unions assume pairwise-disjoint components, which is what the
+construction-produced sets guarantee.
 
-Sweep-based operations (member iteration, longest complement run) are
-bounded by SWEEP_LIMIT because these sets routinely describe horizons
-around 10**24 indices.
+Member iteration is bounded by SWEEP_LIMIT because these sets routinely
+describe horizons around 10**24 indices.
 """
 
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 SWEEP_LIMIT = 10 ** 6
-
-
-class _Interval:
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        if a < 1 or b < a:
-            raise ValueError(f"bad interval [{a}, {b}]")
-        self.a = a
-        self.b = b
-
-    def contains(self, j: int) -> bool:
-        return self.a <= j <= self.b
-
-    def count_up_to(self, h: int) -> int:
-        return max(0, min(self.b, h) - self.a + 1)
-
-    def describe(self):
-        return ("interval", self.a, self.b)
-
-
-class _Finite:
-    __slots__ = ("members",)
-
-    def __init__(self, members):
-        ms = frozenset(int(m) for m in members)
-        if any(m < 1 for m in ms):
-            raise ValueError("finite components hold indices >= 1")
-        self.members = ms
-
-    def contains(self, j: int) -> bool:
-        return j in self.members
-
-    def count_up_to(self, h: int) -> int:
-        return sum(1 for m in self.members if m <= h)
-
-    def describe(self):
-        return ("finite", tuple(sorted(self.members)))
-
-
-class _Strided:
-    """Blocks of block_len consecutive indices starting at offset,
-    offset+period, ... for reps repetitions (None = unbounded)."""
-
-    __slots__ = ("offset", "period", "block_len", "reps")
-
-    def __init__(self, offset: int, period: int, block_len: int, reps: Optional[int]):
-        if offset < 1 or period < 1 or not 1 <= block_len <= period:
-            raise ValueError("bad strided pattern")
-        if reps is not None and reps < 0:
-            raise ValueError("bad repetition count")
-        self.offset = offset
-        self.period = period
-        self.block_len = block_len
-        self.reps = reps
-
-    def contains(self, j: int) -> bool:
-        if j < self.offset:
-            return False
-        q, r = divmod(j - self.offset, self.period)
-        if self.reps is not None and q >= self.reps:
-            return False
-        return r < self.block_len
-
-    def count_up_to(self, h: int) -> int:
-        if h < self.offset:
-            return 0
-        q, r = divmod(h - self.offset, self.period)
-        if self.reps is not None and q >= self.reps:
-            return self.reps * self.block_len
-        return q * self.block_len + min(r + 1, self.block_len)
-
-    def describe(self):
-        return ("strided", self.offset, self.period, self.block_len, self.reps)
 
 
 class _NestedBlocks:
@@ -153,34 +78,13 @@ class _NestedBlocks:
 
 
 class IndexSet:
-    """Union of pairwise-disjoint components.  Factories below are the
-    supported construction paths."""
+    """Union of pairwise-disjoint nested-block components; `nested_blocks`
+    and `union` are the supported construction paths."""
 
     __slots__ = ("components",)
 
     def __init__(self, components=()):
         self.components = tuple(components)
-
-    @classmethod
-    def empty(cls) -> "IndexSet":
-        return cls()
-
-    @classmethod
-    def interval(cls, a: int, b: int) -> "IndexSet":
-        return cls([_Interval(a, b)])
-
-    @classmethod
-    def finite(cls, members) -> "IndexSet":
-        return cls([_Finite(members)])
-
-    @classmethod
-    def strided(cls, offset: int, period: int, block_len: int = 1,
-                reps: Optional[int] = None) -> "IndexSet":
-        return cls([_Strided(offset, period, block_len, reps)])
-
-    @classmethod
-    def multiples_of(cls, k: int) -> "IndexSet":
-        return cls.strided(offset=k, period=k, block_len=1, reps=None)
 
     @classmethod
     def nested_blocks(cls, origin: int, block_len: int,
@@ -195,9 +99,6 @@ class IndexSet:
         for s in sets:
             comps.extend(s.components)
         return IndexSet(comps)
-
-    def is_empty_symbolically(self) -> bool:
-        return not self.components
 
     def contains(self, j: int) -> bool:
         if j < 1:
@@ -228,29 +129,3 @@ class IndexSet:
     def describe(self):
         """Stable structural description for reports."""
         return tuple(c.describe() for c in self.components)
-
-
-def longest_complement_run(s: IndexSet, horizon: int) -> Tuple[int, int]:
-    """Longest run of consecutive indices in [1, horizon] missing from s.
-
-    Returns (start, length); ties resolve to the smallest start.  The
-    whole range counts as one run when s is empty there.  Sweep-bounded.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if horizon > SWEEP_LIMIT:
-        raise ValueError(f"complement sweep capped at {SWEEP_LIMIT}; got {horizon}")
-    best_start, best_len = 1, 0
-    run_start, run_len = 1, 0
-    for j in range(1, horizon + 1):
-        if s.contains(j):
-            run_len = 0
-            run_start = j + 1
-        else:
-            run_len += 1
-            if run_len > best_len:
-                best_start, best_len = run_start, run_len
-    if best_len == 0:
-        # complement empty in range; report the empty run at the front
-        return (1, 0)
-    return (best_start, best_len)

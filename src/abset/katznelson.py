@@ -256,10 +256,6 @@ def build_stages(schedule: Schedule, stages: int) -> List[KStage]:
     return out
 
 
-def structural_stats(stage: KStage) -> StructStats:
-    return stage.stats
-
-
 def frequency_matrix(stage: KStage):
     """Letter-frequency rows of (U_n, V_n) and their sup distance from
     the identity matrix."""

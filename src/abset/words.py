@@ -13,7 +13,7 @@ whole word is `evaluate_end`; the sampled trajectory is `orbit_points`.
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact import f64, mod1
+from .exact import mod1
 
 # letters a word of this size is allowed to spell out explicitly
 FLATTEN_LIMIT = 10 ** 6
@@ -244,8 +244,9 @@ class OrbitSample:
     """A finite sampled trajectory: (time index, circle point) pairs.
 
     Built either in time order (indices strictly increasing, the default
-    contract) or by `sorted_on_circle`, where entries are ordered by point
-    value, deduplicated, and each index records the first visit time.
+    contract) or in circle order (`ordering="circle"`, as `enumerate_E`
+    builds it), where entries are ordered by point value, deduplicated,
+    and each index records the first visit time.
     """
 
     __slots__ = ("entries", "ordering")
@@ -276,20 +277,6 @@ class OrbitSample:
 
     def indices(self):
         return [i for i, _ in self.entries]
-
-    def sorted_on_circle(self) -> "OrbitSample":
-        """Deduplicate by point value; keep the earliest index per point."""
-        first = {}
-        for i, p in self.entries:
-            if p not in first:
-                first[p] = i
-        ordered = sorted(first.items())  # by point value
-        return OrbitSample([(i, p) for p, i in ordered], ordering="circle")
-
-    def csv_rows(self):
-        """Rows (index, numerator, denominator, decimal64) for serialization."""
-        return [(i, str(p.numerator), str(p.denominator), f64(p))
-                for i, p in self.entries]
 
 
 def orbit_points(w: WordExpr, alpha, beta, indices: Iterable[int]) -> OrbitSample:

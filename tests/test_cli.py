@@ -6,6 +6,7 @@ library itself and frozen after hand inspection; they guard against
 silent drift in either the math or the serialization.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,19 @@ def test_dioph_single_scan_subset(capsys):
     assert "integer-ratio-lemma" not in stdout
 
 
+@pytest.mark.parametrize("alpha,beta,nmax,line", [
+    # the exact minima reach 0 at n = 144, so 145 points are checked
+    ("89/233", "55/144", "200", "10440 pairs, 0 violations, 0 undecided"),
+    # exact equalities on a dyadic denominator are decided, not undecided
+    ("1/4 + 1/1024", "3/8 + 1/4096", "60", "1770 pairs, 0 violations, 0 undecided"),
+], ids=["early-zero", "dyadic-exact"])
+def test_dioph_exact_separation(capsys, alpha, beta, nmax, line):
+    rc, stdout, stderr = run(capsys, "dioph", "--alpha", alpha, "--beta", beta,
+                             "--nmax", nmax, "--scan", "separation")
+    assert rc == 0 and stderr == ""
+    assert f"PASS orbit-separation: {line}" in stdout
+
+
 # ----------------------------------------------------------------------- dim
 
 
@@ -224,6 +238,27 @@ def test_verify_all_desk_green_and_deterministic(capsys, tmp_path):
     assert "landing-exact-3" in names
     assert "gap-dichotomy" in names
     assert all(c["ok"] for c in report["checks"])
+
+
+GOLDENS = [
+    (["verify-all", "--profile", "desk"], "report.json",
+     "da3dd4e6fa9fd742b1461e75266e864494965232f1defd6fd2fa231f128726f8", 15607),
+    (["dioph", "--alpha", "sqrt(2) - 1", "--beta", "sqrt(3) - 1", "--nmax", "500"],
+     "report.csv",
+     "91711af69f8a89fd9cd2eba0f351cd80d8d9ef1b5d9494792e18d1edd8b3699c", 35888),
+    (["dioph", "--alpha", "1/3 + 1/1001", "--beta", "2/7 + 1/999", "--nmax", "60"],
+     "report.csv",
+     "75db281f9af0383b3c9bb3d17bb327a1ed155077fe5bb6e3173123c659bfd3bf", 2489),
+]
+
+
+@pytest.mark.parametrize("argv,name,sha256,size", GOLDENS,
+                         ids=["verify-all-desk", "dioph-surd-500", "dioph-rational-60"])
+def test_report_bytes_golden(capsys, tmp_path, argv, name, sha256, size):
+    out = tmp_path / name
+    run(capsys, *argv, "--out", str(out))
+    data = out.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
 
 
 # ---------------------------------------------------------------- exit codes

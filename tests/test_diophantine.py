@@ -15,11 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from abset.diophantine import (
     ApproxReal,
-    MinimaRecord,
     ProbeParams,
     RealValue,
     assouad_lower_probe,
-    cmp_certified,
     cmp_products,
     delta_n,
     dichotomy_scan,
@@ -33,9 +31,8 @@ from abset.diophantine import (
     primitive_decomposition,
     scan_horizon,
     try_cmp,
-    vector_sum_bound,
 )
-from abset.errors import InsufficientPrecision, InvariantViolation, UsageError
+from abset.errors import InsufficientPrecision, UsageError
 
 F = Fraction
 
@@ -68,6 +65,38 @@ def circle_dist(x, y):
     return min(d, 1 - d)
 
 
+def fraction_minima(alpha, beta, n_max):
+    """Oracle: the running scan in Fraction arithmetic.  Per n the smallest
+    a wins ties, a tie with the running minimum counts as minimal, and an
+    exact zero ends the scan.  -> ([(delta, u, minimal)], zero_at)"""
+    out = []
+    best = None
+    for n in range(1, n_max + 1):
+        d, u = brute_delta(alpha, beta, n)
+        minimal = best is None or d <= best
+        out.append((d, u, minimal))
+        if minimal:
+            best = d
+        if d == 0:
+            return out, n
+    return out, None
+
+
+def fraction_ratio_pairs(values, tol):
+    """Oracle: (i, j, ell) with |d_j - ell*d_i| <= tol*d_i, ell the nearest
+    integer to d_j/d_i (halves round up) and ell >= 1, 1-based indices."""
+    out = []
+    for i, di in enumerate(values):
+        if di == 0:
+            continue
+        for j in range(i + 1, len(values)):
+            dj = values[j]
+            ell = math.floor(dj / di + F(1, 2))
+            if ell >= 1 and abs(dj - ell * di) <= tol * di:
+                out.append((i + 1, j + 1, ell))
+    return out
+
+
 # -- comparison layer ---------------------------------------------------------
 
 def test_sqrt_of_int_bracket():
@@ -93,8 +122,6 @@ def test_try_cmp_decisions():
     a = ApproxReal(F(1, 3), F(1, 2 ** 130))
     b = ApproxReal(F(1, 3) + F(1, 2 ** 135), F(1, 2 ** 130))
     assert try_cmp(a, b) is None
-    with pytest.raises(InsufficientPrecision):
-        cmp_certified(a, b)
 
 
 def test_cmp_products_integer_powers():
@@ -313,6 +340,15 @@ def test_ratio_scan_surd_pair_clean():
     assert all(p.divisibility_ok and p.vector_ok for p in rep.qualifying)
 
 
+def test_ratio_scan_precision_past_float_range():
+    # at 1100 bits the dyadic units exceed the float range
+    lo = integer_ratio_scan(S2M1, S3M1, 30)
+    hi = integer_ratio_scan(S2M1, S3M1, 30, prec_bits=1100)
+    assert [(p.i, p.j, p.ell) for p in hi.qualifying] == \
+        [(p.i, p.j, p.ell) for p in lo.qualifying]
+    assert hi.qualifying and not hi.violations and not hi.undecided
+
+
 def test_ratio_scan_zero_termination():
     rep = integer_ratio_scan(F(1, 4), F(1, 3), 9)
     assert rep.zero_at == 3
@@ -464,9 +500,10 @@ def test_orbit_surd_matches_mpmath():
             pts[1].rad.denominator
 
 
-def test_separation_exact_orbit_all_equalities():
-    # at (alpha, alpha) every gap distance equals the minima value exactly
-    al = F(89, 144)
+@pytest.mark.parametrize("al", [F(89, 144), F(89, 128)], ids=["89-144", "89-128"])
+def test_separation_exact_orbit_all_equalities(al):
+    # at (alpha, alpha) every gap distance equals the minima value exactly;
+    # exact equalities are decided whatever the denominator
     pts = orbit_of_word("x" * 10, al, al)
     recs = minima_sequence(al, al, 9)
     rep = orbit_separation_check(pts, recs)
@@ -497,24 +534,6 @@ def test_separation_requires_gap_coverage():
     assert "need minima up to gap 9" in str(exc.value)
     with pytest.raises(UsageError):
         orbit_separation_check(pts, list(reversed(recs)))
-
-
-def test_vector_sum_bound_holds():
-    recs = minima_sequence(S2M1, S3M1, 10)
-    dec, rendered = vector_sum_bound(S2M1, S3M1, recs[0], recs[1], 256)
-    assert dec is True
-    assert rendered
-    recs = minima_sequence(F(2, 7), F(3, 7), 2)
-    dec, _ = vector_sum_bound(F(2, 7), F(3, 7), recs[0], recs[1], 256)
-    assert dec is True
-
-
-def test_vector_sum_bound_rejects_forged_record():
-    genuine = delta_n(F(2, 7), F(3, 7), 1)
-    forged = MinimaRecord(1, F(1, 1000), (1, 0), True)
-    with pytest.raises(InvariantViolation) as exc:
-        vector_sum_bound(F(2, 7), F(3, 7), genuine, forged, 256)
-    assert exc.value.name == "triangle-bound"
 
 
 # -- localized probe ----------------------------------------------------------
@@ -633,13 +652,14 @@ def test_minima_agree_with_oracle(alpha, beta, n):
        st.integers(min_value=1, max_value=6),
        st.integers(min_value=1, max_value=6))
 def test_triangle_bound_never_violated(alpha, beta, i, j):
+    # ||(u_i + u_j).(alpha, beta)|| <= delta_i + delta_j, in Fractions
     try:
         ra = delta_n(alpha, beta, i)
         rb = delta_n(alpha, beta, j)
     except UsageError:
         return
-    dec, _ = vector_sum_bound(alpha, beta, ra, rb, 256)
-    assert dec is True
+    v = (ra.u[0] + rb.u[0]) * alpha + (ra.u[1] + rb.u[1]) * beta
+    assert circle_dist(v, 0) <= ra.delta + rb.delta
 
 
 @settings(max_examples=40, deadline=None)
@@ -668,3 +688,52 @@ def test_minimal_records_are_running_minima(alpha, beta, n):
             best = rec.delta
         else:
             assert not rec.minimal
+
+
+exact_values = st.one_of(
+    small_fractions,
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=128),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_values, exact_values, st.integers(min_value=1, max_value=24))
+def test_exact_minima_match_fraction_scan(alpha, beta, n):
+    want, zero_at = fraction_minima(alpha, beta, n)
+    recs = minima_sequence(alpha, beta, n)
+    assert [(r.delta, r.u, r.minimal) for r in recs] == want
+    assert all(isinstance(r.delta, Fraction) for r in recs)
+    assert integer_ratio_scan(alpha, beta, n).zero_at == zero_at
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_values, exact_values, st.integers(min_value=2, max_value=24),
+       st.sampled_from([F(1, 2 ** 64), F(1, 100)]))
+def test_exact_ratio_scan_matches_fraction_oracle(alpha, beta, n, tol):
+    rep = integer_ratio_scan(alpha, beta, n, tol=tol)
+    values = [r.delta for r in rep.records]
+    assert [(p.i, p.j, p.ell) for p in rep.qualifying] == \
+        fraction_ratio_pairs(values, tol)
+    assert rep.pairs_examined == sum(len(values) - 1 - i
+                                     for i, d in enumerate(values) if d != 0)
+    assert rep.undecided == ()
+
+
+# denominators far beyond the float range: 3**700 and 7**400
+HA = F(1, 3) + F(1, 3 ** 700)
+HB = F(2, 7) + F(2, 7 ** 400)
+
+
+def test_huge_denominators_minima_ratio_separation():
+    want, zero_at = fraction_minima(HA, HB, 30)
+    recs = minima_sequence(HA, HB, 30)
+    assert [(r.delta, r.u, r.minimal) for r in recs] == want
+    assert zero_at is None
+    rep = integer_ratio_scan(HA, HB, 30)
+    assert [(p.i, p.j, p.ell) for p in rep.qualifying] == \
+        fraction_ratio_pairs([r.delta for r in recs], F(1, 2 ** 64))
+    assert rep.pairs_examined == 435 and rep.undecided == ()
+    sep = orbit_separation_check(orbit_of_word("xy" * 15, HA, HB), recs)
+    assert (sep.pairs_checked, sep.violations, sep.undecided,
+            sep.worst_margin_bits) == (435, (), 0, None)

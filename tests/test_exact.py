@@ -10,10 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abset.exact import (
-    ceil_pow,
     ceil_root,
     ceil_root_ratio,
-    circ_dist,
     dec_sci,
     digit_len,
     dist_to_int,
@@ -57,13 +55,6 @@ def test_iroot_examples():
     assert iroot(2 ** 128, 2) == 2 ** 64
 
 
-def test_ceil_pow_example():
-    # ceil((1/2**40) ** (-1)) style use: ceil((2**40) ** (1/1))
-    assert ceil_pow(Fraction(2 ** 40), 1, 1) == 2 ** 40
-    assert ceil_pow(Fraction(2), 1, 2) == 2
-    assert ceil_pow(Fraction(1, 4), 1, 2) == 1
-
-
 @given(st.fractions(min_value=Fraction(1, 10 ** 6), max_value=Fraction(10 ** 6)),
        st.integers(min_value=1, max_value=5),
        st.integers(min_value=1, max_value=5))
@@ -92,13 +83,14 @@ def test_mod1_and_lifts():
     assert lift_half(Fraction(3, 4)) == Fraction(-1, 4)
     assert lift_half(Fraction(1, 2)) == Fraction(1, 2)
     assert dist_to_int(Fraction(9, 10)) == Fraction(1, 10)
-    assert circ_dist(Fraction(1, 20), Fraction(19, 20)) == Fraction(1, 10)
+    assert dist_to_int(Fraction(1, 20) - Fraction(19, 20)) == Fraction(1, 10)
 
 
 @given(st.fractions(), st.fractions())
 def test_circ_dist_symmetric_and_bounded(a, b):
-    d = circ_dist(a, b)
-    assert d == circ_dist(b, a)
+    # the circle distance of two rationals is dist_to_int of their difference
+    d = dist_to_int(a - b)
+    assert d == dist_to_int(b - a)
     assert Fraction(0) <= d <= Fraction(1, 2)
 
 

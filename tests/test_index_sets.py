@@ -5,45 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abset.index_sets import IndexSet, longest_complement_run
+from abset.index_sets import IndexSet
 
 
 def sweep_members(s: IndexSet, h: int):
     return [j for j in range(1, h + 1) if s.contains(j)]
 
 
-def sweep_longest_run(s: IndexSet, h: int):
-    best = (1, 0)
-    start, ln = 1, 0
-    for j in range(1, h + 1):
-        if s.contains(j):
-            start, ln = j + 1, 0
-        else:
-            ln += 1
-            if ln > best[1]:
-                best = (start, ln)
-    return best if best[1] else (1, 0)
-
-
 # -- frozen examples ----------------------------------------------------------
 
-def test_longest_run_examples():
-    assert longest_complement_run(IndexSet.multiples_of(3), 10) == (1, 2)
-    assert longest_complement_run(IndexSet.empty(), 10) == (1, 10)
-    j = IndexSet.union(IndexSet.interval(4, 6), IndexSet.finite([9]))
-    # runs [1,3], [7,8], [10,12]; tie between length-3 runs -> smallest start
-    assert longest_complement_run(j, 12) == (1, 3)
-
-
-def test_longest_run_guards():
-    with pytest.raises(ValueError):
-        longest_complement_run(IndexSet.empty(), 0)
-    with pytest.raises(ValueError):
-        longest_complement_run(IndexSet.empty(), 10 ** 6 + 1)
-
-
 def test_interval_counts():
-    s = IndexSet.interval(5, 9)
+    # an interval is a nested block without layers: indices 5..9
+    s = IndexSet.nested_blocks(origin=4, block_len=5, layers=[])
     assert s.count_up_to(4) == 0
     assert s.count_up_to(7) == 3
     assert s.count_up_to(100) == 5
@@ -51,7 +24,8 @@ def test_interval_counts():
 
 
 def test_strided_counts_match_sweep():
-    s = IndexSet.strided(offset=3, period=5, block_len=2, reps=4)
+    # blocks of 2 from index 3 with period 5, four times: one layer
+    s = IndexSet.nested_blocks(origin=2, block_len=2, layers=[(5, 4)])
     members = sweep_members(s, 40)
     assert members == [3, 4, 8, 9, 13, 14, 18, 19]
     for h in range(1, 41):
@@ -59,7 +33,8 @@ def test_strided_counts_match_sweep():
 
 
 def test_multiples_infinite():
-    s = IndexSet.multiples_of(3)
+    # multiples of 3, far past any horizon the counts are asked about
+    s = IndexSet.nested_blocks(origin=2, block_len=1, layers=[(3, 10 ** 18)])
     assert s.count_up_to(10) == 3
     assert s.count_up_to(3 * 10 ** 17) == 10 ** 17
 
@@ -82,52 +57,35 @@ def test_nested_blocks_rejects_overflowing_layers():
 
 
 def test_union_counts_additive_when_disjoint():
-    s = IndexSet.union(IndexSet.interval(1, 3), IndexSet.finite([10, 20]),
-                       IndexSet.strided(offset=30, period=10, block_len=2, reps=3))
-    assert s.count_up_to(100) == 3 + 2 + 6
-    assert sorted(sweep_members(s, 100)) == [1, 2, 3, 10, 20, 30, 31, 40, 41, 50, 51]
+    s = IndexSet.union(IndexSet.nested_blocks(0, 3, []),
+                       IndexSet.nested_blocks(9, 1, []),
+                       IndexSet.nested_blocks(19, 1, []),
+                       IndexSet.nested_blocks(5, 2, [(10, 6)]))
+    assert s.count_up_to(100) == 3 + 1 + 1 + 12
+    assert sweep_members(s, 100) == [1, 2, 3, 6, 7, 10, 16, 17, 20, 26, 27,
+                                     36, 37, 46, 47, 56, 57]
 
 
 def test_iter_members_capped():
     with pytest.raises(ValueError):
-        list(IndexSet.empty().iter_members(10 ** 6 + 1))
+        list(IndexSet().iter_members(10 ** 6 + 1))
 
 
 # -- property tests -----------------------------------------------------------
 
 @st.composite
 def random_sets(draw):
-    kinds = []
-    n = draw(st.integers(1, 3))
-    for _ in range(n):
-        kind = draw(st.integers(0, 3))
-        if kind == 0:
-            a = draw(st.integers(1, 50))
-            b = draw(st.integers(a, a + 30))
-            kinds.append(IndexSet.interval(a, b))
-        elif kind == 1:
-            kinds.append(IndexSet.finite(draw(st.lists(st.integers(1, 80), max_size=6))))
-        elif kind == 2:
-            period = draw(st.integers(2, 12))
-            blen = draw(st.integers(1, period))
-            kinds.append(IndexSet.strided(draw(st.integers(1, 20)), period, blen,
-                                          draw(st.one_of(st.none(), st.integers(0, 5)))))
-        else:
-            blen = draw(st.integers(1, 3))
-            origin = draw(st.integers(0, 4))
-            inner = origin + blen + draw(st.integers(0, 3))
-            inner_count = draw(st.integers(1, 3))
-            outer = inner * inner_count + draw(st.integers(0, 5))
-            kinds.append(IndexSet.nested_blocks(origin, blen,
-                                                [(outer, draw(st.integers(1, 3))),
-                                                 (inner, inner_count)]))
-    return IndexSet.union(*kinds)
-
-
-@settings(max_examples=100)
-@given(random_sets(), st.integers(1, 120))
-def test_longest_run_matches_sweep(s, h):
-    assert longest_complement_run(s, h) == sweep_longest_run(s, h)
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        blen = draw(st.integers(1, 3))
+        origin = draw(st.integers(0, 4))
+        inner = origin + blen + draw(st.integers(0, 3))
+        inner_count = draw(st.integers(1, 3))
+        outer = inner * inner_count + draw(st.integers(0, 5))
+        layers = [(outer, draw(st.integers(1, 3))), (inner, inner_count)]
+        comps.append(IndexSet.nested_blocks(origin, blen,
+                                            layers[draw(st.integers(0, 2)):]))
+    return IndexSet.union(*comps)
 
 
 @settings(max_examples=100)

@@ -26,7 +26,6 @@ from abset.katznelson import (
     frequency_matrix,
     gamma_report,
     stage1,
-    structural_stats,
     verify_stage,
 )
 from abset.words import evaluate_end, to_string
@@ -70,7 +69,7 @@ class TestStageOne:
         assert walk_end(to_string(s.W), s.alpha, s.beta) == 1 - s.eps
 
     def test_stats_example(self):
-        st_ = structural_stats(stage1(2, 3))
+        st_ = stage1(2, 3).stats
         assert (st_.sep_count_lower, st_.point_count_upper) == (3, 7)
         assert st_.min_gap_lower == Fraction(1, 10)
         assert st_.separation_verified

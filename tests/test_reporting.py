@@ -74,8 +74,10 @@ def test_jsonable_word_uses_compact_form():
 
 
 def test_jsonable_index_set_describes_components():
-    s = IndexSet.union(IndexSet.interval(3, 9), IndexSet.finite([20, 12]))
-    assert jsonable(s) == [["interval", 3, 9], ["finite", [12, 20]]]
+    s = IndexSet.union(IndexSet.nested_blocks(2, 7, []),
+                       IndexSet.nested_blocks(11, 1, [(20, 3)]))
+    assert jsonable(s) == [["nested_blocks", 2, 7, []],
+                           ["nested_blocks", 11, 1, [[20, 3]]]]
 
 
 def test_canonical_json_sorted_and_terminated():

@@ -119,13 +119,6 @@ def test_orbit_sample_monotone_indices_enforced():
         OrbitSample([(3, Fraction(0)), (1, Fraction(1, 2))])
 
 
-def test_sorted_on_circle_dedupes_keeping_first_index():
-    s = OrbitSample([(0, Fraction(1, 2)), (1, Fraction(1, 4)), (2, Fraction(1, 2))])
-    c = s.sorted_on_circle()
-    assert c.points() == [Fraction(1, 4), Fraction(1, 2)]
-    assert c.indices() == [1, 0]
-
-
 def test_flatten_refusal():
     huge = power(X, FLATTEN_CAP_PLUS := 10 ** 6 + 1)
     with pytest.raises(ValueError):
