@@ -18,42 +18,71 @@ DEFAULT_PREC_BITS = 128
 LOG_DIGITS = 12
 
 
-def _normalize(points) -> List[Fraction]:
-    """Sorted distinct circle points in [0, 1)."""
-    return sorted({mod1(p) for p in points})
+def _keys(points):
+    """-> (keys, den): the set's sorted distinct circle keys, point = key / den.
+
+    When every denominator divides the largest one, den is that
+    denominator and the keys are integers in [0, den); otherwise den = 1
+    and the keys are the points reduced into [0, 1) as Fractions.  The
+    estimators below run one loop over either kind of key.
+    """
+    pts = [p if isinstance(p, (int, Fraction)) else Fraction(p) for p in points]
+    den = max((p.denominator for p in pts), default=1)
+    if all(den % p.denominator == 0 for p in pts):
+        keys = {p.numerator * (den // p.denominator) % den for p in pts}
+    else:
+        den = 1
+        keys = {mod1(p) for p in pts}
+    return sorted(keys), den
+
+
+def _ceil_div(num: int, den: int) -> int:
+    return -(-num // den)
+
+
+def _cells(keys, den: int, rho: Fraction) -> List[int]:
+    rho = Fraction(rho)
+    if not 0 < rho <= 1:
+        raise ValueError("scale must lie in (0, 1]")
+    rd, unit = rho.denominator, den * rho.numerator
+    cells: List[int] = []
+    last = None
+    for k in keys:  # sorted keys give sorted cells; an int key has denominator 1
+        c = k.numerator * rd // (k.denominator * unit)
+        if c != last:
+            cells.append(c)
+            last = c
+    return cells
+
+
+def _covering(keys, den: int, rho: Fraction) -> int:
+    rho = Fraction(rho)
+    n = len(_cells(keys, den, rho))
+    assert n <= -(-rho.denominator // rho.numerator), "more cells than the grid has"
+    return n
 
 
 def grid_cells(points, rho: Fraction) -> List[int]:
     """Sorted distinct indices of grid cells [i*rho, (i+1)*rho) hit by the
     set; the grid is anchored at 0."""
-    rho = Fraction(rho)
-    if not 0 < rho <= 1:
-        raise ValueError("scale must lie in (0, 1]")
-    cells = set()
-    rn, rd = rho.numerator, rho.denominator
-    for p in _normalize(points):
-        cells.add(p.numerator * rd // (p.denominator * rn))
-    return sorted(cells)
+    return _cells(*_keys(points), rho)
 
 
 def grid_covering(points, rho: Fraction) -> int:
     """Number of rho-grid cells needed for the set (grid anchored at 0)."""
-    n = len(grid_cells(points, rho))
-    rho = Fraction(rho)
-    assert n <= -(-rho.denominator // rho.numerator), "more cells than the grid has"
-    return n
+    return _covering(*_keys(points), rho)
 
 
 def min_gap(points) -> Fraction:
     """Smallest circular distance between distinct points; needs >= 2."""
-    pts = _normalize(points)
-    if len(pts) < 2:
+    keys, den = _keys(points)
+    if len(keys) < 2:
         raise ValueError("min_gap needs at least two distinct points")
-    best = 1 + pts[0] - pts[-1]  # wrap gap
-    for a, b in zip(pts, pts[1:]):
+    best = den + keys[0] - keys[-1]  # wrap gap
+    for a, b in zip(keys, keys[1:]):
         if b - a < best:
             best = b - a
-    return Fraction(best)
+    return Fraction(best, den)
 
 
 def maximal_separated_subset(points, rho: Fraction) -> List[Fraction]:
@@ -66,20 +95,19 @@ def maximal_separated_subset(points, rho: Fraction) -> List[Fraction]:
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError("separation must be positive")
-    pts = _normalize(points)
-    chosen: List[Fraction] = []
-    for p in pts:
-        if not chosen:
-            chosen.append(p)
-            continue
-        gap_prev = p - chosen[-1]
-        if min(gap_prev, 1 - gap_prev) < rho:
-            continue
-        gap_wrap = 1 - p + chosen[0]
-        if min(gap_wrap, 1 - gap_wrap) < rho:
-            continue
-        chosen.append(p)
-    return chosen
+    keys, den = _keys(points)
+    rd, reach = rho.denominator, rho.numerator * den
+    chosen = []
+    for k in keys:
+        if chosen:
+            gap = k - chosen[-1]
+            if min(gap, den - gap) * rd < reach:
+                continue
+            gap = den - k + chosen[0]
+            if min(gap, den - gap) * rd < reach:
+                continue
+        chosen.append(k)
+    return [Fraction(k, den) for k in chosen]
 
 
 @dataclass(frozen=True)
@@ -128,9 +156,10 @@ def box_dim_series(points, scales, prec_bits: int = DEFAULT_PREC_BITS) -> Coveri
     scales = [Fraction(s) for s in scales]
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
+    keys, den = _keys(points)
     rows = []
     for rho in scales:
-        count = grid_covering(points, rho)
+        count = _covering(keys, den, rho)
         rows.append(CoveringRow(rho, count, _log_ratio(count, rho, prec_bits)))
     nested = all((a / b).denominator == 1 for a, b in zip(scales, scales[1:]))
     if nested:
@@ -151,16 +180,21 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
     the set is large; the reported maximum is then a lower bound for the
     all-anchors maximum.
     """
-    pts = _normalize(points)
-    if not pts:
+    keys, den = _keys(points)
+    if not keys:
         raise ValueError("probe needs a nonempty set")
-    if len(pts) <= anchor_cap:
-        anchors = list(range(len(pts)))
+    # the ten extremes kept at each end already take every anchor of a
+    # set of at most 20 points
+    if len(keys) <= max(anchor_cap, 20):
+        anchors = list(range(len(keys)))
     else:
-        step = len(pts) / anchor_cap
+        step = len(keys) / anchor_cap
         anchors = sorted({int(i * step) for i in range(anchor_cap)}
-                         | set(range(10)) | set(range(len(pts) - 10, len(pts))))
-    ext = pts + [p + 1 for p in pts]
+                         | set(range(10)) | set(range(len(keys) - 10, len(keys))))
+    ext = keys + [k + den for k in keys]
+    # an offset num/d in key units; on integer keys its ceiling bisects to
+    # the same first key at or past the exact offset
+    offset = _ceil_div if isinstance(keys[0], int) else Fraction
     reports = []
     for big_r, delta in window_scales:
         big_r = Fraction(big_r)
@@ -168,21 +202,24 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
         if not (0 < big_r <= 1 and 0 < delta < 1):
             raise ValueError("need 0 < R <= 1 and 0 < delta < 1")
         cell = big_r * delta
+        cd, unit = cell.denominator, cell.numerator * den
+        width = offset(big_r.numerator * den, big_r.denominator)
         best_count = 0
-        best_anchor = pts[0]
+        best_anchor = keys[0]
         for ai in anchors:
-            p = pts[ai]
-            hi = bisect.bisect_left(ext, p + big_r, lo=ai)
+            k = keys[ai]
+            hi = bisect.bisect_left(ext, k + width, lo=ai)
             count = 0
             pos = ai
             while pos < hi:
                 count += 1
                 # jump past the rest of this cell
-                c = (ext[pos] - p) // cell
-                pos = bisect.bisect_left(ext, p + (c + 1) * cell, lo=pos + 1, hi=hi)
+                c = (ext[pos] - k) * cd // unit
+                pos = bisect.bisect_left(ext, k + offset((c + 1) * unit, cd),
+                                         lo=pos + 1, hi=hi)
             if count > best_count:
                 best_count = count
-                best_anchor = p
+                best_anchor = k
         with mpmath.workprec(prec_bits):
             ratio = mpmath.log(best_count) / (mpmath.log(delta.denominator)
                                               - mpmath.log(delta.numerator))
@@ -192,10 +229,10 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
             "window_width": big_r,
             "delta": delta,
             "max_cells": best_count,
-            "witness_anchor": best_anchor,
+            "witness_anchor": Fraction(best_anchor, den),
             "log_ratio": ratio_str,
             "log_ratio_float": ratio_val,
             "anchors_probed": len(anchors),
-            "anchors_total": len(pts),
+            "anchors_total": len(keys),
         })
     return reports

@@ -387,20 +387,21 @@ def _resolve_input(value, prec_bits: int):
 def _resolve_pair(alpha, beta, prec_bits: int):
     """-> (den, (a_mid, a_rad), (b_mid, b_rad)): the pair in integer units.
 
-    An exact pair sits on the lcm of its denominators with radius zero;
-    otherwise both values are rounded onto the dyadic grid 2**-(prec+16).
+    den is the lcm of the exact members' denominators, shifted by
+    prec+16 bits when a member is inexact.  Exact members sit on it with
+    radius zero; an inexact one is rounded onto it.
     """
     a = _resolve_input(alpha, prec_bits)
     b = _resolve_input(beta, prec_bits)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        den = math.lcm(a.denominator, b.denominator)
-        return den, (a.numerator * (den // a.denominator), 0), \
-            (b.numerator * (den // b.denominator), 0)
-    den = 1 << (prec_bits + 16)
+    den = math.lcm(*(x.denominator for x in (a, b) if isinstance(x, Fraction)))
+    if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+        den <<= prec_bits + 16
     cap = Fraction(1, 1 << MIN_INPUT_BITS)
     units = []
     for x in (a, b):
-        x = _as_value(x)
+        if isinstance(x, Fraction):
+            units.append((x.numerator * (den // x.denominator), 0))
+            continue
         if x.rad > cap:
             raise UsageError(f"input radius {dec_sci(x.rad)} is coarser than "
                              f"the required {MIN_INPUT_BITS} bits")

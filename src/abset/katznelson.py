@@ -361,8 +361,7 @@ def enumerate_E(stage: KStage, cap: int = 200_000) -> OrbitSample:
         acc = (acc + (step_x if ch == "x" else step_y)) % common
         if acc not in first:
             first[acc] = idx
-    entries = [(i, Fraction(num, common)) for num, i in sorted(first.items())]
-    sample = OrbitSample(entries, ordering="circle")
+    sample = OrbitSample.from_numerators(common, sorted(first.items()))
     if len(sample) > stage.stats.point_count_upper:
         raise InvariantViolation("point-count-upper",
                                  f"{len(sample)} > {stage.stats.point_count_upper}")

@@ -244,9 +244,10 @@ class OrbitSample:
     """A finite sampled trajectory: (time index, circle point) pairs.
 
     Built either in time order (indices strictly increasing, the default
-    contract) or in circle order (`ordering="circle"`, as `enumerate_E`
-    builds it), where entries are ordered by point value, deduplicated,
-    and each index records the first visit time.
+    contract) or in circle order (`ordering="circle"`, or from integer
+    numerators with `from_numerators`, as `enumerate_E` builds it), where
+    entries are ordered by point value, deduplicated, and each index
+    records the first visit time.
     """
 
     __slots__ = ("entries", "ordering")
@@ -265,6 +266,24 @@ class OrbitSample:
             raise ValueError(f"unknown ordering {ordering!r}")
         self.entries = entries
         self.ordering = ordering
+
+    @classmethod
+    def from_numerators(cls, den: int, items) -> "OrbitSample":
+        """Circle-order sample from (numerator, first visit time) pairs
+        on one denominator: the points num/den, with the numerators
+        strictly increasing in [0, den)."""
+        items = tuple(items)
+        prev = -1
+        for num, _ in items:
+            if num <= prev:
+                raise ValueError("circle ordering must be strictly increasing")
+            prev = num
+        if prev >= den:
+            raise ValueError(f"numerator {prev} lies outside [0, {den})")
+        sample = cls.__new__(cls)
+        sample.entries = tuple((int(i), Fraction(num, den)) for num, i in items)
+        sample.ordering = "circle"
+        return sample
 
     def __len__(self):
         return len(self.entries)

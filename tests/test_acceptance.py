@@ -116,7 +116,7 @@ def test_criterion_2_enumerated_bracket_and_packing():
     assert bracket.lower <= measured <= bracket.upper
     assert last.stats.sep_count_lower == 64 * 1024 == 65_536
     assert len(separated) >= 65_536
-    assert elapsed < 60.0, f"budget 60 s exceeded: {elapsed:.2f} s"
+    assert elapsed < 5.0, f"budget 5 s exceeded: {elapsed:.2f} s"
 
 
 def test_criterion_3_structural_bracket_trend():

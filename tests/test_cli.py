@@ -184,6 +184,23 @@ def test_dioph_exact_separation(capsys, alpha, beta, nmax, line):
     assert f"PASS orbit-separation: {line}" in stdout
 
 
+@pytest.mark.parametrize("argv,zero_row", [
+    (["--alpha", "sqrt(5) - 2", "--beta", "1/3", "--nmax", "80"],
+     "minima,3,,0,3,,True,0/1,"),
+    (["--alpha", "2/7", "--beta", "sqrt(7) - 2", "--prec", "200"],
+     "minima,7,,7,0,,True,0/1,"),
+], ids=["surd-alpha", "surd-beta"])
+def test_dioph_mixed_pair_keeps_rational_member_exact(capsys, tmp_path, argv, zero_row):
+    # the rational member's exact zero ends the minima instead of an
+    # undecidable tie on a rounded grid
+    out = tmp_path / "mixed.csv"
+    rc, stdout, stderr = run(capsys, "dioph", *argv, "--out", str(out))
+    assert rc == 0 and stderr == ""
+    assert "FAIL " not in stdout
+    minima = [r for r in out.read_text().splitlines() if r.startswith("minima,")]
+    assert minima[-1] == zero_row
+
+
 # ----------------------------------------------------------------------- dim
 
 
@@ -198,6 +215,24 @@ def test_dim_inverse_fixture_golden(capsys, tmp_path):
         "1,4096,124,0.579516359199\n"
         "1,16384,240,0.564777899686\n"
         "1,65536,447,0.550258188824\n"
+    )
+
+
+def test_dim_grid_fixture_golden(capsys, tmp_path):
+    # scales finer than the grid pitch 1/64 cannot split its points further
+    out = tmp_path / "dim.csv"
+    rc, _, _ = run(capsys, "dim", "--fixture", "grid:64", "--base", "2",
+                   "--jmin", "2", "--jmax", "8", "--out", str(out))
+    assert rc == 0
+    assert out.read_text() == (
+        "scale_num,scale_den,count,log_ratio_decimal\n"
+        "1,4,4,1.0\n"
+        "1,8,8,1.0\n"
+        "1,16,16,1.0\n"
+        "1,32,32,1.0\n"
+        "1,64,64,1.0\n"
+        "1,128,64,0.857142857143\n"
+        "1,256,64,0.75\n"
     )
 
 

@@ -2,17 +2,25 @@
 
 Covering oracles are direct enumerations (integer cell arithmetic or
 brute-force distance scans) computed independently of the module code.
+`brute_covering` and the `fraction_*` oracles are the estimators as they
+stood before the integer-key core: every point reduced into [0, 1) as a
+Fraction, sorted, and scanned with Fraction arithmetic.
 """
 
 import bisect
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from abset.dimension import (
+    DEFAULT_PREC_BITS,
+    LOG_DIGITS,
+    _keys,
     assouad_probe_windows,
     box_dim_series,
+    grid_cells,
     grid_covering,
     maximal_separated_subset,
     min_gap,
@@ -57,6 +65,83 @@ def optimal_interval_covering(points, rho):
     return best
 
 
+def fraction_points(points):
+    return sorted({F(p) % 1 for p in points})
+
+
+def fraction_separated_subset(points, rho):
+    rho = F(rho)
+    chosen = []
+    for p in fraction_points(points):
+        if not chosen:
+            chosen.append(p)
+            continue
+        gap_prev = p - chosen[-1]
+        if min(gap_prev, 1 - gap_prev) < rho:
+            continue
+        gap_wrap = 1 - p + chosen[0]
+        if min(gap_wrap, 1 - gap_wrap) < rho:
+            continue
+        chosen.append(p)
+    return chosen
+
+
+def fraction_box_counts(points, scales):
+    """-> (counts, nested) as box_dim_series reports them."""
+    scales = [F(s) for s in scales]
+    counts = [brute_covering(points, rho) for rho in scales]
+    nested = all((a / b).denominator == 1 for a, b in zip(scales, scales[1:]))
+    return counts, nested
+
+
+def fraction_probe_windows(points, window_scales, anchor_cap=4096):
+    pts = fraction_points(points)
+    # the ten extremes kept at each end already take every anchor of a
+    # set of at most 20 points
+    if len(pts) <= max(anchor_cap, 20):
+        anchors = list(range(len(pts)))
+    else:
+        step = len(pts) / anchor_cap
+        anchors = sorted({int(i * step) for i in range(anchor_cap)}
+                         | set(range(10)) | set(range(len(pts) - 10, len(pts))))
+    ext = pts + [p + 1 for p in pts]
+    reports = []
+    for big_r, delta in window_scales:
+        big_r = F(big_r)
+        delta = F(delta)
+        cell = big_r * delta
+        best_count = 0
+        best_anchor = pts[0]
+        for ai in anchors:
+            p = pts[ai]
+            hi = bisect.bisect_left(ext, p + big_r, lo=ai)
+            count = 0
+            pos = ai
+            while pos < hi:
+                count += 1
+                c = (ext[pos] - p) // cell
+                pos = bisect.bisect_left(ext, p + (c + 1) * cell, lo=pos + 1, hi=hi)
+            if count > best_count:
+                best_count = count
+                best_anchor = p
+        with mpmath.workprec(DEFAULT_PREC_BITS):
+            ratio = mpmath.log(best_count) / (mpmath.log(delta.denominator)
+                                              - mpmath.log(delta.numerator))
+            ratio_str = mpmath.nstr(ratio, LOG_DIGITS)
+            ratio_val = float(ratio)
+        reports.append({
+            "window_width": big_r,
+            "delta": delta,
+            "max_cells": best_count,
+            "witness_anchor": best_anchor,
+            "log_ratio": ratio_str,
+            "log_ratio_float": ratio_val,
+            "anchors_probed": len(anchors),
+            "anchors_total": len(pts),
+        })
+    return reports
+
+
 # -- frozen examples ----------------------------------------------------------
 
 def test_grid_covering_example():
@@ -78,6 +163,15 @@ def test_min_gap_wraps():
 def test_maximal_separated_example():
     got = maximal_separated_subset([F(0), F(1, 20), F(1, 5)], F(1, 10))
     assert got == [F(0), F(1, 5)]
+
+
+def test_maximal_separated_keeps_gaps_equal_to_rho():
+    # separation is >= rho, so gaps of exactly rho (the wrap gap too) stay
+    quarters = [F(k, 4) for k in range(4)]
+    assert maximal_separated_subset(quarters, F(1, 4)) == quarters
+    # no common denominator: the Fraction-key path
+    assert maximal_separated_subset([F(0), F(1, 7), F(1, 3), F(2, 3)], F(1, 3)) \
+        == [F(0), F(1, 3), F(2, 3)]
 
 
 def test_reciprocal_fixture_counts():
@@ -122,6 +216,35 @@ def test_probe_reciprocal_fixture_localizes_high():
     pts = [F(1, k) for k in range(1, 10 ** 4 + 1)] + [F(0)]
     rep = assouad_probe_windows(pts, [(F(1, 100), F(1, 100))])
     assert rep[0]["log_ratio_float"] >= 0.8
+
+
+def test_keys_pick_integers_exactly_when_denominators_divide_the_largest():
+    assert _keys([F(3, 4), F(1, 2), 2, F(-1, 4), F(7, 4)]) == ([0, 2, 3], 4)
+    assert _keys([F(1, 3), F(1, 4), F(4, 3)]) == ([F(1, 4), F(1, 3)], 1)
+    assert _keys([3, -1]) == ([0], 1)
+    assert _keys([]) == ([], 1)
+    keys, den = _keys([F(1, 3), F(1, 4)])
+    assert all(isinstance(k, Fraction) for k in keys)
+
+
+def test_returned_points_are_fractions():
+    pts = [F(1, 8), F(5, 8), 1]
+    assert maximal_separated_subset(pts, F(1, 4)) == [F(0), F(5, 8)]
+    assert all(type(p) is Fraction for p in maximal_separated_subset(pts, F(1, 4)))
+    rep = assouad_probe_windows([0, 1], [(F(1, 2), F(1, 2))])
+    assert type(rep[0]["witness_anchor"]) is Fraction
+    assert type(min_gap([0, F(1, 2)])) is Fraction
+
+
+def test_grid_cells_sorted_distinct():
+    assert grid_cells([F(9, 10), F(1, 10), F(19, 10), F(-9, 10)], F(1, 5)) == [0, 4]
+    assert grid_cells([F(9, 10), F(1, 3)], F(1, 5)) == [1, 4]
+
+
+def test_probe_small_set_under_tiny_cap_takes_every_anchor():
+    # a cap below the set size used to add anchor indices past its end
+    rep = assouad_probe_windows([F(0), F(1, 3)], [(F(1, 2), F(1, 4))], anchor_cap=1)
+    assert rep[0]["anchors_probed"] == rep[0]["anchors_total"] == 2
 
 
 def test_optimal_covering_examples():
@@ -173,3 +296,95 @@ def test_grid_vs_optimal_factor_two(pts, rho):
     else:
         # one wrap-crossing arc can clip the short final cell as a third
         assert grid <= 2 * opt + 1
+
+
+# -- the integer-key core against the Fraction oracles ------------------------
+
+# Lattice sets share one denominator; numerators run past [0, den) on both
+# sides, so negatives, points outside [0, 1) and duplicates mod 1 occur.
+lattice_sets = st.integers(min_value=1, max_value=97).flatmap(
+    lambda den: st.lists(st.integers(min_value=-2 * den, max_value=3 * den)
+                         .map(lambda k: F(k, den)), min_size=1, max_size=60))
+
+
+def _no_lattice(pts):
+    """True when some denominator does not divide the largest one."""
+    dens = [F(p).denominator for p in pts]
+    return any(max(dens) % d for d in dens)
+
+
+# Mixed sets have no common denominator among their own denominators.
+mixed_sets = st.lists(
+    st.one_of(st.fractions(min_value=-2, max_value=3, max_denominator=40),
+              st.integers(min_value=-3, max_value=3)),
+    min_size=2, max_size=60).filter(_no_lattice)
+SET_FAMILIES = {
+    "lattice": lattice_sets,
+    "mixed": mixed_sets,
+    "lattice+int": lattice_sets.map(lambda pts: pts + [int(p) for p in pts]),
+}
+families = pytest.mark.parametrize("family", sorted(SET_FAMILIES))
+windows = st.lists(
+    st.tuples(st.fractions(min_value=F(1, 64), max_value=1, max_denominator=64),
+              st.fractions(min_value=F(1, 64), max_value=F(63, 64),
+                           max_denominator=64)),
+    min_size=1, max_size=3)
+scale_lists = st.one_of(
+    st.lists(st.fractions(min_value=F(1, 300), max_value=F(299, 300),
+                          max_denominator=300), min_size=1, max_size=5, unique=True)
+    .map(lambda ss: sorted(ss, reverse=True)),
+    st.tuples(st.integers(min_value=2, max_value=5),
+              st.integers(min_value=1, max_value=3),
+              st.integers(min_value=1, max_value=4))
+    .map(lambda t: [F(1, t[0] ** j) for j in range(t[1], t[1] + t[2])]))
+
+
+@families
+@settings(max_examples=80)
+@given(data=st.data(), rho=rhos)
+def test_grid_and_separated_match_fraction_oracle(family, data, rho):
+    pts = data.draw(SET_FAMILIES[family])
+    assert grid_covering(pts, rho) == brute_covering(pts, rho)
+    assert grid_cells(pts, rho) == sorted(
+        {p.numerator * rho.denominator // (p.denominator * rho.numerator)
+         for p in fraction_points(pts)})
+    got = maximal_separated_subset(pts, rho)
+    assert got == fraction_separated_subset(pts, rho)
+    assert all(type(p) is Fraction for p in got)
+
+
+@families
+@settings(max_examples=60)
+@given(data=st.data(), scales=scale_lists)
+def test_box_dim_series_matches_fraction_oracle(family, data, scales):
+    pts = data.draw(SET_FAMILIES[family])
+    rep = box_dim_series(pts, scales)
+    counts, nested = fraction_box_counts(pts, scales)
+    assert rep.counts() == counts
+    assert [r.scale for r in rep.rows] == scales
+    assert rep.nested_scales == rep.monotone_checked == nested
+
+
+@families
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), window_scales=windows, cap=st.integers(min_value=1, max_value=80))
+def test_probe_matches_fraction_oracle(family, data, window_scales, cap):
+    pts = data.draw(SET_FAMILIES[family])
+    got = assouad_probe_windows(pts, window_scales, anchor_cap=cap)
+    want = fraction_probe_windows(pts, window_scales, anchor_cap=cap)
+    assert got == want
+    assert all(type(r["witness_anchor"]) is Fraction for r in got)
+
+
+@families
+@settings(max_examples=40)
+@given(data=st.data())
+def test_min_gap_matches_fraction_scan(family, data):
+    pts = data.draw(SET_FAMILIES[family])
+    ps = fraction_points(pts)
+    if len(ps) < 2:
+        with pytest.raises(ValueError):
+            min_gap(pts)
+        return
+    want = min([1 + ps[0] - ps[-1]] + [b - a for a, b in zip(ps, ps[1:])])
+    assert min_gap(pts) == want

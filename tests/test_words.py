@@ -119,6 +119,27 @@ def test_orbit_sample_monotone_indices_enforced():
         OrbitSample([(3, Fraction(0)), (1, Fraction(1, 2))])
 
 
+def test_orbit_sample_from_numerators():
+    sample = OrbitSample.from_numerators(10, [(0, 0), (2, 5), (5, 1), (7, 3)])
+    assert sample.ordering == "circle"
+    assert sample.points() == [Fraction(0), Fraction(1, 5), Fraction(1, 2),
+                               Fraction(7, 10)]
+    assert sample.indices() == [0, 5, 1, 3]
+    assert len(OrbitSample.from_numerators(7, [])) == 0
+
+
+@pytest.mark.parametrize("items", [
+    [(1, 0), (1, 1)],            # repeated numerator
+    [(3, 0), (2, 1)],            # decreasing
+    [(-1, 0), (2, 1)],           # below 0
+    [(0, 0), (10, 1)],           # at den
+    [(0, 0), (4, 1), (13, 2)],   # past den
+])
+def test_orbit_sample_from_numerators_rejects(items):
+    with pytest.raises(ValueError):
+        OrbitSample.from_numerators(10, items)
+
+
 def test_flatten_refusal():
     huge = power(X, FLATTEN_CAP_PLUS := 10 ** 6 + 1)
     with pytest.raises(ValueError):
