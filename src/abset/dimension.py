@@ -58,7 +58,7 @@ def _cells(keys, den: int, rho: Fraction) -> List[int]:
 def _covering(keys, den: int, rho: Fraction) -> int:
     rho = Fraction(rho)
     n = len(_cells(keys, den, rho))
-    assert n <= -(-rho.denominator // rho.numerator), "more cells than the grid has"
+    assert n <= _ceil_div(rho.denominator, rho.numerator), "more cells than the grid has"
     return n
 
 

@@ -243,29 +243,21 @@ def evaluate_end(w: WordExpr, alpha: Fraction, beta: Fraction) -> Fraction:
 class OrbitSample:
     """A finite sampled trajectory: (time index, circle point) pairs.
 
-    Built either in time order (indices strictly increasing, the default
-    contract) or in circle order (`ordering="circle"`, or from integer
-    numerators with `from_numerators`, as `enumerate_E` builds it), where
-    entries are ordered by point value, deduplicated, and each index
-    records the first visit time.
+    The constructor builds a time-order sample (indices strictly
+    increasing).  `from_numerators` builds a circle-order sample, as
+    `enumerate_E` does: entries ordered by point value, deduplicated, and
+    each index recording the first visit time.
     """
 
     __slots__ = ("entries", "ordering")
 
-    def __init__(self, entries, ordering: str = "time"):
+    def __init__(self, entries):
         entries = tuple((int(i), mod1(p)) for i, p in entries)
-        if ordering == "time":
-            for (i0, _), (i1, _) in zip(entries, entries[1:]):
-                if i1 <= i0:
-                    raise ValueError("time indices must be strictly increasing")
-        elif ordering == "circle":
-            for (_, p0), (_, p1) in zip(entries, entries[1:]):
-                if p1 <= p0:
-                    raise ValueError("circle ordering must be strictly increasing")
-        else:
-            raise ValueError(f"unknown ordering {ordering!r}")
+        for (i0, _), (i1, _) in zip(entries, entries[1:]):
+            if i1 <= i0:
+                raise ValueError("time indices must be strictly increasing")
         self.entries = entries
-        self.ordering = ordering
+        self.ordering = "time"
 
     @classmethod
     def from_numerators(cls, den: int, items) -> "OrbitSample":
