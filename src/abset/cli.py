@@ -10,7 +10,9 @@ Five subcommands compose the library into reproducible runs:
 
 Exit codes: 0 when every asserted invariant passed, 1 for usage errors
 (the message names the offending token), 2 when a named invariant
-failed.  Identical arguments and seeds produce byte-identical reports.
+failed.  A bound a run records but does not enforce prints a WARN line
+when it is false and leaves the exit code alone.  Identical arguments
+and seeds produce byte-identical reports.
 
 --config FILE loads flag values from a JSON object keyed by long flag
 names (plus an optional "subcommand" entry); flags given explicitly on
@@ -31,6 +33,7 @@ from .reporting import (DEFAULT_SEED, VERSION, canonical_json, cell,
 from .words import evaluate_end
 
 Check = Tuple[str, bool, str]
+Warn = Tuple[str, str]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,7 +139,7 @@ def _run_katznelson_checks(stages) -> Tuple[list, List[Check]]:
     return payload, checks
 
 
-def cmd_katznelson(args) -> Tuple[dict, List[Check]]:
+def cmd_katznelson(args) -> Tuple[dict, List[Check], List[Warn]]:
     schedule = _parse_schedule(args.schedule)
     stages = katznelson.build_stages(schedule, args.stages)
     verification, checks = _run_katznelson_checks(stages)
@@ -149,7 +152,7 @@ def cmd_katznelson(args) -> Tuple[dict, List[Check]]:
         "bracket": bracket,
         "gamma": katznelson.gamma_report(schedule, args.stages),
     }
-    return report, checks
+    return report, checks, []
 
 
 def _thin_config(args) -> thin_orbit.ThinConfig:
@@ -188,7 +191,23 @@ def _run_thin_checks(stages) -> List[Check]:
     return checks
 
 
-def cmd_thin_orbit(args) -> Tuple[dict, List[Check]]:
+def _covering_warnings(covering: dict) -> List[Warn]:
+    """The covering bounds a survey records but does not enforce, for each
+    one that came out false."""
+    n0 = covering["n0"]
+    out: List[Warn] = []
+    if not covering["cell_bound_ok"]:
+        out.append(("cell_bound_ok",
+                    f"{covering['cells_restricted']} restricted cells > "
+                    f"N_{n0} = {covering['cell_bound_claimed']} at n0 = {n0}"))
+    if not covering["drift_bound_ok"]:
+        out.append(("drift_bound_ok",
+                    f"max drift {dec_sci(covering['max_drift'])} >= "
+                    f"sqrt(eps_{n0}) at n0 = {n0}"))
+    return out
+
+
+def cmd_thin_orbit(args) -> Tuple[dict, List[Check], List[Warn]]:
     config = _thin_config(args)
     stages = thin_orbit.build_stages(config, args.stages)
     checks = _run_thin_checks(stages)
@@ -206,7 +225,7 @@ def cmd_thin_orbit(args) -> Tuple[dict, List[Check]]:
                               for st in stages[:-1]},
         "covering": covering,
     }
-    return report, checks
+    return report, checks, _covering_warnings(covering)
 
 
 _DIOPH_HEADER = ["scan", "n", "m", "a", "b", "ell", "ok", "value", "detail"]
@@ -224,6 +243,10 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
     want = {"minima", "ratio", "separation", "dichotomy"} \
         if which == "all" else {which}
 
+    # one orbit serves both the separation check (a prefix) and the dichotomy
+    if want & {"separation", "dichotomy"}:
+        word = "xy" * ((nmax + 1) // 2)
+        orbit = diophantine.orbit_of_word(word[:nmax], alpha, beta, prec)
     records = None
     if want & {"minima", "separation"}:
         records = diophantine.minima_sequence(alpha, beta, nmax, prec)
@@ -254,9 +277,7 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
     if "separation" in want:
         # an exact zero ends the minima early; check the prefix they cover
         n_pts = min(nmax, len(records) + 1)
-        word = "xy" * ((n_pts + 1) // 2)
-        pts = diophantine.orbit_of_word(word[:n_pts], alpha, beta, prec)
-        rep = diophantine.orbit_separation_check(pts, records)
+        rep = diophantine.orbit_separation_check(orbit[:n_pts], records)
         summary["separation"] = {"points": n_pts,
                                  "pairs_checked": rep.pairs_checked,
                                  "violations": len(rep.violations),
@@ -269,9 +290,7 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
         rows.append(("separation", "", "", "", "", "", not rep.violations,
                      rep.pairs_checked, f"undecided={rep.undecided}"))
     if "dichotomy" in want:
-        word = "xy" * ((nmax + 1) // 2)
-        pts = diophantine.orbit_of_word(word[:nmax], alpha, beta, prec)
-        scan = diophantine.dichotomy_scan(alpha, beta, pts, params, nmax,
+        scan = diophantine.dichotomy_scan(alpha, beta, orbit, params, nmax,
                                           prec)
         summary["dichotomy"] = {"qualifying": list(scan.qualifying),
                                 "violation_total": scan.violation_total,
@@ -295,7 +314,7 @@ def _delta_cell(delta) -> str:
     return str(delta)
 
 
-def cmd_dioph(args) -> Tuple[dict, List[Check]]:
+def cmd_dioph(args) -> Tuple[dict, List[Check], List[Warn]]:
     summary, checks, rows = _run_dioph_scans(args.alpha, args.beta,
                                              args.nmax, args.prec, args.scan)
     if args.out:
@@ -307,11 +326,16 @@ def cmd_dioph(args) -> Tuple[dict, List[Check]]:
                    "prec": args.prec, "nmax": args.nmax, "scan": args.scan},
         "summary": summary,
     }
-    return report, checks
+    return report, checks, []
 
 
-def cmd_dim(args) -> Tuple[dict, List[Check]]:
+def cmd_dim(args) -> Tuple[dict, List[Check], List[Warn]]:
     points = _parse_fixture(args.fixture)
+    if args.base < 2:
+        raise UsageError(f"bad base {args.base}: need an integer >= 2")
+    if args.jmin < 1:
+        raise UsageError(f"bad jmin {args.jmin}: the scale base^-jmin must "
+                         "be below 1")
     if args.jmin > args.jmax:
         raise UsageError(f"bad scale range: jmin {args.jmin} > jmax "
                          f"{args.jmax}")
@@ -332,10 +356,10 @@ def cmd_dim(args) -> Tuple[dict, List[Check]]:
         "nested_scales": series.nested_scales,
         "slopes": [f"{s:.12f}" for s in slopes],
     }
-    return report, []
+    return report, [], []
 
 
-def cmd_verify_all(args) -> Tuple[dict, List[Check]]:
+def cmd_verify_all(args) -> Tuple[dict, List[Check], List[Warn]]:
     checks: List[Check] = []
 
     k_stages = katznelson.build_stages(
@@ -360,7 +384,7 @@ def cmd_verify_all(args) -> Tuple[dict, List[Check]]:
         "thin_orbit": {"stages": t_stages, "covering": covering},
         "dioph": d_summary,
     }
-    return report, checks
+    return report, checks, _covering_warnings(covering)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +549,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if config_path is not None:
             argv = _apply_config_file(config_path, argv, subs)
         args = parser.parse_args(argv)
-        report, checks = args.handler(args)
+        report, checks, warnings = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -542,6 +566,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         for name, ok, detail in checks]
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    for name, detail in warnings:
+        print(f"WARN {name}: {detail} (recorded, not enforced)")
 
     out = getattr(args, "out", None)
     if out:

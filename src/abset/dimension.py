@@ -147,7 +147,7 @@ def successive_slopes(rows: Sequence[CoveringRow], prec_bits: int = DEFAULT_PREC
 
 
 def box_dim_series(points, scales, prec_bits: int = DEFAULT_PREC_BITS) -> CoveringReport:
-    """Covering counts across a strictly decreasing list of scales.
+    """Covering counts across a strictly decreasing list of scales in (0, 1).
 
     Count monotonicity is a theorem only when each scale divides its
     predecessor (nested grids); for other scale lists it is reported
@@ -156,6 +156,9 @@ def box_dim_series(points, scales, prec_bits: int = DEFAULT_PREC_BITS) -> Coveri
     scales = [Fraction(s) for s in scales]
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
+    if any(not 0 < s < 1 for s in scales):
+        # log(1/scale) divides the log ratio, and it is 0 at scale 1
+        raise ValueError("box-counting scales must lie in (0, 1)")
     keys, den = _keys(points)
     rows = []
     for rho in scales:

@@ -33,6 +33,7 @@ With radius zero every comparison is decided, ties included.
 
 import math
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -412,8 +413,29 @@ def _resolve_pair(alpha, beta, prec_bits: int):
     return den, units[0], units[1]
 
 
+def _near(codes: List[int], width: int, target: int, reach: int,
+          one: int) -> List[int]:
+    """The sorted codes key * width + a whose key lies within circle
+    distance reach of target."""
+    if 2 * reach + 1 >= one:
+        return codes
+    lo = (target - reach) % one
+    hi = lo + 2 * reach
+    start = bisect_left(codes, lo * width)
+    if hi < one:
+        return codes[start:bisect_left(codes, (hi + 1) * width)]
+    return codes[start:] + codes[:bisect_left(codes, (hi - one + 1) * width)]
+
+
 def _minima_impl(alpha, beta, n_max: int, prec_bits: int) -> _MinimaData:
-    """The quadratic minima scan; stops at an exact zero.
+    """The minima scan; stops at an exact zero.
+
+    With gamma = alpha - beta, the value at (a, n - a) is a*gamma + n*beta,
+    so delta_n is the circle distance from the target -n*beta to the
+    nearest of the points a*gamma mod 1, a <= n, and that nearest point is
+    one of the target's two neighbours in circle order.  The points are
+    kept sorted, each n inserts one and bisects for its target: O(n) list
+    insertion and O(log n) comparisons per n.
 
     Ties between candidates are decided toward the smallest a when the
     radius is zero and refused otherwise; so are ties with the running
@@ -423,32 +445,46 @@ def _minima_impl(alpha, beta, n_max: int, prec_bits: int) -> _MinimaData:
         raise UsageError("minima scan needs n_max >= 1")
     one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(alpha, beta, prec_bits)
     half = one >> 1
-    step = a_mid - b_mid
+    step = (a_mid - b_mid) % one
+    # (rad_min + rad_a) << GUARD_BITS is at most n * guard for every a <= n
+    guard = max(a_rad, b_rad) << (GUARD_BITS + 1)
+
+    def dist(r):
+        r %= one
+        return r if r <= half else one - r
+
+    # each point is one integer key * width + a, so sorting orders the
+    # points by key a*gamma mod 1 and equal keys by a
+    width = n_max + 1
+    codes: List[int] = [0]
+    key = 0
     records: List[MinimaRecord] = []
     units: List[Tuple[int, int]] = []
     best: Optional[Tuple[int, int]] = None      # (d_units, rad_units)
     zero_at = None
     for n in range(1, n_max + 1):
-        val = n * b_mid
-        d_min = None
-        a_min = 0
-        dists = []
-        for a in range(0, n + 1):
-            if a:
-                val += step
-            r = val % one
-            d = r if r <= half else one - r
-            dists.append(d)
-            if d_min is None or d < d_min:
-                d_min, a_min = d, a
-        def rad_of(a):
-            return (n - a) * b_rad + a * a_rad
-        rad_min = rad_of(a_min)
-        if a_rad or b_rad:              # with radius zero the argmin is decided
-            for a, d in enumerate(dists):
+        key = (key + step) % one
+        insort(codes, key * width + n)
+        target = -n * b_mid % one
+        i = bisect_left(codes, target * width)
+        d_min = min(dist(codes[i % len(codes)] // width - target),
+                    dist(codes[i - 1] // width - target))
+        # the first code of a key at distance d_min, on either side, holds
+        # its smallest a
+        a_min = n
+        for k in ((target + d_min) % one, (target - d_min) % one):
+            j = bisect_left(codes, k * width)
+            if j < len(codes) and codes[j] // width == k:
+                a_min = min(a_min, codes[j] % width)
+        rad_min = (n - a_min) * b_rad + a_min * a_rad
+        if guard:                       # with radius zero the argmin is decided
+            near = _near(codes, width, target, d_min + n * guard, one)
+            for k, a in sorted((divmod(c, width) for c in near),
+                               key=lambda p: p[1]):
                 if a == a_min:
                     continue
-                if d - d_min <= (rad_min + rad_of(a)) << GUARD_BITS:
+                rad = (n - a) * b_rad + a * a_rad
+                if dist(k - target) - d_min <= (rad_min + rad) << GUARD_BITS:
                     raise InsufficientPrecision(
                         "minima-argmin",
                         f"n={n}: candidates a={a_min} and a={a} are not separable")

@@ -93,6 +93,9 @@ def test_thin_orbit_desk_defaults(capsys, tmp_path):
     ):
         assert f"PASS {name}" in stdout
     assert "FAIL " not in stdout
+    # level 1 breaks both covering bounds; they are recorded, not enforced
+    assert "WARN cell_bound_ok: " in stdout
+    assert "WARN drift_bound_ok: " in stdout
 
     report = json.loads(out.read_text())
     cov = report["covering"]
@@ -102,6 +105,16 @@ def test_thin_orbit_desk_defaults(capsys, tmp_path):
     assert cov["seed"] == 20260823
     assert report["config"]["m"] == 10
     assert report["config"]["eps1"] == "2^-40"
+
+
+def test_thin_orbit_level2_bounds_hold_without_warnings(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    rc, stdout, _ = run(capsys, "thin-orbit", "--samples", "200", "--n0", "2",
+                        "--out", str(out))
+    assert rc == 0
+    cov = json.loads(out.read_text())["covering"]
+    assert cov["cell_bound_ok"] is True and cov["drift_bound_ok"] is True
+    assert "WARN " not in stdout
 
 
 def test_thin_orbit_deterministic_covering(capsys, tmp_path):
@@ -263,6 +276,13 @@ def test_verify_all_desk_green_and_deterministic(capsys, tmp_path):
     assert out1.splitlines()[:-1] == out2.splitlines()[:-1]
     assert a.read_bytes() == b.read_bytes()
     assert "FAIL " not in out1
+    warns = [line for line in out1.splitlines() if line.startswith("WARN ")]
+    assert warns == [
+        "WARN cell_bound_ok: 1992 restricted cells > N_1 = 20 at n0 = 1 "
+        "(recorded, not enforced)",
+        "WARN drift_bound_ok: max drift 4.99993602555e-02 >= sqrt(eps_1) "
+        "at n0 = 1 (recorded, not enforced)",
+    ]
 
     report = json.loads(a.read_text())
     assert sorted(report) == ["checks", "command", "config", "dioph", "katznelson",
@@ -318,6 +338,8 @@ def test_version_flag(capsys):
         (["dioph", "--alpha", "sqrt(-2)", "--beta", "1/5"], "sqrt"),
         (["verify-all", "--profile", "metropolis"], "metropolis"),
         (["frobnicate"], "frobnicate"),
+        (["dim", "--fixture", "grid:4", "--jmin", "0", "--jmax", "2"], "jmin 0"),
+        (["dim", "--fixture", "grid:4", "--base", "1"], "base 1"),
     ],
 )
 def test_usage_errors_exit_1_and_name_the_token(capsys, argv, fragment):

@@ -199,6 +199,13 @@ def test_box_dim_series_rejects_non_decreasing():
         box_dim_series([F(0)], [F(1, 4), F(1, 4)])
 
 
+@pytest.mark.parametrize("scales", [[F(1)], [F(1), F(1, 2)]])
+def test_box_dim_series_rejects_unit_scale(scales):
+    # log(1/scale) = 0 at scale 1, so its log ratio is undefined
+    with pytest.raises(ValueError):
+        box_dim_series([F(0)], scales)
+
+
 def test_probe_singleton_is_zero():
     rep = assouad_probe_windows([F(1, 3)], [(F(1, 10), F(1, 10))])
     assert rep[0]["max_cells"] == 1

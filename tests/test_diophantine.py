@@ -1,12 +1,14 @@
 """Diophantine-module checks.
 
 Minima oracles are exhaustive scans over nonnegative splits a + b = n done
-with raw Fraction arithmetic, independent of the module's scan code.  Surd
+with raw Fraction arithmetic, independent of the module's scan code, and
+the quadratic integer-unit scan the sorted scan replaced.  Surd
 instances are checked against high-precision mpmath evaluations.  Frozen
 counts come from oracle runs of the same instances.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abset.diophantine import (
+    GUARD_BITS,
     ApproxReal,
+    MinimaRecord,
     ProbeParams,
     RealValue,
     assouad_lower_probe,
@@ -31,6 +35,10 @@ from abset.diophantine import (
     primitive_decomposition,
     scan_horizon,
     try_cmp,
+    _decide,
+    _minima_impl,
+    _resolve_pair,
+    _value,
 )
 from abset.errors import InsufficientPrecision, UsageError
 
@@ -95,6 +103,69 @@ def fraction_ratio_pairs(values, tol):
             if ell >= 1 and abs(dj - ell * di) <= tol * di:
                 out.append((i + 1, j + 1, ell))
     return out
+
+
+def split_distances(one, a_mid, b_mid, n):
+    """Oracle: circle distances in units of a*alpha + (n - a)*beta for
+    every a = 0..n, from the integer midpoints on denominator one."""
+    half = one >> 1
+    out = []
+    for a in range(n + 1):
+        r = (a * a_mid + (n - a) * b_mid) % one
+        out.append(r if r <= half else one - r)
+    return out
+
+
+def quadratic_minima(alpha, beta, n_max, prec_bits):
+    """Oracle: the quadratic integer-unit scan, trying all n + 1 splits per
+    n.  The smallest a wins ties; with a radius, any other split within
+    the guarded radii of the minimum raises "minima-argmin", and a tie
+    with the running minimum raises "minima-flag".
+    -> (records, units, den, zero_at)"""
+    one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(alpha, beta, prec_bits)
+    records, units = [], []
+    best = None
+    for n in range(1, n_max + 1):
+        dists = split_distances(one, a_mid, b_mid, n)
+        d_min = min(dists)
+        a_min = dists.index(d_min)
+
+        def rad_of(a):
+            return (n - a) * b_rad + a * a_rad
+        rad_min = rad_of(a_min)
+        if a_rad or b_rad:
+            for a, d in enumerate(dists):
+                if a != a_min and d - d_min <= (rad_min + rad_of(a)) << GUARD_BITS:
+                    raise InsufficientPrecision(
+                        "minima-argmin",
+                        f"n={n}: candidates a={a_min} and a={a} are not separable")
+        if best is None:
+            minimal = True
+        else:
+            c = _decide(best[0] - d_min, best[1] + rad_min)
+            if c is None:
+                raise InsufficientPrecision(
+                    "minima-flag", f"n={n}: tie with the running minimum")
+            minimal = c >= 0
+        records.append(MinimaRecord(n, _value(d_min, rad_min, one),
+                                    (a_min, n - a_min), minimal))
+        units.append((d_min, rad_min))
+        if minimal:
+            best = (d_min, rad_min)
+        if d_min == 0 and rad_min == 0:
+            return records, units, one, n
+    return records, units, one, None
+
+
+def scan_outcome(scan, alpha, beta, n_max, prec_bits):
+    """(records, units, den, zero_at), or the raised context and detail."""
+    try:
+        out = scan(alpha, beta, n_max, prec_bits)
+    except InsufficientPrecision as exc:
+        return "raised", exc.context, exc.detail
+    if isinstance(out, tuple):
+        return out
+    return out.records, out.units, out.den, out.zero_at
 
 
 # -- comparison layer ---------------------------------------------------------
@@ -718,6 +789,71 @@ def test_exact_ratio_scan_matches_fraction_oracle(alpha, beta, n, tol):
     assert rep.pairs_examined == sum(len(values) - 1 - i
                                      for i, d in enumerate(values) if d != 0)
     assert rep.undecided == ()
+
+
+surd_values = st.builds(
+    lambda k, c, q: RealValue.sqrt(k, c) + RealValue.from_fraction(q),
+    st.sampled_from([2, 3, 5, 7, 10]),
+    st.sampled_from([1, -1, 2, F(1, 3)]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=12),
+)
+dyadic_values = st.builds(lambda num, e: F(num, 2 ** e),
+                          st.integers(min_value=-4096, max_value=4096),
+                          st.integers(min_value=0, max_value=12))
+# dyadic midpoints with a radius: exact ties that cannot be certified
+blurred_values = dyadic_values.map(lambda q: ApproxReal(q, F(1, 2 ** 130)))
+scan_pairs = st.one_of(
+    st.tuples(exact_values, exact_values),
+    st.tuples(dyadic_values, dyadic_values),
+    st.tuples(surd_values, exact_values | dyadic_values),
+    st.tuples(exact_values | dyadic_values, surd_values),
+    st.tuples(surd_values, surd_values),
+    st.tuples(blurred_values, blurred_values | dyadic_values),
+    # equal points a*gamma mod 1 or mirror-image splits: ties that must raise
+    surd_values.flatmap(lambda s: st.sampled_from([
+        (s, s), (s, -s), (s, s + RealValue.from_fraction(F(1, 2))),
+        (s + RealValue.from_fraction(F(1, 3)), s)])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_pairs, st.integers(min_value=1, max_value=30),
+       st.sampled_from([128, 256]))
+def test_sorted_minima_scan_matches_quadratic_oracle(pair, n, prec):
+    alpha, beta = pair
+    assert scan_outcome(_minima_impl, alpha, beta, n, prec) == \
+        scan_outcome(quadratic_minima, alpha, beta, n, prec)
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    (S2M1, S2M1),                                   # every split ties
+    (S2M1, "1 - sqrt(2)"),                          # a and n - a mirror
+    (S2M1, "sqrt(2) - 1/2"),                        # points repeat at a + 2
+    ("2*sqrt(2)", S2M1),                            # tie with the running minimum
+    # n = 2 puts all three splits at distance 1/4; the smallest a is named
+    (ApproxReal(F(7, 8), F(1, 2 ** 130)), ApproxReal(F(3, 8), F(1, 2 ** 130))),
+])
+def test_sorted_minima_scan_raises_where_oracle_does(alpha, beta):
+    want = scan_outcome(quadratic_minima, alpha, beta, 12, 256)
+    assert want[0] == "raised"
+    assert scan_outcome(_minima_impl, alpha, beta, 12, 256) == want
+
+
+def test_minima_horizon_20000_matches_linear_evaluation():
+    n_max = 20_000
+    data = _minima_impl(S2M1, S3M1, n_max, 256)
+    assert len(data.records) == n_max and data.zero_at is None
+    one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(S2M1, S3M1, 256)
+    assert data.den == one
+    picks = random.Random(20_000).sample(range(1, n_max), 19) + [n_max]
+    for n in picks:
+        dists = split_distances(one, a_mid, b_mid, n)
+        d_min = min(dists)
+        a = dists.index(d_min)
+        rad = (n - a) * b_rad + a * a_rad
+        assert data.units[n - 1] == (d_min, rad)
+        rec = data.records[n - 1]
+        assert (rec.n, rec.u, rec.delta) == (n, (a, n - a), _value(d_min, rad, one))
 
 
 # denominators far beyond the float range: 3**700 and 7**400
