@@ -254,9 +254,9 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
         minimal = [r for r in records if r.minimal]
         summary["minima"] = {"computed": len(records),
                              "minimal": [r.n for r in minimal]}
-        for r in records:
+        for r in records:       # delta is rendered only if a table is written
             rows.append(("minima", r.n, "", r.u[0], r.u[1], "",
-                         r.minimal, _delta_cell(r.delta), ""))
+                         r.minimal, r.delta, ""))
     if "ratio" in want:
         rep = diophantine.integer_ratio_scan(alpha, beta, nmax,
                                              prec_bits=prec)
@@ -306,12 +306,6 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
                          not rep.refused and not rep.violations,
                          rep.pairs_total, detail))
     return summary, checks, rows
-
-
-def _delta_cell(delta) -> str:
-    if isinstance(delta, Fraction):
-        return cell(delta)
-    return str(delta)
 
 
 def cmd_dioph(args) -> Tuple[dict, List[Check], List[Warn]]:

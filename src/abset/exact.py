@@ -6,6 +6,7 @@ bracketing semantics so callers never touch floating point when a
 threshold has to be exact.
 """
 
+import math
 from fractions import Fraction
 
 HALF = Fraction(1, 2)
@@ -26,6 +27,8 @@ def iroot(n: int, k: int) -> int:
         return 0
     if k == 1:
         return n
+    if k == 2:
+        return math.isqrt(n)
     # Newton iteration started from above converges monotonically down.
     x = 1 << -(-n.bit_length() // k)
     while True:

@@ -23,6 +23,12 @@ L_n eps_n is at most about T eps_n / N_n = eps_n^(1-1/n) / N_n, which is
 below sqrt(eps_n) from n = 2 on.  At n0 = 1 the ladder is about 1/N_1,
 so the level-1 bounds fail by a wide, structural margin, and the
 reports say so.
+
+The survey checks each sample's level split exactly on letter counts,
+which are small integers, and reads cells and drift from fixed-point
+values with a certified error interval: only a value whose interval
+touches a cell edge, and only drift that may hold the maximum, is
+evaluated exactly on the final pair's common denominator.
 """
 
 import math
@@ -39,6 +45,9 @@ from .words import WordExpr, X, Y, block, concat, power, prefix_counts
 DEFAULT_SEED = 20260823
 DEFAULT_SAMPLE_BUDGET = 2000
 MAX_EPS_BITS = 1 << 26          # refuse targets whose denominator outgrows this
+# Fixed-point bits restricted_covering keeps beyond the cell width and the
+# horizon's truncation error, so a cell edge is rarely within reach.
+COVER_GUARD_BITS = 64
 
 
 RhoSchedule = Union[Callable[[int], int], Sequence[int]]
@@ -267,68 +276,28 @@ def _sample_menu(limit: int, cuts: int = 16) -> List[int]:
     return sorted(v for v in vals if 0 <= v < limit)
 
 
-def restricted_covering(stages: Sequence[TStage], n0: int, *,
-                        sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-                        seed: int = DEFAULT_SEED) -> dict:
-    """Sample orbit times of the final word outside every balancing
-    block of level >= n0, and box-count their values at scale
-    2 sqrt(eps_n0).
+def covering_scale(eps: Fraction) -> Tuple[Fraction, bool]:
+    """The cell width 2 sqrt(eps) of restricted_covering, and whether it
+    is exact.  An irrational root falls back to a 64-bit lower bracket
+    (smaller cells, so counts only go up); below 2^-64 that bracket is 0,
+    so the bracket is widened to keep 64 significant bits."""
+    root = exact_sqrt(eps)
+    if root is not None:
+        return 2 * root, True
+    root, _ = sqrt_bracket(eps)
+    if root == 0:
+        root, _ = sqrt_bracket(eps, 64 + (eps.denominator.bit_length() + 1) // 2)
+    return 2 * root, False
 
-    Every sampled value is computed twice: once directly from prefix
-    counts, once through the level split (full-word multiplicities plus
-    a W_n0 prefix); a mismatch raises.  The box-count and drift bounds
-    are recorded in the returned report, never enforced; the
-    construction promises them only for n0 >= 2.  The cell count is
-    taken over the sampled times, so cells <= N_n0 is a test only when
-    the sample (random plus deterministic) outnumbers N_n0.
-    """
+
+def _covering_times(stages: Sequence[TStage], n0: int, sample_budget: int,
+                    seed: int) -> Tuple[IndexSet, List[int], List[int]]:
+    """The excluded set and the sampled times of restricted_covering:
+    the deterministic corner family (duplicates dropped) and the seeded
+    random draws, both outside every balancing block of level >= n0."""
     K = len(stages)
-    if not 1 <= n0 <= K:
-        raise UsageError(f"n0 must be in [1, {K}]")
-    if sample_budget < 1:
-        raise UsageError("need a positive sample budget")
-    final = stages[-1]
-    base = stages[n0 - 1]
-    horizon = final.N
+    horizon = stages[-1].N
     excluded = deleted_union(stages, n0)
-
-    # scale 2 sqrt(eps_n0); fall back to a 64-bit lower bracket when the
-    # square root is irrational (smaller cells, so counts only go up)
-    root = exact_sqrt(base.eps)
-    scale_exact = root is not None
-    if root is None:
-        root, _ = sqrt_bracket(base.eps)
-    scale = 2 * root
-
-    den = (final.alpha.denominator * final.beta.denominator //
-           math.gcd(final.alpha.denominator, final.beta.denominator))
-    a_int = final.alpha.numerator * (den // final.alpha.denominator)
-    b_int = final.beta.numerator * (den // final.beta.denominator)
-    word_val = {st.n: (st.k * a_int + st.l * b_int) % den for st in stages}
-    level_len = {st.n: st.N for st in stages}
-    level_reps = {stages[i].n: stages[i + 1].L for i in range(K - 1)}
-
-    def split_eval(j: int):
-        """Peel levels K-1 .. n0; returns (value_num, drift_num, r)."""
-        p = j
-        acc = 0
-        for lev in range(K - 1, n0 - 1, -1):
-            c, rem = divmod(p - 1, level_len[lev])
-            if c >= level_reps[lev]:
-                raise InvariantViolation("exclusion-leak",
-                                         f"time {j} sits inside a level-{lev} block")
-            acc = (acc + c * word_val[lev]) % den
-            p = rem + 1
-        cx, cy = prefix_counts(base.W, p)
-        base_num = (cx * a_int + cy * b_int) % den
-        return (acc + base_num) % den, acc, p
-
-    def direct_eval(j: int) -> int:
-        cx, cy = prefix_counts(final.W, j)
-        return (cx * a_int + cy * b_int) % den
-
-    def cell_of(num: int) -> int:
-        return (num * scale.denominator) // (den * scale.numerator)
 
     rng = random.Random(seed)
     picked = []
@@ -341,13 +310,14 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
             picked.append(j)
 
     det = set()
-    menus = [_sample_menu(level_reps[lev]) for lev in range(K - 1, n0 - 1, -1)]
-    offsets = [level_len[lev] for lev in range(K - 1, n0 - 1, -1)]
+    menus = [_sample_menu(stages[lev].L) for lev in range(K - 1, n0 - 1, -1)]
+    offsets = [stages[lev - 1].N for lev in range(K - 1, n0 - 1, -1)]
+    base = stages[n0 - 1]
     base_menu = ([r + 1 for r in _sample_menu(base.N)]
                  if base.N > 64 else list(range(1, base.N + 1)))
     if n0 >= 2:
         sub = stages[n0 - 2].N
-        base_menu.extend(c * sub for c in _sample_menu(stages[n0 - 1].L or 1)
+        base_menu.extend(c * sub for c in _sample_menu(base.L or 1)
                          if 1 <= c * sub <= base.N)
 
     def emit(j: int):
@@ -364,23 +334,122 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
             walk(depth + 1, offset + c * offsets[depth])
 
     walk(0, 0)
+    return excluded, list(det), picked
+
+
+def restricted_covering(stages: Sequence[TStage], n0: int, *,
+                        sample_budget: int = DEFAULT_SAMPLE_BUDGET,
+                        seed: int = DEFAULT_SEED) -> dict:
+    """Sample orbit times of the final word outside every balancing
+    block of level >= n0, and box-count their values at scale
+    2 sqrt(eps_n0).
+
+    Each sampled time j is split into full-word multiplicities c_lev of
+    the levels K-1 .. n0 plus a W_n0 prefix of length p; a c_lev that
+    reaches the level's repetition count means j sits in a block and
+    raises `exclusion-leak`.  The split is checked on letter counts:
+    the prefix counts of the final word at j must equal
+    sum c_lev (k_lev, l_lev) plus the prefix counts of W_n0 at p, or
+    `split-eval-mismatch` raises.  Equal counts give equal values at
+    every rotation pair, so this implies the value identity.
+
+    Values are never reduced modulo the pair's common denominator den
+    unless a bound is undecided.  With P = bits(horizon) + bits(1/scale)
+    + COVER_GUARD_BITS, A = floor(a 2^P / den) and B likewise, a point
+    with counts (cx, cy) lies in [lo, lo + cx + cy] units of 2^-P, where
+    lo = (cx A + cy B) mod 2^P: each multiplier adds less than one unit
+    of truncation.  The cell is read off lo when both ends of that
+    interval fall in one cell and it does not wrap past 1; otherwise the
+    exact value decides it.  The drift of a sample (its full-word part,
+    as a distance to the nearest integer) gets the same interval from
+    the fixed-point word images; only drift count vectors whose upper
+    bound reaches the running maximum of the lower bounds are kept, and
+    those are evaluated exactly, so `max_drift` is exact.
+
+    The box-count and drift bounds are recorded in the returned report,
+    never enforced; the construction promises them only for n0 >= 2.
+    The cell count is taken over the sampled times, so cells <= N_n0
+    is a test only when the sample (random plus deterministic)
+    outnumbers N_n0.
+    """
+    K = len(stages)
+    if not 1 <= n0 <= K:
+        raise UsageError(f"n0 must be in [1, {K}]")
+    if sample_budget < 1:
+        raise UsageError("need a positive sample budget")
+    final = stages[-1]
+    base = stages[n0 - 1]
+    horizon = final.N
+    excluded, det, picked = _covering_times(stages, n0, sample_budget, seed)
+
+    scale, scale_exact = covering_scale(base.eps)
+    sn, sd = scale.numerator, scale.denominator
+
+    den = (final.alpha.denominator * final.beta.denominator //
+           math.gcd(final.alpha.denominator, final.beta.denominator))
+    a_int = final.alpha.numerator * (den // final.alpha.denominator)
+    b_int = final.beta.numerator * (den // final.beta.denominator)
+    cell_den = den * sn
+
+    prec = horizon.bit_length() + sd.bit_length() + COVER_GUARD_BITS
+    one = 1 << prec
+    mask = one - 1
+    a_fix = (a_int << prec) // den
+    b_fix = (b_int << prec) // den
+    # (lev, N_lev, repetitions, k_lev, l_lev, fixed-point image), top down
+    levels = [(st.n, st.N, stages[st.n].L, st.k, st.l,
+               (st.k * a_fix + st.l * b_fix) & mask)
+              for st in reversed(stages[n0 - 1:K - 1])]
+
+    def cell_of(cx: int, cy: int) -> int:
+        lo = (cx * a_fix + cy * b_fix) & mask
+        if lo + cx + cy < one:
+            lo_sd = lo * sd
+            cell = (lo_sd >> prec) // sn
+            if cell == ((lo_sd + (cx + cy) * sd) >> prec) // sn:
+                return cell
+        return ((cx * a_int + cy * b_int) % den * sd) // cell_den
 
     cells = set()
-    max_drift_num = 0
-    for j in list(det) + picked:
-        val, drift_acc, _ = split_eval(j)
-        if direct_eval(j) != val:
+    drift_counts = set()        # drift count vectors that may hold the max
+    drift_floor = 0             # running max of the drift lower bounds
+    base_w, final_w = base.W, final.W
+    for j in det + picked:
+        p = j
+        dx = dy = img = 0
+        for lev, n_lev, reps, k_lev, l_lev, w_img in levels:
+            c, rem = divmod(p - 1, n_lev)
+            if c >= reps:
+                raise InvariantViolation("exclusion-leak",
+                                         f"time {j} sits inside a level-{lev} block")
+            dx += c * k_lev
+            dy += c * l_lev
+            img += c * w_img
+            p = rem + 1
+        bx, by = prefix_counts(base_w, p)
+        cx, cy = prefix_counts(final_w, j)
+        if cx != dx + bx or cy != dy + by:
             raise InvariantViolation("split-eval-mismatch", f"time {j}")
-        cells.add(cell_of(val))
-        max_drift_num = max(max_drift_num, min(drift_acc, den - drift_acc))
+        cells.add(cell_of(cx, cy))
+        img &= mask
+        dist = min(img, one - img)
+        err = dx + dy
+        if dist + err >= drift_floor:
+            drift_counts.add((dx, dy))
+            drift_floor = max(drift_floor, dist - err)
 
+    max_drift_num = 0
+    for dx, dy in drift_counts:
+        acc = (dx * a_int + dy * b_int) % den
+        max_drift_num = max(max_drift_num, min(acc, den - acc))
     max_drift = Fraction(max_drift_num, den)
     drift_ok = max_drift * max_drift < base.eps     # drift < sqrt(eps_n0)
 
     rng2 = random.Random(f"{seed}-unrestricted")
     contrast_cells = set()
     for _ in range(len(picked)):
-        contrast_cells.add(cell_of(direct_eval(rng2.randrange(1, horizon + 1))))
+        cx, cy = prefix_counts(final_w, rng2.randrange(1, horizon + 1))
+        contrast_cells.add(cell_of(cx, cy))
 
     return {
         "n0": n0,

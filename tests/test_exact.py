@@ -7,7 +7,7 @@ a bracket is correct iff its endpoints straddle the power when re-raised.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from abset.exact import (
     ceil_root,
@@ -45,6 +45,31 @@ def test_ceil_root_ratio_definition(num, den, k):
     t = ceil_root_ratio(num, den, k)
     assert t ** k * den >= num
     assert t == 0 or (t - 1) ** k * den < num
+
+
+def newton_iroot(n, k):
+    """The Newton iteration iroot ran for every k >= 2 before square roots
+    moved to math.isqrt; kept as the oracle for k = 2."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(min_value=1, max_value=20_000), data=st.data())
+def test_iroot_square_matches_newton(bits, data):
+    n = data.draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+    if data.draw(st.booleans()):        # perfect squares and their neighbours
+        r0 = newton_iroot(n, 2)
+        n = max(1, r0 * r0 + data.draw(st.integers(-1, 1)))
+    r = iroot(n, 2)
+    assert r * r <= n < (r + 1) ** 2
+    assert r == newton_iroot(n, 2)
 
 
 def test_iroot_examples():

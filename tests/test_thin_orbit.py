@@ -4,28 +4,38 @@ The miniature configuration (m=3, eps1=2^-12, rho=2) materializes fully:
 W_2 has 3942 letters, so every claim is checked against a plain
 letter-by-letter walk.  The desk configuration (m=10, eps1=2^-40, rho=4)
 freezes the grown-up numbers, including the recorded failure of the
-level-1 covering and drift bounds.
+level-1 covering and drift bounds.  restricted_covering's fixed-point
+core is checked against `exact_covering`, the loop it replaced, which
+evaluates every sample exactly on the pair's common denominator.
 """
 
+import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from abset import thin_orbit
 from abset.errors import InvariantViolation, UsageError
-from abset.exact import ceil_root, dist_to_int, mod1
+from abset.exact import ceil_root, dist_to_int, mod1, sqrt_bracket
 from abset.thin_orbit import (
+    DEFAULT_SAMPLE_BUDGET,
+    DEFAULT_SEED,
     ThinConfig,
     TStage,
+    _covering_times,
     advance,
     build_stages,
     choose_L,
+    covering_scale,
     deleted_sets,
     deleted_union,
     init_stage,
     restricted_covering,
 )
-from abset.words import prefix_counts, to_string
+from abset.words import X, prefix_counts, to_string
 
 TINY = ThinConfig(m=3, eps1=Fraction(1, 2 ** 12), rho=lambda n: 2)
 
@@ -37,6 +47,80 @@ def walk(word_str, alpha, beta):
         val = (val + (alpha if ch == "x" else beta)) % 1
         out.append(val)
     return out
+
+
+def exact_covering(stages, n0, *, sample_budget=DEFAULT_SAMPLE_BUDGET,
+                   seed=DEFAULT_SEED):
+    """restricted_covering's former evaluation loop, kept as its oracle.
+
+    On the same sampled times, every value is computed exactly modulo the
+    final pair's common denominator twice, through the level split and
+    directly from prefix counts; cells and the drift come from the exact
+    numerators."""
+    K = len(stages)
+    final = stages[-1]
+    base = stages[n0 - 1]
+    horizon = final.N
+    excluded, det, picked = _covering_times(stages, n0, sample_budget, seed)
+    scale, scale_exact = covering_scale(base.eps)
+
+    den = (final.alpha.denominator * final.beta.denominator //
+           math.gcd(final.alpha.denominator, final.beta.denominator))
+    a_int = final.alpha.numerator * (den // final.alpha.denominator)
+    b_int = final.beta.numerator * (den // final.beta.denominator)
+    word_val = {st.n: (st.k * a_int + st.l * b_int) % den for st in stages}
+    level_len = {st.n: st.N for st in stages}
+    level_reps = {stages[i].n: stages[i + 1].L for i in range(K - 1)}
+
+    def split_eval(j):
+        p = j
+        acc = 0
+        for lev in range(K - 1, n0 - 1, -1):
+            c, rem = divmod(p - 1, level_len[lev])
+            if c >= level_reps[lev]:
+                raise InvariantViolation("exclusion-leak",
+                                         f"time {j} sits inside a level-{lev} block")
+            acc = (acc + c * word_val[lev]) % den
+            p = rem + 1
+        cx, cy = prefix_counts(base.W, p)
+        return (acc + cx * a_int + cy * b_int) % den, acc
+
+    def direct_eval(j):
+        cx, cy = prefix_counts(final.W, j)
+        return (cx * a_int + cy * b_int) % den
+
+    def cell_of(num):
+        return (num * scale.denominator) // (den * scale.numerator)
+
+    cells = set()
+    max_drift_num = 0
+    for j in det + picked:
+        val, drift_acc = split_eval(j)
+        if direct_eval(j) != val:
+            raise InvariantViolation("split-eval-mismatch", f"time {j}")
+        cells.add(cell_of(val))
+        max_drift_num = max(max_drift_num, min(drift_acc, den - drift_acc))
+    max_drift = Fraction(max_drift_num, den)
+
+    rng2 = random.Random(f"{seed}-unrestricted")
+    contrast_cells = {cell_of(direct_eval(rng2.randrange(1, horizon + 1)))
+                      for _ in range(len(picked))}
+    return {
+        "n0": n0,
+        "horizon": horizon,
+        "scale": scale,
+        "scale_exact_sqrt": scale_exact,
+        "samples_random": len(picked),
+        "samples_deterministic": len(det),
+        "cells_restricted": len(cells),
+        "cell_bound_claimed": base.N,
+        "cell_bound_ok": len(cells) <= base.N,
+        "max_drift": max_drift,
+        "drift_bound_ok": max_drift * max_drift < base.eps,
+        "cells_unrestricted": len(contrast_cells),
+        "excluded_density": excluded.density_up_to(horizon),
+        "seed": seed,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +378,81 @@ class TestRestrictedCovering:
             restricted_covering(desk_stages, 4)
         with pytest.raises(UsageError):
             restricted_covering(desk_stages, 1, sample_budget=0)
+
+
+class TestCoveringOracle:
+    """The fixed-point core against the exact loop it replaced."""
+
+    @pytest.mark.parametrize("guard", [thin_orbit.COVER_GUARD_BITS, 0])
+    @pytest.mark.parametrize("n0", [1, 2, 3])
+    def test_desk_matches_exact(self, desk_stages, n0, guard, monkeypatch):
+        # guard 0 leaves about one bit between the error interval and the
+        # cell width, so many cells and drift bounds fall back to the exact
+        # numerators; the report must not notice
+        monkeypatch.setattr(thin_orbit, "COVER_GUARD_BITS", guard)
+        rep = restricted_covering(desk_stages, n0, sample_budget=3000, seed=5)
+        assert rep == exact_covering(desk_stages, n0, sample_budget=3000,
+                                     seed=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 6),
+           eps1=st.one_of(st.integers(5, 24).map(lambda e: Fraction(1, 2 ** e)),
+                          st.integers(2, 8).map(lambda e: Fraction(1, 10 ** e))),
+           r=st.integers(2, 4), k=st.integers(2, 3),
+           budget=st.sampled_from([1, 7, 60, 400]),
+           seed=st.integers(0, 2 ** 32),
+           guard=st.sampled_from([64, 0, "starved"]))
+    def test_tiny_towers_match_exact(self, m, eps1, r, k, budget, seed, guard):
+        cfg = ThinConfig(m=m, eps1=eps1, rho=lambda n, r=r: r)
+        try:
+            stages = build_stages(cfg, k)
+        except (UsageError, InvariantViolation):
+            assume(False)       # no room for L >= 4, or the tower left its band
+        for n0 in range(1, k + 1):
+            # "starved" cancels the scale's bits, leaving P = bits(horizon):
+            # error intervals then span cells and wrap past 1 all the time
+            bits = guard if guard != "starved" else \
+                -covering_scale(stages[n0 - 1].eps)[0].denominator.bit_length()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(thin_orbit, "COVER_GUARD_BITS", bits)
+                rep = restricted_covering(stages, n0, sample_budget=budget,
+                                          seed=seed)
+                assert rep == exact_covering(stages, n0, sample_budget=budget,
+                                             seed=seed)
+
+    def test_scale_keeps_significant_bits(self):
+        # a 64-bit lower bracket of sqrt(2^-135) is 0, which once divided
+        # by zero; the widened bracket keeps 64 significant bits
+        eps = Fraction(1, 2 ** 135)
+        scale, exact = covering_scale(eps)
+        half = scale / 2
+        assert not exact
+        assert half * half <= eps < half * half * (1 + Fraction(1, 2 ** 60))
+        # from 2^-128 up the 64-bit bracket is nonzero and stays as it was
+        eps = Fraction(1, 2 ** 127)
+        assert covering_scale(eps) == (2 * sqrt_bracket(eps)[0], False)
+        assert covering_scale(Fraction(1, 2 ** 40)) == (Fraction(1, 2 ** 19), True)
+
+    def test_split_mismatch_raises(self, tiny_stages):
+        # level 1 claims one x too many and one y too few: every time with
+        # a full copy of W_1 in its split disagrees with the direct counts
+        s1, s2 = tiny_stages
+        forged = [dataclasses.replace(s1, k=s1.k + 1, l=s1.l - 1), s2]
+        for run in (restricted_covering, exact_covering):
+            with pytest.raises(InvariantViolation) as err:
+                run(forged, 1, sample_budget=50)
+            assert err.value.name == "split-eval-mismatch"
+
+    def test_exclusion_leak_raises(self, tiny_stages):
+        # V_1 shrunk to one letter: the deleted set misses the rest of the
+        # block, so sampled times land where the split finds L_2 copies
+        s1, s2 = tiny_stages
+        forged = [s1, dataclasses.replace(s2, V=X)]
+        for run in (restricted_covering, exact_covering):
+            with pytest.raises(InvariantViolation) as err:
+                run(forged, 1, sample_budget=200)
+            assert err.value.name == "exclusion-leak"
+            assert "inside a level-1 block" in err.value.detail
 
 
 @settings(max_examples=25, deadline=None)
