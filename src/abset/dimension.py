@@ -1,5 +1,14 @@
 """Covering numbers, gaps and dimension probes for finite circle sets.
 
+Every estimator runs on the set's sorted distinct integer circle keys.
+When every denominator divides the largest one, D, a point is exactly
+its key over D.  Otherwise keys are fixed point over 2^K with
+K = 2 bits(D) + KEY_GUARD_BITS, and a point lies in [key, key + 1)
+over 2^K: one unit of radius.  Distinct points differ by at least
+1/D^2, so such keys stay distinct and keep the circle order.  The
+estimators decide on keys and compare exact rationals only where a cell
+or window edge falls within a key's unit.
+
 Counts and distances are exact rationals; only the log-ratio columns of
 a report go through mpmath, at a pinned working precision, and are
 rendered once into strings so reports are byte-stable.
@@ -16,48 +25,78 @@ from .exact import mod1
 
 DEFAULT_PREC_BITS = 128
 LOG_DIGITS = 12
+# Fixed-point bits past 2 bits(D), so an edge rarely falls within a key's
+# unit and the exact fallback rarely runs.
+KEY_GUARD_BITS = 64
 
 
 def _keys(points):
-    """-> (keys, den): the set's sorted distinct circle keys, point = key / den.
+    """-> (keys, den, exact): the set's sorted distinct circle keys.
 
     When every denominator divides the largest one, den is that
-    denominator and the keys are integers in [0, den); otherwise den = 1
-    and the keys are the points reduced into [0, 1) as Fractions.  The
-    estimators below run one loop over either kind of key.
+    denominator, a point is exactly key / den, and exact is None.
+    Otherwise den is a power of two, the point of keys[i] lies in
+    [keys[i], keys[i] + 1) / den, and exact[i] is that point up to an
+    integer.
     """
     pts = [p if isinstance(p, (int, Fraction)) else Fraction(p) for p in points]
-    den = max((p.denominator for p in pts), default=1)
-    if all(den % p.denominator == 0 for p in pts):
-        keys = {p.numerator * (den // p.denominator) % den for p in pts}
-    else:
-        den = 1
-        keys = {mod1(p) for p in pts}
-    return sorted(keys), den
+    dens = [p.denominator for p in pts]
+    den = max(dens, default=1)
+    if all(den % d == 0 for d in dens):
+        return sorted({p.numerator * (den // d) % den for p, d in zip(pts, dens)}), den, None
+    shift = 2 * den.bit_length() + KEY_GUARD_BITS
+    by_key = {((p.numerator % d) << shift) // d: p for p, d in zip(pts, dens)}
+    keys = sorted(by_key)
+    return keys, 1 << shift, [by_key[k] for k in keys]
+
+
+def _exact(exact, i) -> Fraction:
+    """The exact point of index i in the unrolled circle, keys followed by
+    [k + den for k in keys]; the second lap is one more."""
+    n = len(exact)
+    p = mod1(exact[i % n])
+    return p + 1 if i >= n else p
+
+
+def _point(circle, k) -> Fraction:
+    """The point of key k in [0, 1)."""
+    keys, den, exact = circle
+    return Fraction(k, den) if exact is None else mod1(exact[bisect.bisect_left(keys, k)])
 
 
 def _ceil_div(num: int, den: int) -> int:
     return -(-num // den)
 
 
-def _cells(keys, den: int, rho: Fraction) -> List[int]:
+def _cells(circle, rho: Fraction) -> List[int]:
+    keys, den, exact = circle
     rho = Fraction(rho)
     if not 0 < rho <= 1:
         raise ValueError("scale must lie in (0, 1]")
-    rd, unit = rho.denominator, den * rho.numerator
+    rd, rn = rho.denominator, rho.numerator
+    unit = den * rn              # a cell is unit / rd keys wide
+    r = 0 if exact is None else 1
     cells: List[int] = []
     last = None
-    for k in keys:  # sorted keys give sorted cells; an int key has denominator 1
-        c = k.numerator * rd // (k.denominator * unit)
+    nxt = 0    # fixed-point keys below nxt lie in the last cell
+    for i, k in enumerate(keys):
+        if k < nxt:
+            continue
+        c = k * rd // unit
+        if r and (k + 1) * rd // unit != c:   # an edge within the key's unit
+            p = mod1(exact[i])
+            c = p.numerator * rd // (p.denominator * rn)
         if c != last:
             cells.append(c)
             last = c
+            if r:
+                nxt = -(-(c + 1) * unit // rd) - 1
     return cells
 
 
-def _covering(keys, den: int, rho: Fraction) -> int:
+def _covering(circle, rho: Fraction) -> int:
     rho = Fraction(rho)
-    n = len(_cells(keys, den, rho))
+    n = len(_cells(circle, rho))
     assert n <= _ceil_div(rho.denominator, rho.numerator), "more cells than the grid has"
     return n
 
@@ -65,24 +104,27 @@ def _covering(keys, den: int, rho: Fraction) -> int:
 def grid_cells(points, rho: Fraction) -> List[int]:
     """Sorted distinct indices of grid cells [i*rho, (i+1)*rho) hit by the
     set; the grid is anchored at 0."""
-    return _cells(*_keys(points), rho)
+    return _cells(_keys(points), rho)
 
 
 def grid_covering(points, rho: Fraction) -> int:
     """Number of rho-grid cells needed for the set (grid anchored at 0)."""
-    return _covering(*_keys(points), rho)
+    return _covering(_keys(points), rho)
 
 
 def min_gap(points) -> Fraction:
     """Smallest circular distance between distinct points; needs >= 2."""
-    keys, den = _keys(points)
+    keys, den, exact = _keys(points)
     if len(keys) < 2:
         raise ValueError("min_gap needs at least two distinct points")
-    best = den + keys[0] - keys[-1]  # wrap gap
-    for a, b in zip(keys, keys[1:]):
-        if b - a < best:
-            best = b - a
-    return Fraction(best, den)
+    ext = keys + [den + keys[0]]  # the last gap wraps
+    gaps = [b - a for a, b in zip(ext, ext[1:])]
+    best = min(gaps)
+    if exact is None:
+        return Fraction(best, den)
+    # a key gap is within one unit of its true gap
+    return min(_exact(exact, i + 1) - _exact(exact, i)
+               for i, g in enumerate(gaps) if g < best + 2)
 
 
 def maximal_separated_subset(points, rho: Fraction) -> List[Fraction]:
@@ -95,19 +137,31 @@ def maximal_separated_subset(points, rho: Fraction) -> List[Fraction]:
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError("separation must be positive")
-    keys, den = _keys(points)
-    rd, reach = rho.denominator, rho.numerator * den
-    chosen = []
+    circle = keys, den, exact = _keys(points)
+    rd = rho.denominator
+    reach = rho.numerator * den   # a key distance d is below rho when d * rd < reach
+    # a key distance is within one unit of the true distance: between lo
+    # and hi only the exact points decide
+    slack = 0 if exact is None else rd
+    lo, hi = reach - slack, reach + slack
+
+    def near(a, b):
+        d = _point(circle, b) - _point(circle, a)
+        return min(d, 1 - d) < rho
+
+    chosen: List[int] = []
     for k in keys:
         if chosen:
             gap = k - chosen[-1]
-            if min(gap, den - gap) * rd < reach:
+            d = min(gap, den - gap) * rd
+            if d < hi and (d < lo or near(chosen[-1], k)):
                 continue
-            gap = den - k + chosen[0]
-            if min(gap, den - gap) * rd < reach:
+            gap = k - chosen[0]   # the wrap distance to the first pick
+            d = min(gap, den - gap) * rd
+            if d < hi and (d < lo or near(chosen[0], k)):
                 continue
         chosen.append(k)
-    return [Fraction(k, den) for k in chosen]
+    return [_point(circle, k) for k in chosen]
 
 
 @dataclass(frozen=True)
@@ -159,10 +213,10 @@ def box_dim_series(points, scales, prec_bits: int = DEFAULT_PREC_BITS) -> Coveri
     if any(not 0 < s < 1 for s in scales):
         # log(1/scale) divides the log ratio, and it is 0 at scale 1
         raise ValueError("box-counting scales must lie in (0, 1)")
-    keys, den = _keys(points)
+    circle = _keys(points)
     rows = []
     for rho in scales:
-        count = _covering(keys, den, rho)
+        count = _covering(circle, rho)
         rows.append(CoveringRow(rho, count, _log_ratio(count, rho, prec_bits)))
     nested = all((a / b).denominator == 1 for a, b in zip(scales, scales[1:]))
     if nested:
@@ -183,7 +237,7 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
     the set is large; the reported maximum is then a lower bound for the
     all-anchors maximum.
     """
-    keys, den = _keys(points)
+    circle = keys, den, exact = _keys(points)
     if not keys:
         raise ValueError("probe needs a nonempty set")
     # the ten extremes kept at each end already take every anchor of a
@@ -195,9 +249,20 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
         anchors = sorted({int(i * step) for i in range(anchor_cap)}
                          | set(range(10)) | set(range(len(keys) - 10, len(keys))))
     ext = keys + [k + den for k in keys]
-    # an offset num/d in key units; on integer keys its ceiling bisects to
-    # the same first key at or past the exact offset
-    offset = _ceil_div if isinstance(keys[0], int) else Fraction
+    # A key offset from an anchor is within r units of the true offset
+    # (r = 0 on a lattice, else 1).  Of an edge rounded up to a key, keys
+    # below edge - r lie before it, keys past edge lie after it, and the
+    # keys between are settled on their exact points.
+    r = 0 if exact is None else 1
+
+    def settle(a, pos, hi, edge, bound):
+        """Skip the keys from pos up to edge whose exact offset from
+        anchor a is below bound."""
+        p = _exact(exact, a)
+        while pos < hi and ext[pos] <= edge and _exact(exact, pos) - p < bound:
+            pos += 1
+        return pos
+
     reports = []
     for big_r, delta in window_scales:
         big_r = Fraction(big_r)
@@ -205,21 +270,31 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
         if not (0 < big_r <= 1 and 0 < delta < 1):
             raise ValueError("need 0 < R <= 1 and 0 < delta < 1")
         cell = big_r * delta
-        cd, unit = cell.denominator, cell.numerator * den
-        width = offset(big_r.numerator * den, big_r.denominator)
+        cd, cn = cell.denominator, cell.numerator
+        unit = cn * den              # a cell is unit / cd keys wide
+        width = _ceil_div(big_r.numerator * den, big_r.denominator)
         best_count = 0
         best_anchor = keys[0]
         for ai in anchors:
             k = keys[ai]
-            hi = bisect.bisect_left(ext, k + width, lo=ai)
-            count = 0
-            pos = ai
+            end = k + width
+            hi = bisect.bisect_left(ext, end - r, ai)
+            if r and ext[hi] <= end:
+                hi = settle(ai, hi, len(ext), end, big_r)
+            count, c, pos = 0, 0, ai   # the anchor lies in cell 0
             while pos < hi:
                 count += 1
-                # jump past the rest of this cell
-                c = (ext[pos] - k) * cd // unit
-                pos = bisect.bisect_left(ext, k + offset((c + 1) * unit, cd),
-                                         lo=pos + 1, hi=hi)
+                # jump past the rest of cell c
+                edge = k - (-(c + 1) * unit // cd)
+                pos = bisect.bisect_left(ext, edge - r, pos + 1, hi)
+                if r and pos < hi and ext[pos] <= edge:
+                    pos = settle(ai, pos, hi, edge, (c + 1) * cell)
+                if pos < hi:
+                    d = ext[pos] - k
+                    c = (d - r) * cd // unit
+                    if r and (d + r) * cd // unit != c:
+                        y = _exact(exact, pos) - _exact(exact, ai)
+                        c = y.numerator * cd // (y.denominator * cn)
             if count > best_count:
                 best_count = count
                 best_anchor = k
@@ -232,7 +307,7 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
             "window_width": big_r,
             "delta": delta,
             "max_cells": best_count,
-            "witness_anchor": Fraction(best_anchor, den),
+            "witness_anchor": _point(circle, best_anchor),
             "log_ratio": ratio_str,
             "log_ratio_float": ratio_val,
             "anchors_probed": len(anchors),

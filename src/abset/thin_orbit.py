@@ -189,8 +189,16 @@ def advance(stage: TStage, config: ThinConfig) -> TStage:
         raise InvariantViolation("count-recursion")
     lo_b = Fraction(n + 2, 2 * n + 3)
     if not lo_b < Fraction(k2, l2) < 1 / lo_b:
-        raise InvariantViolation("symbol-balance",
-                                 f"stage {n + 1} ratio {k2}/{l2} outside band")
+        # too few copies of W_n fit the horizon to outweigh V_n: eps_n is
+        # too large against |W_n|, a choice of parameters
+        smaller = "m (--m) or eps1 (--eps1)"
+        if n >= 2:
+            smaller += f", or a decay above rho({n}) = {config.rho_at(n)} (--decay)"
+        raise UsageError(
+            f"stage {n + 1} leaves the 2:1 count band: its letter ratio "
+            f"{k2}/{l2} is outside ({lo_b}, {1 / lo_b}), as the horizon of "
+            f"eps_{n} holds only L = {L} copies of W_{n} (m = {config.m}).  "
+            f"Choose a smaller {smaller}.")
 
     cur = mod1(k2 * stage.alpha + l2 * stage.beta)
     delta_val = lift_half(cur - eps_next)

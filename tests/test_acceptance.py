@@ -283,6 +283,7 @@ def test_criterion_6_estimator_calibration():
     assert window_ok, windows[0]
     assert lower.exponent_at_params == Fraction(49, 200)
     assert probe_ok
+    assert elapsed < 5.0, f"budget 5 s exceeded: {elapsed:.2f} s"
 
 
 def test_criterion_7_cli_determinism(capsys, tmp_path):

@@ -137,6 +137,17 @@ def test_thin_orbit_seed_changes_random_draws(capsys, tmp_path):
     assert ca["samples_deterministic"] == cb["samples_deterministic"]
 
 
+def test_thin_orbit_tower_leaving_its_band_is_a_usage_error(capsys):
+    # eps_2 = 2^-20 leaves room for only 24 copies of W_2, too few to
+    # outweigh the balancing block: a parameter choice, not a broken check
+    rc, stdout, stderr = run(capsys, "thin-orbit", "--m", "1", "--eps1", "2^-5",
+                             "--decay", "4", "--stages", "3")
+    assert rc == 1
+    assert stdout == ""
+    assert stderr.startswith("usage error: stage 3 leaves the 2:1 count band")
+    assert "--m" in stderr and "--decay" in stderr
+
+
 # --------------------------------------------------------------------- dioph
 
 

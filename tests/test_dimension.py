@@ -8,14 +8,18 @@ Fraction, sorted, and scanned with Fraction arithmetic.
 """
 
 import bisect
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from abset import dimension
+from abset.exact import mod1
 from abset.dimension import (
     DEFAULT_PREC_BITS,
+    KEY_GUARD_BITS,
     LOG_DIGITS,
     _keys,
     assouad_probe_windows,
@@ -169,7 +173,7 @@ def test_maximal_separated_keeps_gaps_equal_to_rho():
     # separation is >= rho, so gaps of exactly rho (the wrap gap too) stay
     quarters = [F(k, 4) for k in range(4)]
     assert maximal_separated_subset(quarters, F(1, 4)) == quarters
-    # no common denominator: the Fraction-key path
+    # no common denominator: fixed-point keys with a one-unit radius
     assert maximal_separated_subset([F(0), F(1, 7), F(1, 3), F(2, 3)], F(1, 3)) \
         == [F(0), F(1, 3), F(2, 3)]
 
@@ -226,12 +230,16 @@ def test_probe_reciprocal_fixture_localizes_high():
 
 
 def test_keys_pick_integers_exactly_when_denominators_divide_the_largest():
-    assert _keys([F(3, 4), F(1, 2), 2, F(-1, 4), F(7, 4)]) == ([0, 2, 3], 4)
-    assert _keys([F(1, 3), F(1, 4), F(4, 3)]) == ([F(1, 4), F(1, 3)], 1)
-    assert _keys([3, -1]) == ([0], 1)
-    assert _keys([]) == ([], 1)
-    keys, den = _keys([F(1, 3), F(1, 4)])
-    assert all(isinstance(k, Fraction) for k in keys)
+    assert _keys([F(3, 4), F(1, 2), 2, F(-1, 4), F(7, 4)]) == ([0, 2, 3], 4, None)
+    assert _keys([3, -1]) == ([0], 1, None)
+    assert _keys([]) == ([], 1, None)
+    # no common denominator: fixed point over 2^(2 bits(4) + guard), one
+    # unit of radius, the exact points kept beside the keys
+    keys, den, exact = _keys([F(1, 3), F(1, 4), F(4, 3)])
+    assert den == 2 ** (2 * 3 + KEY_GUARD_BITS)
+    assert keys == [den // 4, den // 3]
+    assert [F(p) % 1 for p in exact] == [F(1, 4), F(1, 3)]
+    assert all(type(k) is int for k in keys)
 
 
 def test_returned_points_are_fractions():
@@ -325,12 +333,52 @@ mixed_sets = st.lists(
     st.one_of(st.fractions(min_value=-2, max_value=3, max_denominator=40),
               st.integers(min_value=-3, max_value=3)),
     min_size=2, max_size=60).filter(_no_lattice)
+
+
+def _farey_pair(q, a):
+    """a/q and its Farey neighbour c/s (s < q), 1/(qs) apart: as close as
+    two points with denominators <= q can be."""
+    if math.gcd(a, q) != 1:
+        a = 1
+    s = -pow(a, -1, q) % q
+    return [F(a, q), F((1 + a * s) // q, s)]
+
+
+# Guard sets make keys meet edges within their one-unit radius:
+# - points on the cell edges of non-dyadic scales (i/b, b not a power of 2);
+# - Farey neighbours;
+# - denominators up to 2^200;
+# - or a few points of denominator <= 16, whose gaps can differ by less
+#   than a unit at guard 0.
+# A point of prime denominator keeps the structured sets off any lattice.
+edge_points = st.tuples(st.sampled_from([3, 5, 6, 7, 9, 12, 15, 25, 27, 45, 60, 81]),
+                        st.integers(min_value=-100, max_value=200)).map(
+    lambda t: [F(t[1], t[0])])
+farey_pairs = st.builds(_farey_pair, st.integers(min_value=2, max_value=10 ** 6),
+                        st.integers(min_value=1, max_value=10 ** 6))
+huge_points = st.builds(F, st.integers(min_value=-2 ** 200, max_value=2 ** 201),
+                        st.integers(min_value=1, max_value=2 ** 200)).map(lambda p: [p])
+structured_sets = st.builds(
+    lambda parts, prime: [p for part in parts for p in part] + [F(1, prime)],
+    st.lists(st.one_of(edge_points, farey_pairs, huge_points), min_size=1, max_size=30),
+    st.sampled_from([11, 13, 17, 19, 23]))
+few_small_sets = st.lists(st.fractions(min_value=0, max_value=1, max_denominator=16),
+                          min_size=3, max_size=8)
+guard_sets = st.one_of(structured_sets, few_small_sets).filter(_no_lattice)
 SET_FAMILIES = {
     "lattice": lattice_sets,
     "mixed": mixed_sets,
     "lattice+int": lattice_sets.map(lambda pts: pts + [int(p) for p in pts]),
+    "guard": guard_sets,
 }
-families = pytest.mark.parametrize("family", sorted(SET_FAMILIES))
+# Guard 0 keys points over 2^(2 bits(D)) alone, so edges fall within a
+# key's unit often and the exact fallback runs; results must not change.
+# Lattice sets have exact keys and no guard.
+FAMILY_GUARDS = ([(f, KEY_GUARD_BITS) for f in sorted(SET_FAMILIES)]
+                 + [("guard", 0), ("mixed", 0)])
+families = pytest.mark.parametrize(
+    "family, guard", FAMILY_GUARDS,
+    ids=[f if g else f"{f}-guard0" for f, g in FAMILY_GUARDS])
 windows = st.lists(
     st.tuples(st.fractions(min_value=F(1, 64), max_value=1, max_denominator=64),
               st.fractions(min_value=F(1, 64), max_value=F(63, 64),
@@ -349,13 +397,16 @@ scale_lists = st.one_of(
 @families
 @settings(max_examples=80)
 @given(data=st.data(), rho=rhos)
-def test_grid_and_separated_match_fraction_oracle(family, data, rho):
+def test_grid_and_separated_match_fraction_oracle(family, guard, data, rho):
     pts = data.draw(SET_FAMILIES[family])
-    assert grid_covering(pts, rho) == brute_covering(pts, rho)
-    assert grid_cells(pts, rho) == sorted(
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "KEY_GUARD_BITS", guard)
+        covering, cells = grid_covering(pts, rho), grid_cells(pts, rho)
+        got = maximal_separated_subset(pts, rho)
+    assert covering == brute_covering(pts, rho)
+    assert cells == sorted(
         {p.numerator * rho.denominator // (p.denominator * rho.numerator)
          for p in fraction_points(pts)})
-    got = maximal_separated_subset(pts, rho)
     assert got == fraction_separated_subset(pts, rho)
     assert all(type(p) is Fraction for p in got)
 
@@ -363,9 +414,11 @@ def test_grid_and_separated_match_fraction_oracle(family, data, rho):
 @families
 @settings(max_examples=60)
 @given(data=st.data(), scales=scale_lists)
-def test_box_dim_series_matches_fraction_oracle(family, data, scales):
+def test_box_dim_series_matches_fraction_oracle(family, guard, data, scales):
     pts = data.draw(SET_FAMILIES[family])
-    rep = box_dim_series(pts, scales)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "KEY_GUARD_BITS", guard)
+        rep = box_dim_series(pts, scales)
     counts, nested = fraction_box_counts(pts, scales)
     assert rep.counts() == counts
     assert [r.scale for r in rep.rows] == scales
@@ -375,9 +428,11 @@ def test_box_dim_series_matches_fraction_oracle(family, data, scales):
 @families
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), window_scales=windows, cap=st.integers(min_value=1, max_value=80))
-def test_probe_matches_fraction_oracle(family, data, window_scales, cap):
+def test_probe_matches_fraction_oracle(family, guard, data, window_scales, cap):
     pts = data.draw(SET_FAMILIES[family])
-    got = assouad_probe_windows(pts, window_scales, anchor_cap=cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "KEY_GUARD_BITS", guard)
+        got = assouad_probe_windows(pts, window_scales, anchor_cap=cap)
     want = fraction_probe_windows(pts, window_scales, anchor_cap=cap)
     assert got == want
     assert all(type(r["witness_anchor"]) is Fraction for r in got)
@@ -386,12 +441,108 @@ def test_probe_matches_fraction_oracle(family, data, window_scales, cap):
 @families
 @settings(max_examples=40)
 @given(data=st.data())
-def test_min_gap_matches_fraction_scan(family, data):
+def test_min_gap_matches_fraction_scan(family, guard, data):
     pts = data.draw(SET_FAMILIES[family])
     ps = fraction_points(pts)
-    if len(ps) < 2:
-        with pytest.raises(ValueError):
-            min_gap(pts)
-        return
-    want = min([1 + ps[0] - ps[-1]] + [b - a for a, b in zip(ps, ps[1:])])
-    assert min_gap(pts) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "KEY_GUARD_BITS", guard)
+        if len(ps) < 2:
+            with pytest.raises(ValueError):
+                min_gap(pts)
+        else:
+            want = min([1 + ps[0] - ps[-1]] + [b - a for a, b in zip(ps, ps[1:])])
+            assert min_gap(pts) == want
+
+
+@pytest.mark.parametrize("guard", [KEY_GUARD_BITS, 0])
+def test_edges_within_a_unit_fall_back_to_exact_points(guard, monkeypatch):
+    # 1/3 sits on the edge of the 1/3-grid, and its key floor(2^K / 3)
+    # sits one unit below it: the keys alone cannot place it
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return mod1(p)
+
+    monkeypatch.setattr(dimension, "KEY_GUARD_BITS", guard)
+    monkeypatch.setattr(dimension, "mod1", counted)
+    assert grid_cells([F(1, 7), F(1, 3)], F(1, 3)) == [0, 1]
+    assert calls == [F(1, 3)]
+    # the window [0, 1/3) ends within a unit of the key of 1/3, which it
+    # excludes, and 1/7 = 3/21 sits on an edge of its 1/21-cells
+    calls.clear()
+    pts, window = [F(0), F(1, 7), F(1, 3)], [(F(1, 3), F(1, 7))]
+    rep = assouad_probe_windows(pts, window)
+    assert calls
+    assert rep[0]["max_cells"] == 2
+    assert rep == fraction_probe_windows(pts, window)
+
+
+@pytest.mark.parametrize("guard", [KEY_GUARD_BITS, 0])
+@settings(max_examples=80, deadline=None)
+@given(pts=guard_sets, data=st.data())
+def test_edges_a_third_of_a_unit_from_points_match_fraction_oracles(guard, pts, data):
+    # scales, separations and windows whose edges fall on a point or a
+    # third of a key unit to either side of it
+    ps = fraction_points(pts)
+    tiny = F(1, 3 << (2 * max(p.denominator for p in ps).bit_length() + guard))
+
+    def near(x):
+        return x + data.draw(st.sampled_from([-tiny, 0, tiny]))
+
+    def difference():
+        i, j = data.draw(st.lists(st.integers(min_value=0, max_value=len(ps) - 1),
+                                  min_size=2, max_size=2, unique=True))
+        return (ps[j] - ps[i]) % 1
+
+    rho = near(data.draw(st.sampled_from(ps))) / data.draw(st.integers(1, 8))
+    d = difference()
+    sep = near(min(d, 1 - d))
+    big_r = near(difference())
+    cell = near(difference()) / data.draw(st.integers(1, 8))
+    # delta within 2^-128 of 1 would leave log(1/delta) at 0
+    assume(0 < rho and 2 * cell <= big_r)
+    window = [(big_r, cell / big_r)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "KEY_GUARD_BITS", guard)
+        covering = grid_covering(pts, rho)
+        chosen = maximal_separated_subset(pts, sep)
+        probe = assouad_probe_windows(pts, window)
+    assert covering == brute_covering(pts, rho)
+    assert chosen == fraction_separated_subset(pts, sep)
+    assert probe == fraction_probe_windows(pts, window)
+
+
+@pytest.mark.parametrize("guard, pts, window", [
+    (0, [F(0), F(4, 11), F(2, 3), F(12, 13)], (F(63, 143), F(28303, 145152))),
+    (KEY_GUARD_BITS, [F(1, 9), F(2, 9), F(3, 8), F(2, 3), F(11, 12)],
+     (F(25, 36), F(18889465931478580854787, 118059162071741130342400))),
+])
+def test_probe_offset_below_a_cell_edge_with_key_offset_past_it(guard, pts, window):
+    # a point's offset from an anchor lies a third of a unit below a cell
+    # edge, and its key offset lies past it: only the exact points put it
+    # in the lower cell, and a later point one cell on shows the difference
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "KEY_GUARD_BITS", guard)
+        got = assouad_probe_windows(pts, [window])
+    assert got == fraction_probe_windows(pts, [window])
+
+
+def test_min_gap_candidates_within_two_units():
+    # at guard 0 the unit is 1/64: the gaps 2/35 and 1/20 differ by less,
+    # and the larger one has the smaller key gap (3 units against 4)
+    pts = [F(1, 7), F(1, 5), F(1, 4), F(2, 3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "KEY_GUARD_BITS", 0)
+        assert min_gap(pts) == F(1, 20)
+
+
+def test_reciprocal_counts_at_100000():
+    # criterion 6's set: 1/k for k <= 100,000, at scales 4^-4 .. 4^-8
+    k_max = 10 ** 5
+    pts = [F(1, k) for k in range(1, k_max + 1)]
+    scales = [F(1, 4 ** j) for j in range(4, 9)]
+    counts = box_dim_series(pts, scales).counts()
+    assert counts == [31, 63, 127, 255, 511]
+    assert counts == [len({4 ** j // k for k in range(2, k_max + 1)} | {0})
+                      for j in range(4, 9)]
