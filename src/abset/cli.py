@@ -8,6 +8,10 @@ Five subcommands compose the library into reproducible runs:
   dim          covering-number series for built-in point fixtures
   verify-all   the desk-scale composition of the three check suites
 
+Each command prints its check lines; without --out it then writes its
+canonical JSON report to stdout, and with --out it writes the report
+(a CSV table for dioph and dim) to that file.
+
 Exit codes: 0 when every asserted invariant passed, 1 for usage errors
 (the message names the offending token), 2 when a named invariant
 failed.  A bound a run records but does not enforce prints a WARN line
@@ -232,13 +236,15 @@ _DIOPH_HEADER = ["scan", "n", "m", "a", "b", "ell", "ok", "value", "detail"]
 
 
 def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
-                     which: str) -> Tuple[dict, List[Check], list]:
+                     which: str) -> Tuple[dict, List[Check], dict]:
+    """-> (summary, checks, results): results maps each scan run to its
+    records or report, for the table."""
     alpha = diophantine.parse_value(alpha_text)
     beta = diophantine.parse_value(beta_text)
     params = diophantine.ProbeParams()
     summary: dict = {}
     checks: List[Check] = []
-    rows: list = []
+    results: dict = {}
 
     want = {"minima", "ratio", "separation", "dichotomy"} \
         if which == "all" else {which}
@@ -254,12 +260,10 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
         minimal = [r for r in records if r.minimal]
         summary["minima"] = {"computed": len(records),
                              "minimal": [r.n for r in minimal]}
-        for r in records:       # delta is rendered only if a table is written
-            rows.append(("minima", r.n, "", r.u[0], r.u[1], "",
-                         r.minimal, r.delta, ""))
+        results["minima"] = records
     if "ratio" in want:
-        rep = diophantine.integer_ratio_scan(alpha, beta, nmax,
-                                             prec_bits=prec)
+        rep = results["ratio"] = diophantine.integer_ratio_scan(
+            alpha, beta, nmax, prec_bits=prec)
         summary["ratio"] = {"pairs_examined": rep.pairs_examined,
                             "qualifying": len(rep.qualifying),
                             "violations": len(rep.violations),
@@ -268,16 +272,11 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
         checks.append(("integer-ratio-lemma", not rep.violations,
                        f"{len(rep.qualifying)} qualifying pairs, "
                        f"{len(rep.violations)} violations"))
-        for p in rep.qualifying:
-            rows.append(("ratio", p.i, p.j, "", "", p.ell,
-                         p.divisibility_ok and p.vector_ok, "", ""))
-        for v in rep.violations:
-            rows.append(("ratio-violation", v.i, v.j, "", "", v.ell,
-                         False, "", v.reason))
     if "separation" in want:
         # an exact zero ends the minima early; check the prefix they cover
         n_pts = min(nmax, len(records) + 1)
-        rep = diophantine.orbit_separation_check(orbit[:n_pts], records)
+        rep = results["separation"] = diophantine.orbit_separation_check(
+            orbit[:n_pts], records)
         summary["separation"] = {"points": n_pts,
                                  "pairs_checked": rep.pairs_checked,
                                  "violations": len(rep.violations),
@@ -287,11 +286,9 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
                        f"{rep.pairs_checked} pairs, "
                        f"{len(rep.violations)} violations, "
                        f"{rep.undecided} undecided"))
-        rows.append(("separation", "", "", "", "", "", not rep.violations,
-                     rep.pairs_checked, f"undecided={rep.undecided}"))
     if "dichotomy" in want:
-        scan = diophantine.dichotomy_scan(alpha, beta, orbit, params, nmax,
-                                          prec)
+        scan = results["dichotomy"] = diophantine.dichotomy_scan(
+            alpha, beta, orbit, params, nmax, prec)
         summary["dichotomy"] = {"qualifying": list(scan.qualifying),
                                 "violation_total": scan.violation_total,
                                 "refusals": list(scan.refusals)}
@@ -299,21 +296,44 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
                        f"{len(scan.qualifying)} qualifying pairs, "
                        f"{scan.violation_total} violations, "
                        f"{len(scan.refusals)} refusals"))
-        for rep in scan.reports:
+    return summary, checks, results
+
+
+def _dioph_rows(results: dict) -> list:
+    """The table rows of the scans in `results`; reading each minima
+    record's delta here renders it only when a table is written."""
+    rows: list = []
+    for r in results.get("minima", ()):
+        rows.append(("minima", r.n, "", r.u[0], r.u[1], "",
+                     r.minimal, r.delta, ""))
+    if "ratio" in results:
+        rep = results["ratio"]
+        for p in rep.qualifying:
+            rows.append(("ratio", p.i, p.j, "", "", p.ell,
+                         p.divisibility_ok and p.vector_ok, "", ""))
+        for v in rep.violations:
+            rows.append(("ratio-violation", v.i, v.j, "", "", v.ell,
+                         False, "", v.reason))
+    if "separation" in results:
+        rep = results["separation"]
+        rows.append(("separation", "", "", "", "", "", not rep.violations,
+                     rep.pairs_checked, f"undecided={rep.undecided}"))
+    if "dichotomy" in results:
+        for rep in results["dichotomy"].reports:
             detail = rep.reason if rep.refused else \
                 f"sep={rep.separated} clu={rep.clustered}"
             rows.append(("dichotomy", rep.n, rep.m, "", "", "",
                          not rep.refused and not rep.violations,
                          rep.pairs_total, detail))
-    return summary, checks, rows
+    return rows
 
 
 def cmd_dioph(args) -> Tuple[dict, List[Check], List[Warn]]:
-    summary, checks, rows = _run_dioph_scans(args.alpha, args.beta,
-                                             args.nmax, args.prec, args.scan)
+    summary, checks, results = _run_dioph_scans(args.alpha, args.beta,
+                                                args.nmax, args.prec, args.scan)
     if args.out:
         write_csv(args.out, _DIOPH_HEADER,
-                  [[cell(v) for v in row] for row in rows])
+                  [[cell(v) for v in row] for row in _dioph_rows(results)])
     report = {
         "command": "dioph",
         "config": {"alpha": args.alpha, "beta": args.beta,
@@ -563,15 +583,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, detail in warnings:
         print(f"WARN {name}: {detail} (recorded, not enforced)")
 
-    out = getattr(args, "out", None)
-    if out:
-        if args.command in ("dioph", "dim"):
-            print(f"table written to {out}")
-        else:
-            write_json(out, report)
-            print(f"report written to {out}")
-    elif args.command in ("katznelson", "thin-orbit", "verify-all"):
+    if not args.out:
         sys.stdout.write(canonical_json(report))
+    elif args.command in ("dioph", "dim"):
+        print(f"table written to {args.out}")
+    else:
+        write_json(args.out, report)
+        print(f"report written to {args.out}")
 
     failed = [name for name, ok, _ in checks if not ok]
     if failed:

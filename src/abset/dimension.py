@@ -181,11 +181,18 @@ class CoveringReport:
         return [r.count for r in self.rows]
 
 
+def _log_inverse(q: Fraction):
+    """log(1/q) for 0 < q < 1 at the working precision.  Within 2^-64 of 1,
+    log(den) - log(num) cancels toward 0, so log1p of -(1 - q) is used."""
+    gap = q.denominator - q.numerator
+    if gap << 64 < q.denominator:
+        return -mpmath.log1p(-mpmath.mpf(gap) / q.denominator)
+    return mpmath.log(q.denominator) - mpmath.log(q.numerator)
+
+
 def _log_ratio(count: int, scale: Fraction, prec_bits: int) -> str:
     with mpmath.workprec(prec_bits):
-        num = mpmath.log(count)
-        den = mpmath.log(scale.denominator) - mpmath.log(scale.numerator)
-        return mpmath.nstr(num / den, LOG_DIGITS)
+        return mpmath.nstr(mpmath.log(count) / _log_inverse(scale), LOG_DIGITS)
 
 
 def successive_slopes(rows: Sequence[CoveringRow], prec_bits: int = DEFAULT_PREC_BITS):
@@ -299,8 +306,7 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
                 best_count = count
                 best_anchor = k
         with mpmath.workprec(prec_bits):
-            ratio = mpmath.log(best_count) / (mpmath.log(delta.denominator)
-                                              - mpmath.log(delta.numerator))
+            ratio = mpmath.log(best_count) / _log_inverse(delta)
             ratio_str = mpmath.nstr(ratio, LOG_DIGITS)
             ratio_val = float(ratio)
         reports.append({

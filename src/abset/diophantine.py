@@ -4,31 +4,32 @@ built on them.
 The basic object is delta_n = min ||a*alpha + b*beta|| over integer
 pairs (a, b) >= 0 with a + b = n, together with the realizing vector
 u_n.  An index n is *minimal* when delta_n improves on (or ties) every
-earlier value.  On top of the minima sit four scans:
+earlier value.  On top of the minima sit three scans:
 
   * integer_ratio_scan: pairs of values whose ratio is within tolerance
     of an integer l must satisfy the structural lemma n_i | n_j and
     u_j = l * u_i; deviations are reported.
-  * no_close_minima_check: indices k <= ceil(1/delta_n^s) with
-    delta_k < delta_n^t must be multiples of each other with
-    proportional values.
   * gap_dichotomy: pairwise distances on an orbit prefix either exceed
     delta_n^t or fall below delta_m / delta_n^s; nothing in between.
   * assouad_lower_probe: the localized covering case analysis behind
     the min(s/t, r/t, r) lower-bound exponent.
 
-Representation: the scans hold every circle value as an integer
-midpoint and an integer radius over one common denominator.  An exact
-rational pair sits on the lcm of its two denominators with radius zero;
-any other pair is rounded onto the dyadic grid 2**-(prec+16), and its
-radius covers the rounding and the input error.  Records and orbit
-points leave the scans as a Fraction when the radius is zero and as an
-ApproxReal (midpoint-plus-radius) otherwise.
+Representation: every circle value is an integer midpoint and an integer
+radius over one common denominator.  An exact rational pair sits on the
+lcm of its two denominators with radius zero; any other pair is rounded
+onto the dyadic grid 2**-(prec+16), and its radius covers the rounding
+and the input error.  A minima record keeps its units and renders delta
+on demand, as a Fraction when the radius is zero and as an ApproxReal
+(midpoint plus radius) otherwise; orbit points leave orbit_of_word the
+same way.  Points handed to the separation check, the dichotomy or the
+probe enter them on the lcm of their denominators (`_point_units`).
 
 Precision discipline: a comparison is certified only when the midpoints
 differ by more than the summed radii times 2**GUARD_BITS; anything
 closer is "unknown", which scans report and never resolve silently.
-With radius zero every comparison is decided, ties included.
+A power threshold d < delta**(p/q) is tested as d**q against delta**p
+on the corner powers of each value's interval (`_cmp_powers`).  With
+radius zero every comparison is decided, ties included.
 """
 
 import math
@@ -36,19 +37,19 @@ import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
 from .errors import InsufficientPrecision, InvariantViolation, UsageError
-from .exact import ceil_root_ratio, dec_sci, dist_to_int
+from .exact import ceil_root_ratio, dec_sci
 from .index_sets import IndexSet
 from .words import WordExpr, letters, parse_word
 
 GUARD_BITS = 8
 MIN_INPUT_BITS = 128            # coarser input radii are a usage error
 DEFAULT_PREC = 256
-DEFAULT_SCAN_CAP = 5000
 DEFAULT_PAIR_BUDGET = 500_000
 DEFAULT_SEP_BUDGET = 20_000
 LOG_DIGITS = 12
@@ -66,9 +67,9 @@ _ONE = Fraction(1)
 class ApproxReal:
     """A real number known to lie in [mid - rad, mid + rad].
 
-    mid and rad are exact rationals (dyadic in practice).  Arithmetic
-    tracks the radius conservatively; nothing is ever rounded without
-    widening rad to cover the rounding.
+    mid and rad are exact rationals (dyadic in practice).  The scans read
+    it once, onto integer units, and render it back only for a record or
+    a point that a caller reads.
     """
 
     mid: Fraction
@@ -93,77 +94,8 @@ class ApproxReal:
         half = Fraction(1, 1 << (prec_bits + 1))
         return cls(Fraction(2 * root + 1, 1 << (prec_bits + 1)), half)
 
-    @property
-    def lo(self) -> Fraction:
-        return self.mid - self.rad
-
-    @property
-    def hi(self) -> Fraction:
-        return self.mid + self.rad
-
-    def __add__(self, other) -> "ApproxReal":
-        o = _as_value(other)
-        return ApproxReal(self.mid + o.mid, self.rad + o.rad)
-
-    def __sub__(self, other) -> "ApproxReal":
-        o = _as_value(other)
-        return ApproxReal(self.mid - o.mid, self.rad + o.rad)
-
-    def __neg__(self) -> "ApproxReal":
-        return ApproxReal(-self.mid, self.rad)
-
-    def scaled(self, q) -> "ApproxReal":
-        q = Fraction(q)
-        return ApproxReal(self.mid * q, self.rad * abs(q))
-
-    def times(self, other) -> "ApproxReal":
-        o = _as_value(other)
-        corners = [self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi]
-        return _from_bounds(min(corners), max(corners))
-
-    def pow_int(self, k: int) -> "ApproxReal":
-        if k < 0:
-            raise UsageError("pow_int needs k >= 0")
-        if k == 0:
-            return ApproxReal.exact(1)
-        lo, hi = self.lo, self.hi
-        if lo >= 0:
-            return _from_bounds(lo ** k, hi ** k)
-        if hi <= 0:
-            if k % 2 == 0:
-                return _from_bounds(hi ** k, lo ** k)
-            return _from_bounds(lo ** k, hi ** k)
-        if k % 2 == 0:
-            return _from_bounds(_ZERO, max(lo ** k, hi ** k))
-        return _from_bounds(lo ** k, hi ** k)
-
-    def dist_to_nearest_int(self) -> "ApproxReal":
-        # distance-to-Z is 1-Lipschitz, so the radius carries over
-        return ApproxReal(dist_to_int(self.mid), self.rad)
-
     def __str__(self):
         return f"{dec_sci(self.mid)} +- {dec_sci(self.rad)}" if self.rad else dec_sci(self.mid)
-
-
-def _from_bounds(lo: Fraction, hi: Fraction) -> ApproxReal:
-    return ApproxReal((lo + hi) / 2, (hi - lo) / 2)
-
-
-def _as_value(x) -> ApproxReal:
-    if isinstance(x, ApproxReal):
-        return x
-    return ApproxReal.exact(x)
-
-
-def try_cmp(a, b) -> Optional[int]:
-    """-1, 0, +1 when the order of a and b is certain, else None.
-
-    With radius zero the comparison is exact.  Otherwise the midpoints
-    must differ by more than the summed radii shifted by GUARD_BITS;
-    margins inside the guard zone are deliberately reported as unknown.
-    """
-    d = _as_value(a) - _as_value(b)
-    return _decide(d.mid, d.rad)
 
 
 def _decide(gap, rad) -> Optional[int]:
@@ -173,32 +105,33 @@ def _decide(gap, rad) -> Optional[int]:
     return (gap > 0) - (gap < 0)
 
 
-def margin_bits(a, b) -> Optional[int]:
-    """floor(log2(|mid gap| / radius)) for a decided comparison; None when
-    exact (infinite margin)."""
-    d = _as_value(a) - _as_value(b)
-    if d.rad == 0:
-        return None
-    if d.mid == 0:
-        return 0
-    q = abs(d.mid) / d.rad
-    return q.numerator.bit_length() - q.denominator.bit_length()
+def _cmp_powers(left, right, den: int) -> Optional[int]:
+    """Certified sign of the product of x**k over `left` minus that over
+    `right`, or None.
 
-
-def cmp_products(left: Sequence[Tuple[object, int]],
-                 right: Sequence[Tuple[object, int]]) -> Optional[int]:
-    """Certified comparison of two products of integer powers.
-
-    Each side is a list of (value, exponent) factors.  Fractional-power
-    threshold tests reduce to this form: d < delta**(p/q) iff
+    Each factor is (mid, rad, k) with k >= 1: a value mid/den within
+    rad/den.  A side is bounded by the corner products of its factors'
+    corner powers, and the two sides' midpoints and radii go to _decide.
+    Fractional-power thresholds reduce to this form: d < delta**(p/q) iff
     d**q < delta**p for nonnegative operands.
     """
-    def side(factors):
-        acc = ApproxReal.exact(1)
-        for base, k in factors:
-            acc = acc.times(_as_value(base).pow_int(k))
-        return acc
-    return try_cmp(side(left), side(right))
+    sides = []
+    for factors in (left, right):
+        lo = hi = 1
+        for mid, rad, k in factors:
+            a, b = mid - rad, mid + rad
+            p_lo = a ** k
+            p_hi = b ** k if rad else p_lo
+            if k % 2 == 0 and a < 0:    # an even power turns at 0
+                p_lo, p_hi = (p_hi, p_lo) if b <= 0 else (0, max(p_lo, p_hi))
+            corners = (lo * p_lo, lo * p_hi, hi * p_lo, hi * p_hi)
+            lo, hi = min(corners), max(corners)
+        sides.append((lo, hi, sum(k for _, _, k in factors)))
+    (l_lo, l_hi, l_k), (r_lo, r_hi, r_k) = sides
+    # both sides over den**max(l_k, r_k)
+    ls, rs = den ** max(r_k - l_k, 0), den ** max(l_k - r_k, 0)
+    return _decide((l_lo + l_hi) * ls - (r_lo + r_hi) * rs,
+                   (l_hi - l_lo) * ls + (r_hi - r_lo) * rs)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +198,12 @@ class RealValue:
         """Midpoint-radius value with radius below 2**-prec_bits."""
         head = sum(abs(c) for _, c in self.surds) + 1
         work = prec_bits + 8 + math.ceil(head).bit_length()
-        acc = ApproxReal.exact(self.rational)
-        for rad, c in self.surds:
-            acc = acc + ApproxReal.sqrt_of_int(rad, work).scaled(c)
-        return acc
+        mid, rad = self.rational, _ZERO
+        for n, c in self.surds:
+            root = ApproxReal.sqrt_of_int(n, work)
+            mid += root.mid * c
+            rad += root.rad * abs(c)
+        return ApproxReal(mid, rad)
 
     def __str__(self):
         pieces = []
@@ -349,29 +284,24 @@ def parse_value(text: str) -> RealValue:
 
 @dataclass(frozen=True)
 class MinimaRecord:
+    """delta_n = d_units/den within rad_units/den, realized by u."""
+
     n: int
-    delta: Union[Fraction, ApproxReal]
     u: Tuple[int, int]
     minimal: bool
+    d_units: int
+    rad_units: int
+    den: int
 
+    @property
+    def delta(self) -> Union[Fraction, ApproxReal]:
+        """delta_n as a Fraction when exact, else with its radius."""
+        mid = Fraction(self.d_units, self.den)
+        return ApproxReal(mid, Fraction(self.rad_units, self.den)) if self.rad_units else mid
 
-class _MinimaData:
-    """Internal scan result: records plus their values in integer units."""
-
-    __slots__ = ("records", "den", "units", "zero_at")
-
-    def __init__(self, records, den, units, zero_at):
-        self.records = records          # List[MinimaRecord]
-        self.den = den                  # common denominator of the units
-        self.units = units              # List[(d_units, rad_units)]
-        self.zero_at = zero_at          # n of an exact zero, or None
-
-
-def _value(mid: int, rad: int, den: int) -> Union[Fraction, ApproxReal]:
-    """mid/den as a Fraction when exact, else with radius rad/den."""
-    if rad:
-        return ApproxReal(Fraction(mid, den), Fraction(rad, den))
-    return Fraction(mid, den)
+    @property
+    def is_zero(self) -> bool:
+        return self.d_units == self.rad_units == 0
 
 
 def _resolve_input(value, prec_bits: int):
@@ -427,8 +357,8 @@ def _near(codes: List[int], width: int, target: int, reach: int,
     return codes[start:] + codes[:bisect_left(codes, (hi - one + 1) * width)]
 
 
-def _minima_impl(alpha, beta, n_max: int, prec_bits: int) -> _MinimaData:
-    """The minima scan; stops at an exact zero.
+def _minima_impl(alpha, beta, n_max: int, prec_bits: int) -> List[MinimaRecord]:
+    """The minima scan; stops at an exact zero, its last record.
 
     With gamma = alpha - beta, the value at (a, n - a) is a*gamma + n*beta,
     so delta_n is the circle distance from the target -n*beta to the
@@ -459,9 +389,7 @@ def _minima_impl(alpha, beta, n_max: int, prec_bits: int) -> _MinimaData:
     codes: List[int] = [0]
     key = 0
     records: List[MinimaRecord] = []
-    units: List[Tuple[int, int]] = []
     best: Optional[Tuple[int, int]] = None      # (d_units, rad_units)
-    zero_at = None
     for n in range(1, n_max + 1):
         key = (key + step) % one
         insort(codes, key * width + n)
@@ -496,50 +424,52 @@ def _minima_impl(alpha, beta, n_max: int, prec_bits: int) -> _MinimaData:
                 raise InsufficientPrecision(
                     "minima-flag", f"n={n}: tie with the running minimum")
             minimal = c >= 0
-        records.append(MinimaRecord(n, _value(d_min, rad_min, one),
-                                    (a_min, n - a_min), minimal))
-        units.append((d_min, rad_min))
+        records.append(MinimaRecord(n, (a_min, n - a_min), minimal,
+                                    d_min, rad_min, one))
         if minimal:
             best = (d_min, rad_min)
         if d_min == 0 and rad_min == 0:
-            zero_at = n
             break
-    return _MinimaData(records, one, units, zero_at)
+    return records
 
 
 def delta_n(alpha, beta, n: int, prec_bits: int = DEFAULT_PREC) -> MinimaRecord:
     """The n-th minimum with its realizing vector and minimality flag."""
     if n < 1:
         raise UsageError("delta_n needs n >= 1")
-    data = _minima_impl(alpha, beta, n, prec_bits)
-    if len(data.records) < n:        # an exact zero ended the scan early
-        rec = data.records[-1]
-        raise UsageError(f"minima sequence terminates at n={rec.n} with value 0")
-    return data.records[n - 1]
+    recs = _minima_impl(alpha, beta, n, prec_bits)
+    if len(recs) < n:                # an exact zero ended the scan early
+        raise UsageError(f"minima sequence terminates at n={recs[-1].n} with value 0")
+    return recs[n - 1]
 
 
 def minima_sequence(alpha, beta, n_max: int,
                     prec_bits: int = DEFAULT_PREC) -> List[MinimaRecord]:
     """Records for n = 1..n_max; stops early at an exact zero."""
-    return _minima_impl(alpha, beta, n_max, prec_bits).records
+    return _minima_impl(alpha, beta, n_max, prec_bits)
 
 
-def scan_horizon(delta, s: Fraction) -> int:
-    """N = ceil((1/delta)**s) for a certified-positive minimum."""
+def scan_horizon(mid: int, rad: int, den: int, s: Fraction) -> int:
+    """N = ceil((den/mid)**s) for a minimum mid/den within rad/den that is
+    certified positive."""
     s = Fraction(s)
     p, q = s.numerator, s.denominator
-    if isinstance(delta, Fraction):
-        if delta <= 0:
+    if mid <= rad:
+        if not rad:
             raise UsageError("scan horizon needs delta > 0")
-        return ceil_root_ratio(delta.denominator ** p, delta.numerator ** p, q)
-    lo, hi = delta.lo, delta.hi
-    if lo <= 0:
         raise InsufficientPrecision("scan-horizon", "minimum not certified positive")
-    n_hi = ceil_root_ratio(lo.denominator ** p, lo.numerator ** p, q)
-    n_lo = ceil_root_ratio(hi.denominator ** p, hi.numerator ** p, q)
+    top = den ** p
+    n_hi = ceil_root_ratio(top, (mid - rad) ** p, q)
+    n_lo = ceil_root_ratio(top, (mid + rad) ** p, q) if rad else n_hi
     if n_lo != n_hi:
         raise InsufficientPrecision("scan-horizon", f"N lies in [{n_lo}, {n_hi}]")
     return n_hi
+
+
+def _cmp_close(rec_m: MinimaRecord, rec_n: MinimaRecord, t: Fraction) -> Optional[int]:
+    """Certified sign of delta_m**q - delta_n**p for t = p/q."""
+    return _cmp_powers([(rec_m.d_units, rec_m.rad_units, t.denominator)],
+                       [(rec_n.d_units, rec_n.rad_units, t.numerator)], rec_n.den)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +580,7 @@ def integer_ratio_scan(alpha, beta, n_max: int, tol=Fraction(1, 1 << 64),
     tol = Fraction(tol)
     if tol <= 0:
         raise UsageError("tolerance must be positive")
-    data = _minima_impl(alpha, beta, n_max, prec_bits)
-    recs = data.records
+    recs = _minima_impl(alpha, beta, n_max, prec_bits)
     qualifying: List[RatioPair] = []
     violations: List[RatioViolation] = []
     undecided: List[Tuple[int, int]] = []
@@ -659,8 +588,7 @@ def integer_ratio_scan(alpha, beta, n_max: int, tol=Fraction(1, 1 << 64),
 
     def audit(ri: MinimaRecord, rj: MinimaRecord, ell: int):
         div_ok = rj.n % ri.n == 0
-        vec = (ell * ri.u[0], ell * ri.u[1])
-        vec_ok = rj.u == vec
+        vec_ok = rj.u == (ell * ri.u[0], ell * ri.u[1])
         qualifying.append(RatioPair(ri.n, rj.n, ell, div_ok, vec_ok))
         if not div_ok:
             violations.append(RatioViolation(ri.n, rj.n, ell, "divisibility",
@@ -675,12 +603,11 @@ def integer_ratio_scan(alpha, beta, n_max: int, tol=Fraction(1, 1 << 64),
                 raise InvariantViolation("collinearity-decomposition",
                                          f"pair ({ri.n},{rj.n}): {b} != {ell}*{a}")
 
-    one, units = data.den, data.units
     tp, tq = tol.numerator, tol.denominator
     screen = tol <= _SCREEN / 2
-    fl = [d / one for d, _ in units]          # once per record, never overflows
+    fl = [r.d_units / r.den for r in recs]    # once per record, never overflows
     for i in range(len(recs)):
-        d_i, r_i = units[i]
+        d_i, r_i = recs[i].d_units, recs[i].rad_units
         c = _decide(d_i, r_i)
         if c is None:
             # sign of the base value itself is unclear; flagged as (n, 0)
@@ -695,7 +622,7 @@ def integer_ratio_scan(alpha, beta, n_max: int, tol=Fraction(1, 1 << 64),
                 if ratio < 0.5 or (ratio < _SCREEN_MAX
                                    and abs(ratio - round(ratio)) > _SCREEN):
                     continue
-            d_j, r_j = units[j]
+            d_j, r_j = recs[j].d_units, recs[j].rad_units
             ell = (2 * d_j + d_i) // (2 * d_i)          # nearest integer
             if ell < 1:
                 continue
@@ -708,94 +635,7 @@ def integer_ratio_scan(alpha, beta, n_max: int, tol=Fraction(1, 1 << 64),
                 audit(recs[i], recs[j], ell)
     return RatioScanReport(n_max, tol, tuple(recs), tuple(qualifying),
                            tuple(violations), tuple(undecided), pairs,
-                           data.zero_at)
-
-
-# ---------------------------------------------------------------------------
-# close-minima audit
-
-
-@dataclass(frozen=True)
-class PairCheck:
-    m: int
-    k: int
-    ell: Optional[int]
-    divisibility_ok: bool
-    value_consistent: Optional[bool]     # None: divisibility already failed
-    margin_bits: Optional[int]
-
-
-@dataclass(frozen=True)
-class CloseMinimaVerdict:
-    n: int
-    horizon: int
-    scanned_to: int
-    partial: bool
-    qualifying: Tuple[int, ...]
-    undecided: Tuple[int, ...]
-    pairs: Tuple[PairCheck, ...]
-    violations: Tuple[PairCheck, ...]
-    vacuous: bool
-    consistent: bool
-
-
-def no_close_minima_check(alpha, beta, params: ProbeParams, n: int,
-                          prec_bits: int = DEFAULT_PREC,
-                          scan_cap: int = DEFAULT_SCAN_CAP) -> CloseMinimaVerdict:
-    """Indices k in (n, ceil(1/delta_n**s)] with delta_k < delta_n**t must
-    be mutually divisible with proportional values."""
-    base = _minima_impl(alpha, beta, n, prec_bits)
-    if len(base.records) < n:
-        raise UsageError(f"minima sequence terminates at "
-                         f"n={base.records[-1].n} with value 0")
-    rec_n = base.records[n - 1]
-    if not rec_n.minimal:
-        raise UsageError(f"delta at n={n} is not minimal")
-    if isinstance(rec_n.delta, Fraction) and rec_n.delta == 0:
-        raise UsageError("a zero minimum has no scan horizon")
-    horizon = scan_horizon(rec_n.delta, params.s)
-    scanned_to = min(horizon, n + scan_cap)
-    data = _minima_impl(alpha, beta, scanned_to, prec_bits)
-    recs = data.records
-    scanned_to = min(scanned_to, len(recs))
-    partial = scanned_to < horizon
-    tp, tq = params.t.numerator, params.t.denominator
-    d_n = recs[n - 1].delta
-
-    qualifying: List[int] = []
-    undecided: List[int] = []
-    for k in range(n + 1, scanned_to + 1):
-        c = cmp_products([(recs[k - 1].delta, tq)], [(d_n, tp)])
-        if c is None:
-            undecided.append(k)
-        elif c < 0:
-            qualifying.append(k)
-
-    pairs: List[PairCheck] = []
-    violations: List[PairCheck] = []
-    for ai in range(len(qualifying)):
-        for bi in range(ai + 1, len(qualifying)):
-            m, k = qualifying[ai], qualifying[bi]
-            div_ok = k % m == 0
-            if not div_ok:
-                check = PairCheck(m, k, None, False, None, None)
-            else:
-                ell = k // m
-                d_m = _as_value(recs[m - 1].delta)
-                d_k = _as_value(recs[k - 1].delta)
-                target = d_m.scaled(ell)
-                c = try_cmp(d_k, target)
-                consistent = c == 0 if c is not None else True
-                check = PairCheck(m, k, ell, True, consistent,
-                                  margin_bits(d_k, target))
-            pairs.append(check)
-            if not check.divisibility_ok or check.value_consistent is False:
-                violations.append(check)
-    return CloseMinimaVerdict(n, horizon, scanned_to, partial,
-                              tuple(qualifying), tuple(undecided),
-                              tuple(pairs), tuple(violations),
-                              vacuous=not qualifying,
-                              consistent=not violations)
+                           recs[-1].n if recs[-1].is_zero else None)
 
 
 # ---------------------------------------------------------------------------
@@ -821,24 +661,29 @@ def orbit_of_word(word: Union[WordExpr, str], alpha, beta,
         seq = letters(word)
     one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(alpha, beta, prec_bits)
     out: List[Union[Fraction, ApproxReal]] = []
-    mid = 0
-    rad = 0
+    mid = rad = 0
     for ch in seq:
         mid += a_mid if ch == "x" else b_mid
         rad += a_rad if ch == "x" else b_rad
         mid %= one
-        out.append(_value(mid, rad, one))
+        point = Fraction(mid, one)
+        out.append(ApproxReal(point, Fraction(rad, one)) if rad else point)
     return out
 
 
 def _point_units(values) -> Tuple[int, List[Tuple[int, int]]]:
     """(den, [(mid_units, rad_units)]) on the lcm of all denominators."""
-    vals = [_as_value(v) for v in values]
-    den = 1
-    for v in vals:
-        den = math.lcm(den, v.mid.denominator, v.rad.denominator)
-    return den, [(v.mid.numerator * (den // v.mid.denominator),
-                  v.rad.numerator * (den // v.rad.denominator)) for v in vals]
+    vals = [(v.mid, v.rad) if isinstance(v, ApproxReal) else (Fraction(v), _ZERO)
+            for v in values]
+    den = math.lcm(*(x.denominator for v in vals for x in v))
+    return den, [(m.numerator * (den // m.denominator),
+                  r.numerator * (den // r.denominator)) for m, r in vals]
+
+
+def _gap(p: Tuple[int, int], q: Tuple[int, int], one: int) -> Tuple[int, int]:
+    """Circle distance of two points in units, and its radius."""
+    r = (p[0] - q[0]) % one
+    return min(r, one - r), p[1] + q[1]
 
 
 @dataclass(frozen=True)
@@ -908,10 +753,6 @@ class GapDichotomyReport:
     min_gap_violations: Tuple[Tuple[int, int], ...] = ()
 
 
-def _dec(value) -> str:
-    return dec_sci(_as_value(value).mid)
-
-
 def gap_dichotomy(alpha, beta, points, n: int, m: int, params: ProbeParams,
                   prec_bits: int = DEFAULT_PREC,
                   pair_budget: int = DEFAULT_PAIR_BUDGET) -> GapDichotomyReport:
@@ -926,8 +767,7 @@ def gap_dichotomy(alpha, beta, points, n: int, m: int, params: ProbeParams,
 
     if n < 1 or m < 1:
         return refuse("indices must be >= 1")
-    data = _minima_impl(alpha, beta, max(n, m), prec_bits)
-    recs = data.records
+    recs = _minima_impl(alpha, beta, max(n, m), prec_bits)
     if len(recs) < max(n, m):
         return refuse(f"minima sequence terminates at n={recs[-1].n} with value 0")
     rec_n, rec_m = recs[n - 1], recs[m - 1]
@@ -935,46 +775,52 @@ def gap_dichotomy(alpha, beta, points, n: int, m: int, params: ProbeParams,
         return refuse(f"delta at n={n} is not minimal")
     if not rec_m.minimal:
         return refuse(f"delta at m={m} is not minimal")
-    if isinstance(rec_n.delta, Fraction) and rec_n.delta == 0:
+    if rec_n.is_zero:
         return refuse("delta_n is zero")
-    tp, tq = params.t.numerator, params.t.denominator
-    sp, sq = params.s.numerator, params.s.denominator
-    c = cmp_products([(rec_m.delta, tq)], [(rec_n.delta, tp)])
+    c = _cmp_close(rec_m, rec_n, params.t)
     if c is None:
         return refuse("delta_m vs delta_n**t undecidable at working precision")
     if c >= 0:
         return refuse("delta_m is not below delta_n**t")
     try:
-        horizon = scan_horizon(rec_n.delta, params.s)
+        horizon = scan_horizon(rec_n.d_units, rec_n.rad_units, rec_n.den, params.s)
     except InsufficientPrecision as exc:
         return refuse(f"horizon undecidable: {exc.detail}")
     if m > horizon:
         return refuse(f"m={m} exceeds the horizon {horizon}", horizon)
-    if len(points) < horizon:
-        return refuse(f"orbit has {len(points)} points, horizon needs {horizon}",
-                      horizon)
-    if horizon * (horizon - 1) // 2 > pair_budget:
-        return refuse(f"horizon {horizon} exceeds the pair budget", horizon)
+    return _classify_gaps(points, rec_n, rec_m, horizon, params, pair_budget)
 
-    d_n, d_m = rec_n.delta, rec_m.delta
+
+def _classify_gaps(points, rec_n: MinimaRecord, rec_m: MinimaRecord,
+                   horizon: int, params: ProbeParams,
+                   pair_budget: int) -> GapDichotomyReport:
+    """gap_dichotomy past its minima preconditions: (n, m) qualifies and
+    m is within the horizon."""
+    n, m = rec_n.n, rec_m.n
+    if len(points) < horizon:
+        return GapDichotomyReport(n, m, True, f"orbit has {len(points)} points, "
+                                  f"horizon needs {horizon}", horizon)
+    if horizon * (horizon - 1) // 2 > pair_budget:
+        return GapDichotomyReport(n, m, True, f"horizon {horizon} exceeds the "
+                                  "pair budget", horizon)
+    tp, tq = params.t.numerator, params.t.denominator
+    sp, sq = params.s.numerator, params.s.denominator
+    one, units = _point_units([rec_n.delta, rec_m.delta] + list(points[:horizon]))
+    (dn, rn), (dm, rm), pts = units[0], units[1], units[2:]
     separated = clustered = 0
     violations: List[Tuple[int, int]] = []
     undecided: List[Tuple[int, int]] = []
     min_gap_bad: List[Tuple[int, int]] = []
-    pairs = 0
-    vals = [_as_value(points[k]) for k in range(horizon)]
     for i in range(horizon):
         for j in range(i + 1, horizon):
-            pairs += 1
-            d = (vals[j] - vals[i]).dist_to_nearest_int()
-            cg = try_cmp(d, d_m)
-            if cg == -1:
+            d, rad = _gap(pts[j], pts[i], one)
+            if _decide(d - dm, rad + rm) == -1:
                 min_gap_bad.append((i + 1, j + 1))
-            sep = cmp_products([(d, tq)], [(d_n, tp)])
+            sep = _cmp_powers([(d, rad, tq)], [(dn, rn, tp)], one)
             if sep is not None and sep >= 0:
                 separated += 1
                 continue
-            clu = cmp_products([(d, sq), (d_n, sp)], [(d_m, sq)])
+            clu = _cmp_powers([(d, rad, sq), (dn, rn, sp)], [(dm, rm, sq)], one)
             if clu is not None and clu <= 0:
                 clustered += 1
             elif sep is None or clu is None:
@@ -982,7 +828,9 @@ def gap_dichotomy(alpha, beta, points, n: int, m: int, params: ProbeParams,
             else:
                 violations.append((i + 1, j + 1))
     return GapDichotomyReport(n, m, False, None, horizon,
-                              _dec(d_n), _dec(d_m), pairs, separated, clustered,
+                              dec_sci(Fraction(rec_n.d_units, rec_n.den)),
+                              dec_sci(Fraction(rec_m.d_units, rec_m.den)),
+                              horizon * (horizon - 1) // 2, separated, clustered,
                               tuple(violations), tuple(undecided),
                               tuple(min_gap_bad))
 
@@ -1002,44 +850,31 @@ def dichotomy_scan(alpha, beta, points, params: ProbeParams, n_max: int,
                    pair_budget: int = DEFAULT_PAIR_BUDGET) -> QualifyingScan:
     """Run gap_dichotomy on every qualifying (n, m): n minimal, m minimal,
     m <= min(horizon(n), n_max), delta_m < delta_n**t."""
-    data = _minima_impl(alpha, beta, n_max, prec_bits)
-    recs = data.records
-    tp, tq = params.t.numerator, params.t.denominator
-    qualifying: List[Tuple[int, int]] = []
+    minimal = [r for r in _minima_impl(alpha, beta, n_max, prec_bits) if r.minimal]
     reports: List[GapDichotomyReport] = []
-    refusals: List[Tuple[int, int, str]] = []
     notes: List[str] = []
-    total = 0
-    for rec in recs:
-        if not rec.minimal:
-            continue
-        if isinstance(rec.delta, Fraction) and rec.delta == 0:
+    for rec in minimal:
+        if rec.is_zero:
             notes.append(f"n={rec.n}: zero minimum, no horizon")
             continue
         try:
-            horizon = scan_horizon(rec.delta, params.s)
+            horizon = scan_horizon(rec.d_units, rec.rad_units, rec.den, params.s)
         except InsufficientPrecision as exc:
             notes.append(f"n={rec.n}: {exc}")
             continue
-        for other in recs:
-            mm = other.n
-            if mm <= rec.n or mm > min(horizon, n_max) or not other.minimal:
+        for other in minimal:           # every record lies at or below n_max
+            if not rec.n < other.n <= horizon:
                 continue
-            c = cmp_products([(other.delta, tq)], [(rec.delta, tp)])
+            c = _cmp_close(other, rec, params.t)
             if c is None:
-                notes.append(f"(n={rec.n}, m={mm}): closeness undecidable")
-                continue
-            if c < 0:
-                qualifying.append((rec.n, mm))
-                rep = gap_dichotomy(alpha, beta, points, rec.n, mm, params,
-                                    prec_bits, pair_budget)
-                reports.append(rep)
-                if rep.refused:
-                    refusals.append((rec.n, mm, rep.reason))
-                else:
-                    total += len(rep.violations)
-    return QualifyingScan(n_max, tuple(qualifying), tuple(reports), total,
-                          tuple(refusals), tuple(notes))
+                notes.append(f"(n={rec.n}, m={other.n}): closeness undecidable")
+            elif c < 0:
+                reports.append(_classify_gaps(points, rec, other, horizon,
+                                              params, pair_budget))
+    return QualifyingScan(n_max, tuple((r.n, r.m) for r in reports), tuple(reports),
+                          sum(len(r.violations) for r in reports),
+                          tuple((r.n, r.m, r.reason) for r in reports if r.refused),
+                          tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -1082,8 +917,10 @@ class AssouadProbeReport:
     implied_exponent_limit: Fraction
 
 
-def _log_of(value):
-    v = _as_value(value).mid
+def _log_of(mid: int, den: int):
+    """log(mid/den), from the reduced fraction so that it does not depend
+    on the denominator the value was held on."""
+    v = Fraction(mid, den)
     return mpmath.log(v.numerator) - mpmath.log(v.denominator)
 
 
@@ -1109,44 +946,34 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
     """
     if not n_list:
         raise UsageError("probe needs a nonempty n_list")
-    data = _minima_impl(alpha, beta, max(n_list), prec_bits)
-    recs = data.records
+    recs = _minima_impl(alpha, beta, max(n_list), prec_bits)
     tp, tq = params.t.numerator, params.t.denominator
     sp, sq = params.s.numerator, params.s.denominator
     rp, rq = params.r.numerator, params.r.denominator
-    cases: List[ProbeCase] = []
 
-    for n in n_list:
+    def case_at(n: int) -> ProbeCase:
+        nonlocal recs
         if n < 1 or n > len(recs):
-            cases.append(ProbeCase(n, "skipped", "outside the computed minima range"))
-            continue
+            return ProbeCase(n, "skipped", "outside the computed minima range")
         rec = recs[n - 1]
         if not rec.minimal:
-            cases.append(ProbeCase(n, "skipped", "not a minimal index"))
-            continue
-        if isinstance(rec.delta, Fraction) and rec.delta == 0:
-            cases.append(ProbeCase(n, "skipped", "zero minimum"))
-            continue
+            return ProbeCase(n, "skipped", "not a minimal index")
+        if rec.is_zero:
+            return ProbeCase(n, "skipped", "zero minimum")
         try:
-            horizon = scan_horizon(rec.delta, params.s)
+            horizon = scan_horizon(rec.d_units, rec.rad_units, rec.den, params.s)
         except InsufficientPrecision as exc:
-            cases.append(ProbeCase(n, "skipped", f"horizon undecidable: {exc.detail}"))
-            continue
-        if horizon > len(recs) and data.zero_at is None:
+            return ProbeCase(n, "skipped", f"horizon undecidable: {exc.detail}")
+        if horizon > len(recs) and not recs[-1].is_zero:
             # companion minima up to the horizon, not just up to max(n_list)
             try:
-                data = _minima_impl(alpha, beta, horizon, prec_bits)
+                recs = _minima_impl(alpha, beta, horizon, prec_bits)
             except InsufficientPrecision as exc:
-                cases.append(ProbeCase(n, "skipped",
-                                       f"minima extension undecidable: "
-                                       f"{exc.detail}", horizon))
-                continue
-            recs = data.records
+                return ProbeCase(n, "skipped", f"minima extension undecidable: "
+                                 f"{exc.detail}", horizon)
         if len(points) < horizon:
-            cases.append(ProbeCase(n, "skipped",
-                                   f"orbit has {len(points)} points, horizon "
-                                   f"needs {horizon}", horizon))
-            continue
+            return ProbeCase(n, "skipped", f"orbit has {len(points)} points, "
+                             f"horizon needs {horizon}", horizon)
         if indices is None:
             sel = list(range(1, horizon + 1))
         elif isinstance(indices, IndexSet):
@@ -1154,141 +981,120 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
         else:
             sel = sorted(k for k in indices if 1 <= k <= horizon)
         if not sel:
-            cases.append(ProbeCase(n, "skipped", "no surviving indices below the "
-                                                 "horizon", horizon))
-            continue
+            return ProbeCase(n, "skipped", "no surviving indices below the "
+                                           "horizon", horizon)
         rho = Fraction(len(sel), horizon)
-        d_n = rec.delta
-        d_n_dec = _dec(d_n)
-        ent = [(k, _as_value(points[k - 1])) for k in sel]
+        d_n_dec = dec_sci(Fraction(rec.d_units, rec.den))
         note_bits: List[str] = []
 
         # nearest qualifying companion below the horizon
         close_m = None
-        for other in recs[:min(horizon, len(recs))]:
+        for other in recs[:horizon]:
             if other.n == n or not other.minimal:
                 continue
-            c = cmp_products([(other.delta, tq)], [(d_n, tp)])
+            c = _cmp_close(other, rec, params.t)
             if c is None:
                 note_bits.append(f"m={other.n} closeness undecidable")
             elif c < 0:
                 close_m = other.n
                 break
-        with mpmath.workprec(DEC_PREC_BITS):
-            neg_log_dn = -_log_of(d_n)
+        neg_log_dn = -_log_of(rec.d_units, rec.den)
+
+        # delta_n, then delta_m when there is a companion, then the points
+        deltas = [rec] if close_m is None else [rec, recs[close_m - 1]]
+        one, units = _point_units([r.delta for r in deltas] + list(points))
+        dn, rn = units[0]
+        pts = units[len(deltas):]
+        ent = [(k, pts[k - 1]) for k in sel]
 
         if close_m is None:
             # every index pair below the horizon keeps distance >= delta_n**t
             sep_bad = sep_und = 0
-            checked = 0
-            outer = True
-            for ai in range(len(ent)):
-                if not outer:
+            for checked, (p, q) in enumerate(combinations([v for _, v in ent], 2)):
+                if checked >= sep_budget:
+                    note_bits.append(f"separation sampled on first {checked} pairs")
                     break
-                for bi in range(ai + 1, len(ent)):
-                    if checked >= sep_budget:
-                        note_bits.append(f"separation sampled on first {checked} pairs")
-                        outer = False
-                        break
-                    checked += 1
-                    d = (ent[bi][1] - ent[ai][1]).dist_to_nearest_int()
-                    c = cmp_products([(d, tq)], [(d_n, tp)])
-                    if c is None:
-                        sep_und += 1
-                    elif c < 0:
-                        sep_bad += 1
-            with mpmath.workprec(DEC_PREC_BITS):
-                log_scale = neg_log_dn * tp / tq         # log(1/delta_n**t)
-                scale_dec = mpmath.nstr(mpmath.e ** (-log_scale), LOG_DIGITS)
-                expo = _probe_exponent(len(ent), log_scale)
-            cases.append(ProbeCase(n, "case1", "; ".join(note_bits), horizon, rho,
-                                   d_n_dec, None, len(ent), scale_dec, sep_bad,
-                                   sep_und, None, None, expo))
-            continue
+                d, rad = _gap(q, p, one)
+                c = _cmp_powers([(d, rad, tq)], [(dn, rn, tp)], one)
+                sep_und += c is None
+                sep_bad += c == -1
+            log_scale = neg_log_dn * tp / tq             # log(1/delta_n**t)
+            return ProbeCase(n, "case1", "; ".join(note_bits), horizon, rho,
+                             d_n_dec, None, len(ent),
+                             mpmath.nstr(mpmath.e ** (-log_scale), LOG_DIGITS),
+                             sep_bad, sep_und, None, None,
+                             _probe_exponent(len(ent), log_scale))
+
+        def below_net_scale(p, q):
+            """Certified sign of 2 d(p, q) - delta_n**t, or None."""
+            d, rad = _gap(p, q, one)
+            return _cmp_powers([(2 * d, 2 * rad, tq)], [(dn, rn, tp)], one)
 
         # greedy net at half the separation scale
-        net: List[Tuple[int, ApproxReal]] = []
+        net: List[Tuple[int, Tuple[int, int]]] = []
         net_und = 0
         for k, v in ent:
-            ok = True
-            for _, f in net:
-                d = (v - f).dist_to_nearest_int()
-                c = cmp_products([(d.scaled(2), tq)], [(d_n, tp)])
-                if c is None:
-                    net_und += 1
-                    ok = False
-                    break
-                if c < 0:
-                    ok = False
-                    break
-            if ok:
+            # the first net point that v is not certified far from, if any
+            bad = next((c for c in (below_net_scale(v, f) for _, f in net)
+                        if c is None or c < 0), 0)
+            if bad is None:
+                net_und += 1
+            elif not bad:
                 net.append((k, v))
         if net_und:
             note_bits.append(f"{net_und} net decisions undecided, kept out")
-        big_net = cmp_products([(len(net), rq), (d_n, rp)], [(1, 1)])
-        with mpmath.workprec(DEC_PREC_BITS):
-            half_scale = neg_log_dn * tp / tq + mpmath.log(2)
+        # len(net)**rq * delta_n**rp against 1
+        big_net = _cmp_powers([(len(net) * one, 0, rq), (dn, rn, rp)],
+                              [(one, 0, 1)], one)
+        half_scale = neg_log_dn * tp / tq + mpmath.log(2)
         if big_net == 1:
-            with mpmath.workprec(DEC_PREC_BITS):
-                scale_dec = mpmath.nstr(mpmath.e ** (-half_scale), LOG_DIGITS)
-                expo = _probe_exponent(len(net), half_scale)
-            cases.append(ProbeCase(n, "case2a", "; ".join(note_bits), horizon, rho,
-                                   d_n_dec, close_m, len(net), scale_dec, 0, 0,
-                                   True, None, expo))
-            continue
+            return ProbeCase(n, "case2a", "; ".join(note_bits), horizon, rho,
+                             d_n_dec, close_m, len(net),
+                             mpmath.nstr(mpmath.e ** (-half_scale), LOG_DIGITS),
+                             0, 0, True, None, _probe_exponent(len(net), half_scale))
         if big_net is None:
             note_bits.append("net size vs delta**-r undecidable, fell through to 2b")
 
         # pigeonhole: densest ball of the net, then the cluster-radius window
-        d_m = recs[close_m - 1].delta
-        best_k, best_v, best_count = net[0][0], net[0][1], -1
-        for k, f in net:
-            cnt = 0
-            for _, v in ent:
-                d = (v - f).dist_to_nearest_int()
-                c = cmp_products([(d.scaled(2), tq)], [(d_n, tp)])
-                if c is not None and c < 0:
-                    cnt += 1
-            if cnt > best_count:
-                best_k, best_v, best_count = k, f, cnt
-        in_window_orbit = 0
-        for _, v in ent:
-            d = (v - best_v).dist_to_nearest_int()
-            c = cmp_products([(d, sq), (d_n, sp)], [(d_m, sq)])
-            if c is not None and c <= 0:
-                in_window_orbit += 1
+        best_k, best_v = max(net, key=lambda kf: sum(below_net_scale(v, kf[1]) == -1
+                                                     for _, v in ent))
+        dm, rm = units[1]
+
+        def in_window(p) -> bool:
+            """Certified d(p, best)**sq * delta_n**sp <= delta_m**sq."""
+            d, rad = _gap(p, best_v, one)
+            c = _cmp_powers([(d, rad, sq), (dn, rn, sp)], [(dm, rm, sq)], one)
+            return c is not None and c <= 0
+
+        in_window_orbit = sum(in_window(v) for _, v in ent)
         # bulk count: float screen against the window radius, exact powers
         # only for points within a 1e-9 relative band of the boundary
-        with mpmath.workprec(DEC_PREC_BITS):
-            w_mp = mpmath.e ** (_log_of(d_m) + neg_log_dn * sp / sq)
+        neg_log_w = -_log_of(dm, one) - neg_log_dn * sp / sq
+        w_mp = mpmath.e ** (-neg_log_w)
         w_f = float(w_mp)
         in_window_full = 0
-        for pt in points:
-            d = (_as_value(pt) - best_v).dist_to_nearest_int()
+        for p in pts:
             if w_f > 0.0:
-                d_lo = float(d.lo) if isinstance(d, ApproxReal) else float(d)
-                d_hi = float(d.hi) if isinstance(d, ApproxReal) else d_lo
-                if d_hi < w_f * (1.0 - 1e-9):
+                d, rad = _gap(p, best_v, one)
+                if (d + rad) / one < w_f * (1.0 - 1e-9):
                     in_window_full += 1
                     continue
-                if d_lo > w_f * (1.0 + 1e-9):
+                if (d - rad) / one > w_f * (1.0 + 1e-9):
                     continue
-            c = cmp_products([(d, sq), (d_n, sp)], [(d_m, sq)])
-            if c is not None and c <= 0:
-                in_window_full += 1
+            in_window_full += in_window(p)
         # count >= rho * N * delta_n**r, via count**rq >= (rho N)**rq delta**rp
-        thr = cmp_products([(in_window_orbit, rq)],
-                           [(rho * horizon, rq), (d_n, rp)])
-        with mpmath.workprec(DEC_PREC_BITS):
-            neg_log_w = -_log_of(d_m) - neg_log_dn * sp / sq
-            radius_dec = mpmath.nstr(mpmath.e ** (-neg_log_w), LOG_DIGITS)
-            expo = _probe_exponent(in_window_full, neg_log_w)
-        witness = WindowWitness(best_k, _dec(best_v), radius_dec,
+        thr = _cmp_powers([(in_window_orbit * one, 0, rq)],
+                          [(len(sel) * one, 0, rq), (dn, rn, rp)], one)
+        expo = _probe_exponent(in_window_full, neg_log_w)
+        witness = WindowWitness(best_k, dec_sci(Fraction(best_v[0], one)),
+                                mpmath.nstr(w_mp, LOG_DIGITS),
                                 in_window_orbit, in_window_full, expo)
-        cases.append(ProbeCase(n, "case2b", "; ".join(note_bits), horizon, rho,
-                               d_n_dec, close_m, len(net), None, 0, 0,
-                               None if thr is None else thr >= 0,
-                               witness, expo))
-    return AssouadProbeReport(params, tuple(cases),
-                              params.exponent_at_params,
+        return ProbeCase(n, "case2b", "; ".join(note_bits), horizon, rho,
+                         d_n_dec, close_m, len(net), None, 0, 0,
+                         None if thr is None else thr >= 0, witness, expo)
+
+    # every log and rendering at one pinned precision
+    with mpmath.workprec(DEC_PREC_BITS):
+        cases = tuple(case_at(n) for n in n_list)
+    return AssouadProbeReport(params, cases, params.exponent_at_params,
                               params.implied_exponent_limit)

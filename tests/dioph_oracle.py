@@ -1,0 +1,435 @@
+"""Test oracle: the Fraction interval arithmetic and the dichotomy, horizon
+and probe scans that ran on it before they moved onto integer units.
+
+Every value here is an `Interval` of two exact Fractions, and every
+power threshold goes through `cmp_products`.  The scans read the minima
+records' `delta` and the points as given, so they share nothing with
+the integer-unit code but the minima scan itself, which has its own
+oracles.  The integer-unit scans must agree with these field for field.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
+
+import mpmath
+
+from abset.diophantine import (
+    DEC_PREC_BITS,
+    DEFAULT_PAIR_BUDGET,
+    DEFAULT_PREC,
+    DEFAULT_SEP_BUDGET,
+    GUARD_BITS,
+    LOG_DIGITS,
+    ApproxReal,
+    AssouadProbeReport,
+    GapDichotomyReport,
+    ProbeCase,
+    QualifyingScan,
+    WindowWitness,
+    _minima_impl,
+)
+from abset.errors import InsufficientPrecision, UsageError
+from abset.exact import ceil_root_ratio, dec_sci, dist_to_int
+from abset.index_sets import IndexSet
+
+_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A real number known to lie in [mid - rad, mid + rad]."""
+
+    mid: Fraction
+    rad: Fraction = _ZERO
+
+    @property
+    def lo(self) -> Fraction:
+        return self.mid - self.rad
+
+    @property
+    def hi(self) -> Fraction:
+        return self.mid + self.rad
+
+    def __sub__(self, other) -> "Interval":
+        o = as_interval(other)
+        return Interval(self.mid - o.mid, self.rad + o.rad)
+
+    def scaled(self, q) -> "Interval":
+        q = Fraction(q)
+        return Interval(self.mid * q, self.rad * abs(q))
+
+    def times(self, other) -> "Interval":
+        o = as_interval(other)
+        corners = [self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi]
+        return from_bounds(min(corners), max(corners))
+
+    def pow_int(self, k: int) -> "Interval":
+        if k == 0:
+            return Interval(Fraction(1))
+        lo, hi = self.lo, self.hi
+        if lo >= 0:
+            return from_bounds(lo ** k, hi ** k)
+        if hi <= 0:
+            if k % 2 == 0:
+                return from_bounds(hi ** k, lo ** k)
+            return from_bounds(lo ** k, hi ** k)
+        if k % 2 == 0:
+            return from_bounds(_ZERO, max(lo ** k, hi ** k))
+        return from_bounds(lo ** k, hi ** k)
+
+    def dist_to_nearest_int(self) -> "Interval":
+        # distance-to-Z is 1-Lipschitz, so the radius carries over
+        return Interval(dist_to_int(self.mid), self.rad)
+
+
+def from_bounds(lo: Fraction, hi: Fraction) -> Interval:
+    return Interval((lo + hi) / 2, (hi - lo) / 2)
+
+
+def as_interval(x) -> Interval:
+    if isinstance(x, Interval):
+        return x
+    if isinstance(x, ApproxReal):
+        return Interval(x.mid, x.rad)
+    return Interval(Fraction(x))
+
+
+def try_cmp(a, b) -> Optional[int]:
+    """-1, 0, +1 when the order of a and b is certain, else None."""
+    d = as_interval(a) - as_interval(b)
+    if d.rad and abs(d.mid) <= d.rad * (1 << GUARD_BITS):
+        return None
+    return (d.mid > 0) - (d.mid < 0)
+
+
+def cmp_products(left, right) -> Optional[int]:
+    """Certified comparison of two products of integer powers."""
+    def side(factors):
+        acc = Interval(Fraction(1))
+        for base, k in factors:
+            acc = acc.times(as_interval(base).pow_int(k))
+        return acc
+    return try_cmp(side(left), side(right))
+
+
+def is_zero(delta) -> bool:
+    return isinstance(delta, Fraction) and delta == 0
+
+
+def scan_horizon(delta, s: Fraction) -> int:
+    """N = ceil((1/delta)**s) for a certified-positive minimum."""
+    s = Fraction(s)
+    p, q = s.numerator, s.denominator
+    if isinstance(delta, (int, Fraction)):
+        delta = Fraction(delta)
+        if delta <= 0:
+            raise UsageError("scan horizon needs delta > 0")
+        return ceil_root_ratio(delta.denominator ** p, delta.numerator ** p, q)
+    delta = as_interval(delta)
+    lo, hi = delta.lo, delta.hi
+    if lo <= 0:
+        raise InsufficientPrecision("scan-horizon", "minimum not certified positive")
+    n_hi = ceil_root_ratio(lo.denominator ** p, lo.numerator ** p, q)
+    n_lo = ceil_root_ratio(hi.denominator ** p, hi.numerator ** p, q)
+    if n_lo != n_hi:
+        raise InsufficientPrecision("scan-horizon", f"N lies in [{n_lo}, {n_hi}]")
+    return n_hi
+
+
+def _dec(value) -> str:
+    return dec_sci(as_interval(value).mid)
+
+
+def gap_dichotomy(alpha, beta, points, n, m, params, prec_bits=DEFAULT_PREC,
+                  pair_budget=DEFAULT_PAIR_BUDGET) -> GapDichotomyReport:
+    def refuse(reason, horizon=None):
+        return GapDichotomyReport(n, m, True, reason, horizon)
+
+    if n < 1 or m < 1:
+        return refuse("indices must be >= 1")
+    recs = _minima_impl(alpha, beta, max(n, m), prec_bits)
+    if len(recs) < max(n, m):
+        return refuse(f"minima sequence terminates at n={recs[-1].n} with value 0")
+    rec_n, rec_m = recs[n - 1], recs[m - 1]
+    if not rec_n.minimal:
+        return refuse(f"delta at n={n} is not minimal")
+    if not rec_m.minimal:
+        return refuse(f"delta at m={m} is not minimal")
+    if is_zero(rec_n.delta):
+        return refuse("delta_n is zero")
+    tp, tq = params.t.numerator, params.t.denominator
+    sp, sq = params.s.numerator, params.s.denominator
+    c = cmp_products([(rec_m.delta, tq)], [(rec_n.delta, tp)])
+    if c is None:
+        return refuse("delta_m vs delta_n**t undecidable at working precision")
+    if c >= 0:
+        return refuse("delta_m is not below delta_n**t")
+    try:
+        horizon = scan_horizon(rec_n.delta, params.s)
+    except InsufficientPrecision as exc:
+        return refuse(f"horizon undecidable: {exc.detail}")
+    if m > horizon:
+        return refuse(f"m={m} exceeds the horizon {horizon}", horizon)
+    if len(points) < horizon:
+        return refuse(f"orbit has {len(points)} points, horizon needs {horizon}",
+                      horizon)
+    if horizon * (horizon - 1) // 2 > pair_budget:
+        return refuse(f"horizon {horizon} exceeds the pair budget", horizon)
+
+    d_n, d_m = rec_n.delta, rec_m.delta
+    separated = clustered = 0
+    violations: List[Tuple[int, int]] = []
+    undecided: List[Tuple[int, int]] = []
+    min_gap_bad: List[Tuple[int, int]] = []
+    pairs = 0
+    vals = [as_interval(points[k]) for k in range(horizon)]
+    for i in range(horizon):
+        for j in range(i + 1, horizon):
+            pairs += 1
+            d = (vals[j] - vals[i]).dist_to_nearest_int()
+            if try_cmp(d, d_m) == -1:
+                min_gap_bad.append((i + 1, j + 1))
+            sep = cmp_products([(d, tq)], [(d_n, tp)])
+            if sep is not None and sep >= 0:
+                separated += 1
+                continue
+            clu = cmp_products([(d, sq), (d_n, sp)], [(d_m, sq)])
+            if clu is not None and clu <= 0:
+                clustered += 1
+            elif sep is None or clu is None:
+                undecided.append((i + 1, j + 1))
+            else:
+                violations.append((i + 1, j + 1))
+    return GapDichotomyReport(n, m, False, None, horizon,
+                              _dec(d_n), _dec(d_m), pairs, separated, clustered,
+                              tuple(violations), tuple(undecided),
+                              tuple(min_gap_bad))
+
+
+def dichotomy_scan(alpha, beta, points, params, n_max, prec_bits=DEFAULT_PREC,
+                   pair_budget=DEFAULT_PAIR_BUDGET) -> QualifyingScan:
+    recs = _minima_impl(alpha, beta, n_max, prec_bits)
+    tp, tq = params.t.numerator, params.t.denominator
+    qualifying, reports, refusals, notes = [], [], [], []
+    total = 0
+    for rec in recs:
+        if not rec.minimal:
+            continue
+        if is_zero(rec.delta):
+            notes.append(f"n={rec.n}: zero minimum, no horizon")
+            continue
+        try:
+            horizon = scan_horizon(rec.delta, params.s)
+        except InsufficientPrecision as exc:
+            notes.append(f"n={rec.n}: {exc}")
+            continue
+        for other in recs:
+            mm = other.n
+            if mm <= rec.n or mm > min(horizon, n_max) or not other.minimal:
+                continue
+            c = cmp_products([(other.delta, tq)], [(rec.delta, tp)])
+            if c is None:
+                notes.append(f"(n={rec.n}, m={mm}): closeness undecidable")
+                continue
+            if c < 0:
+                qualifying.append((rec.n, mm))
+                rep = gap_dichotomy(alpha, beta, points, rec.n, mm, params,
+                                    prec_bits, pair_budget)
+                reports.append(rep)
+                if rep.refused:
+                    refusals.append((rec.n, mm, rep.reason))
+                else:
+                    total += len(rep.violations)
+    return QualifyingScan(n_max, tuple(qualifying), tuple(reports), total,
+                          tuple(refusals), tuple(notes))
+
+
+def _log_of(value):
+    v = as_interval(value).mid
+    return mpmath.log(v.numerator) - mpmath.log(v.denominator)
+
+
+def _probe_exponent(count: int, neg_log_scale) -> str:
+    with mpmath.workprec(DEC_PREC_BITS):
+        if count <= 1 or neg_log_scale <= 0:
+            return mpmath.nstr(mpmath.mpf(0), LOG_DIGITS)
+        return mpmath.nstr(mpmath.log(count) / neg_log_scale, LOG_DIGITS)
+
+
+def assouad_lower_probe(alpha, beta, points, indices, params,
+                        n_list: Sequence[int], prec_bits=DEFAULT_PREC,
+                        sep_budget=DEFAULT_SEP_BUDGET) -> AssouadProbeReport:
+    if not n_list:
+        raise UsageError("probe needs a nonempty n_list")
+    recs = _minima_impl(alpha, beta, max(n_list), prec_bits)
+    tp, tq = params.t.numerator, params.t.denominator
+    sp, sq = params.s.numerator, params.s.denominator
+    rp, rq = params.r.numerator, params.r.denominator
+    cases: List[ProbeCase] = []
+
+    for n in n_list:
+        if n < 1 or n > len(recs):
+            cases.append(ProbeCase(n, "skipped", "outside the computed minima range"))
+            continue
+        rec = recs[n - 1]
+        if not rec.minimal:
+            cases.append(ProbeCase(n, "skipped", "not a minimal index"))
+            continue
+        if is_zero(rec.delta):
+            cases.append(ProbeCase(n, "skipped", "zero minimum"))
+            continue
+        try:
+            horizon = scan_horizon(rec.delta, params.s)
+        except InsufficientPrecision as exc:
+            cases.append(ProbeCase(n, "skipped", f"horizon undecidable: {exc.detail}"))
+            continue
+        if horizon > len(recs) and not is_zero(recs[-1].delta):
+            try:
+                recs = _minima_impl(alpha, beta, horizon, prec_bits)
+            except InsufficientPrecision as exc:
+                cases.append(ProbeCase(n, "skipped",
+                                       f"minima extension undecidable: "
+                                       f"{exc.detail}", horizon))
+                continue
+        if len(points) < horizon:
+            cases.append(ProbeCase(n, "skipped",
+                                   f"orbit has {len(points)} points, horizon "
+                                   f"needs {horizon}", horizon))
+            continue
+        if indices is None:
+            sel = list(range(1, horizon + 1))
+        elif isinstance(indices, IndexSet):
+            sel = [k for k in range(1, horizon + 1) if k in indices]
+        else:
+            sel = sorted(k for k in indices if 1 <= k <= horizon)
+        if not sel:
+            cases.append(ProbeCase(n, "skipped", "no surviving indices below the "
+                                                 "horizon", horizon))
+            continue
+        rho = Fraction(len(sel), horizon)
+        d_n = rec.delta
+        d_n_dec = _dec(d_n)
+        ent = [(k, as_interval(points[k - 1])) for k in sel]
+        note_bits: List[str] = []
+
+        close_m = None
+        for other in recs[:min(horizon, len(recs))]:
+            if other.n == n or not other.minimal:
+                continue
+            c = cmp_products([(other.delta, tq)], [(d_n, tp)])
+            if c is None:
+                note_bits.append(f"m={other.n} closeness undecidable")
+            elif c < 0:
+                close_m = other.n
+                break
+        with mpmath.workprec(DEC_PREC_BITS):
+            neg_log_dn = -_log_of(d_n)
+
+        if close_m is None:
+            sep_bad = sep_und = 0
+            checked = 0
+            outer = True
+            for ai in range(len(ent)):
+                if not outer:
+                    break
+                for bi in range(ai + 1, len(ent)):
+                    if checked >= sep_budget:
+                        note_bits.append(f"separation sampled on first {checked} pairs")
+                        outer = False
+                        break
+                    checked += 1
+                    d = (ent[bi][1] - ent[ai][1]).dist_to_nearest_int()
+                    c = cmp_products([(d, tq)], [(d_n, tp)])
+                    if c is None:
+                        sep_und += 1
+                    elif c < 0:
+                        sep_bad += 1
+            with mpmath.workprec(DEC_PREC_BITS):
+                log_scale = neg_log_dn * tp / tq
+                scale_dec = mpmath.nstr(mpmath.e ** (-log_scale), LOG_DIGITS)
+                expo = _probe_exponent(len(ent), log_scale)
+            cases.append(ProbeCase(n, "case1", "; ".join(note_bits), horizon, rho,
+                                   d_n_dec, None, len(ent), scale_dec, sep_bad,
+                                   sep_und, None, None, expo))
+            continue
+
+        net: List[Tuple[int, Interval]] = []
+        net_und = 0
+        for k, v in ent:
+            ok = True
+            for _, f in net:
+                d = (v - f).dist_to_nearest_int()
+                c = cmp_products([(d.scaled(2), tq)], [(d_n, tp)])
+                if c is None:
+                    net_und += 1
+                    ok = False
+                    break
+                if c < 0:
+                    ok = False
+                    break
+            if ok:
+                net.append((k, v))
+        if net_und:
+            note_bits.append(f"{net_und} net decisions undecided, kept out")
+        big_net = cmp_products([(len(net), rq), (d_n, rp)], [(1, 1)])
+        with mpmath.workprec(DEC_PREC_BITS):
+            half_scale = neg_log_dn * tp / tq + mpmath.log(2)
+        if big_net == 1:
+            with mpmath.workprec(DEC_PREC_BITS):
+                scale_dec = mpmath.nstr(mpmath.e ** (-half_scale), LOG_DIGITS)
+                expo = _probe_exponent(len(net), half_scale)
+            cases.append(ProbeCase(n, "case2a", "; ".join(note_bits), horizon, rho,
+                                   d_n_dec, close_m, len(net), scale_dec, 0, 0,
+                                   True, None, expo))
+            continue
+        if big_net is None:
+            note_bits.append("net size vs delta**-r undecidable, fell through to 2b")
+
+        d_m = recs[close_m - 1].delta
+        best_k, best_v, best_count = net[0][0], net[0][1], -1
+        for k, f in net:
+            cnt = 0
+            for _, v in ent:
+                d = (v - f).dist_to_nearest_int()
+                c = cmp_products([(d.scaled(2), tq)], [(d_n, tp)])
+                if c is not None and c < 0:
+                    cnt += 1
+            if cnt > best_count:
+                best_k, best_v, best_count = k, f, cnt
+        in_window_orbit = 0
+        for _, v in ent:
+            d = (v - best_v).dist_to_nearest_int()
+            c = cmp_products([(d, sq), (d_n, sp)], [(d_m, sq)])
+            if c is not None and c <= 0:
+                in_window_orbit += 1
+        with mpmath.workprec(DEC_PREC_BITS):
+            w_mp = mpmath.e ** (_log_of(d_m) + neg_log_dn * sp / sq)
+        w_f = float(w_mp)
+        in_window_full = 0
+        for pt in points:
+            d = (as_interval(pt) - best_v).dist_to_nearest_int()
+            if w_f > 0.0:
+                if float(d.hi) < w_f * (1.0 - 1e-9):
+                    in_window_full += 1
+                    continue
+                if float(d.lo) > w_f * (1.0 + 1e-9):
+                    continue
+            c = cmp_products([(d, sq), (d_n, sp)], [(d_m, sq)])
+            if c is not None and c <= 0:
+                in_window_full += 1
+        thr = cmp_products([(in_window_orbit, rq)],
+                           [(rho * horizon, rq), (d_n, rp)])
+        with mpmath.workprec(DEC_PREC_BITS):
+            neg_log_w = -_log_of(d_m) - neg_log_dn * sp / sq
+            radius_dec = mpmath.nstr(mpmath.e ** (-neg_log_w), LOG_DIGITS)
+            expo = _probe_exponent(in_window_full, neg_log_w)
+        witness = WindowWitness(best_k, _dec(best_v), radius_dec,
+                                in_window_orbit, in_window_full, expo)
+        cases.append(ProbeCase(n, "case2b", "; ".join(note_bits), horizon, rho,
+                               d_n_dec, close_m, len(net), None, 0, 0,
+                               None if thr is None else thr >= 0,
+                               witness, expo))
+    return AssouadProbeReport(params, tuple(cases),
+                              params.exponent_at_params,
+                              params.implied_exponent_limit)

@@ -260,6 +260,23 @@ def test_dim_grid_fixture_golden(capsys, tmp_path):
     )
 
 
+def test_dim_without_out_prints_its_report(capsys):
+    rc, stdout, stderr = run(capsys, "dim", "--fixture", "grid:8", "--base", "2",
+                             "--jmin", "1", "--jmax", "3")
+    assert rc == 0 and stderr == ""
+    report = json.loads(stdout)
+    assert report["command"] == "dim"
+    assert [r["count"] for r in report["rows"]] == [2, 4, 8]
+
+
+def test_dioph_without_out_prints_its_report(capsys):
+    rc, stdout, _ = run(capsys, "dioph", "--alpha", "sqrt(2) - 1", "--beta",
+                        "sqrt(3) - 1", "--nmax", "50", "--scan", "minima")
+    assert rc == 0
+    report = json.loads(stdout)
+    assert report["summary"]["minima"]["minimal"] == [1, 2, 3, 4, 5, 9, 37, 46]
+
+
 def test_dim_grid_fixture_flat(capsys, tmp_path):
     out = tmp_path / "dim.csv"
     rc, _, _ = run(
@@ -315,11 +332,22 @@ GOLDENS = [
     (["dioph", "--alpha", "1/3 + 1/1001", "--beta", "2/7 + 1/999", "--nmax", "60"],
      "report.csv",
      "75db281f9af0383b3c9bb3d17bb327a1ed155077fe5bb6e3173123c659bfd3bf", 2489),
+    # an exact pair whose minima 1, 4, 7, 10 give the dichotomy three
+    # qualifying pairs, and the same pair with a radius on alpha
+    (["dioph", "--alpha", "1/10 + 1/1000000000", "--beta", "1/4 + 8/10000",
+      "--nmax", "60", "--scan", "dichotomy"], "report.csv",
+     "eeaec14ebec31bb22fdc749ff788042101a849cd56263f503df2181cc177b09c", 155),
+    (["dioph", "--alpha",
+      "1/10 + 1/1000000000 + 1/1000000000000000000000000000000*sqrt(2)",
+      "--beta", "1/4 + 8/10000", "--nmax", "60", "--scan", "dichotomy"],
+     "report.csv",
+     "eeaec14ebec31bb22fdc749ff788042101a849cd56263f503df2181cc177b09c", 155),
 ]
 
 
 @pytest.mark.parametrize("argv,name,sha256,size", GOLDENS,
-                         ids=["verify-all-desk", "dioph-surd-500", "dioph-rational-60"])
+                         ids=["verify-all-desk", "dioph-surd-500", "dioph-rational-60",
+                              "dioph-dichotomy-exact", "dioph-dichotomy-radius"])
 def test_report_bytes_golden(capsys, tmp_path, argv, name, sha256, size):
     out = tmp_path / name
     run(capsys, *argv, "--out", str(out))

@@ -22,6 +22,7 @@ from abset.dimension import (
     KEY_GUARD_BITS,
     LOG_DIGITS,
     _keys,
+    _log_inverse,
     assouad_probe_windows,
     box_dim_series,
     grid_cells,
@@ -129,8 +130,7 @@ def fraction_probe_windows(points, window_scales, anchor_cap=4096):
                 best_count = count
                 best_anchor = p
         with mpmath.workprec(DEFAULT_PREC_BITS):
-            ratio = mpmath.log(best_count) / (mpmath.log(delta.denominator)
-                                              - mpmath.log(delta.numerator))
+            ratio = mpmath.log(best_count) / _log_inverse(delta)
             ratio_str = mpmath.nstr(ratio, LOG_DIGITS)
             ratio_val = float(ratio)
         reports.append({
@@ -208,6 +208,32 @@ def test_box_dim_series_rejects_unit_scale(scales):
     # log(1/scale) = 0 at scale 1, so its log ratio is undefined
     with pytest.raises(ValueError):
         box_dim_series([F(0)], scales)
+
+
+@pytest.mark.parametrize("gap_bits", [65, 128, 140, 400])
+def test_log_inverse_next_to_one_matches_high_precision(gap_bits):
+    # log(den) - log(num) at 128 bits cancels to 0 within 2^-128 of 1
+    q = 1 - F(1, 2 ** gap_bits)
+    with mpmath.workprec(DEFAULT_PREC_BITS):
+        got = _log_inverse(q)
+    with mpmath.workprec(gap_bits + 200):
+        want = -mpmath.log(1 - mpmath.mpf(2) ** -gap_bits)
+        assert abs(got - want) <= want * mpmath.mpf(2) ** -120
+
+
+def test_scale_and_delta_next_to_one_keep_a_log_ratio():
+    near = 1 - F(1, 2 ** 140)
+    pts = [F(0), 1 - F(1, 2 ** 141)]
+    with mpmath.workprec(400):
+        want = float(mpmath.log(2) / -mpmath.log(1 - mpmath.mpf(2) ** -140))
+    (row,) = box_dim_series(pts, [near]).rows
+    assert row.count == 2
+    assert float(row.log_ratio) == pytest.approx(want, rel=1e-11)
+    (rep,) = assouad_probe_windows(pts, [(F(1), near)])
+    assert rep["max_cells"] == 2
+    assert rep["log_ratio_float"] == pytest.approx(want, rel=1e-11)
+    assert box_dim_series([0, F(1, 3)], [near]).rows[0].log_ratio == "0.0"
+    assert assouad_probe_windows([0, F(1, 3)], [(F(1, 2), near)])[0]["log_ratio"] == "0.0"
 
 
 def test_probe_singleton_is_zero():
@@ -500,8 +526,7 @@ def test_edges_a_third_of_a_unit_from_points_match_fraction_oracles(guard, pts, 
     sep = near(min(d, 1 - d))
     big_r = near(difference())
     cell = near(difference()) / data.draw(st.integers(1, 8))
-    # delta within 2^-128 of 1 would leave log(1/delta) at 0
-    assume(0 < rho and 2 * cell <= big_r)
+    assume(0 < rho and 0 < cell < big_r)
     window = [(big_r, cell / big_r)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dimension, "KEY_GUARD_BITS", guard)

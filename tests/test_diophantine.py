@@ -16,31 +16,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abset.diophantine import (
+    DEFAULT_PAIR_BUDGET,
+    DEFAULT_SEP_BUDGET,
     GUARD_BITS,
     ApproxReal,
     MinimaRecord,
     ProbeParams,
     RealValue,
     assouad_lower_probe,
-    cmp_products,
     delta_n,
     dichotomy_scan,
     gap_dichotomy,
     integer_ratio_scan,
     minima_sequence,
-    no_close_minima_check,
     orbit_of_word,
     orbit_separation_check,
     parse_value,
     primitive_decomposition,
     scan_horizon,
-    try_cmp,
+    _cmp_powers,
     _decide,
     _minima_impl,
     _resolve_pair,
-    _value,
 )
 from abset.errors import InsufficientPrecision, UsageError
+
+import dioph_oracle as oracle
 
 F = Fraction
 
@@ -121,9 +122,9 @@ def quadratic_minima(alpha, beta, n_max, prec_bits):
     n.  The smallest a wins ties; with a radius, any other split within
     the guarded radii of the minimum raises "minima-argmin", and a tie
     with the running minimum raises "minima-flag".
-    -> (records, units, den, zero_at)"""
+    -> records"""
     one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(alpha, beta, prec_bits)
-    records, units = [], []
+    records = []
     best = None
     for n in range(1, n_max + 1):
         dists = split_distances(one, a_mid, b_mid, n)
@@ -147,67 +148,65 @@ def quadratic_minima(alpha, beta, n_max, prec_bits):
                 raise InsufficientPrecision(
                     "minima-flag", f"n={n}: tie with the running minimum")
             minimal = c >= 0
-        records.append(MinimaRecord(n, _value(d_min, rad_min, one),
-                                    (a_min, n - a_min), minimal))
-        units.append((d_min, rad_min))
+        records.append(MinimaRecord(n, (a_min, n - a_min), minimal,
+                                    d_min, rad_min, one))
         if minimal:
             best = (d_min, rad_min)
         if d_min == 0 and rad_min == 0:
-            return records, units, one, n
-    return records, units, one, None
+            break
+    return records
 
 
 def scan_outcome(scan, alpha, beta, n_max, prec_bits):
-    """(records, units, den, zero_at), or the raised context and detail."""
+    """The records, or the raised context and detail."""
     try:
         out = scan(alpha, beta, n_max, prec_bits)
     except InsufficientPrecision as exc:
         return "raised", exc.context, exc.detail
-    if isinstance(out, tuple):
-        return out
-    return out.records, out.units, out.den, out.zero_at
+    return out
 
 
 # -- comparison layer ---------------------------------------------------------
 
 def test_sqrt_of_int_bracket():
     x = ApproxReal.sqrt_of_int(2, 128)
-    assert x.lo ** 2 < 2 < x.hi ** 2
+    assert (x.mid - x.rad) ** 2 < 2 < (x.mid + x.rad) ** 2
     assert x.rad == F(1, 2 ** 129)
 
 
 def test_interval_products_contain_truth():
-    x = ApproxReal.sqrt_of_int(2, 128)
+    # the oracle's interval arithmetic, which the integer-unit scans match
+    x = oracle.as_interval(ApproxReal.sqrt_of_int(2, 128))
     sq = x.times(x)
     assert sq.lo <= 2 <= sq.hi
     p4 = x.pow_int(4)
     assert p4.lo <= 4 <= p4.hi
-    neg = ApproxReal(F(-3, 2), F(1, 2 ** 140)).pow_int(3)
+    neg = oracle.Interval(F(-3, 2), F(1, 2 ** 140)).pow_int(3)
     assert neg.lo <= F(-27, 8) <= neg.hi
 
 
 def test_try_cmp_decisions():
-    third = ApproxReal.exact(F(1, 3))
-    assert try_cmp(third, ApproxReal.exact(F(1, 3))) == 0
-    assert try_cmp(third, ApproxReal.exact(F(1, 2))) == -1
-    a = ApproxReal(F(1, 3), F(1, 2 ** 130))
-    b = ApproxReal(F(1, 3) + F(1, 2 ** 135), F(1, 2 ** 130))
-    assert try_cmp(a, b) is None
+    # one power each side is a plain comparison on a common denominator
+    den = 3 << 135
+    third = den // 3
+    assert _cmp_powers([(third, 0, 1)], [(third, 0, 1)], den) == 0
+    assert _cmp_powers([(third, 0, 1)], [(den // 2, 0, 1)], den) == -1
+    # radii of 2^-130 hide a gap of 2^-135: unknown, not decided
+    rad = den >> 130
+    assert _cmp_powers([(third, rad, 1)], [(third + (den >> 135), rad, 1)],
+                       den) is None
 
 
 def test_cmp_products_integer_powers():
-    three = ApproxReal.exact(F(3))
-    two = ApproxReal.exact(F(2))
-    assert cmp_products([(three, 2)], [(two, 3)]) == 1      # 9 vs 8
-    assert cmp_products([(two, 3)], [(three, 2)]) == -1
-    assert cmp_products([(ApproxReal.exact(F(2, 3)), 2)],
-                        [(ApproxReal.exact(F(4, 9)), 1)]) == 0
+    assert _cmp_powers([(3, 0, 2)], [(2, 0, 3)], 1) == 1      # 9 vs 8
+    assert _cmp_powers([(2, 0, 3)], [(3, 0, 2)], 1) == -1
+    assert _cmp_powers([(6, 0, 2)], [(4, 0, 1)], 9) == 0      # (2/3)^2 vs 4/9
 
 
 def test_cmp_products_overlap_is_unknown():
-    x = ApproxReal.sqrt_of_int(2, 160)
+    one, (mid, rad), _ = _resolve_pair("sqrt(2)", 0, 160)
     # x**2 brackets 2, so no certified verdict exists
-    assert cmp_products([(x, 2)], [(ApproxReal.exact(F(2)), 1)]) is None
+    assert _cmp_powers([(mid, rad, 2)], [(2 * one, 0, 1)], one) is None
 
 
 def test_coarse_input_rejected():
@@ -360,12 +359,16 @@ def test_engineered_pair_minimal_set():
 
 
 def test_scan_horizon_values():
-    assert scan_horizon(F(1, 10), F(49, 100)) == 4
-    assert scan_horizon(F(1, 16), F(1, 2)) == 4          # exact boundary
-    assert scan_horizon(F(1, 2 ** 10), F(1, 2)) == 32
-    assert scan_horizon(ApproxReal(F(1, 10), F(1, 2 ** 140)), F(49, 100)) == 4
+    assert scan_horizon(1, 0, 10, F(49, 100)) == 4
+    assert scan_horizon(1, 0, 16, F(1, 2)) == 4          # exact boundary
+    assert scan_horizon(1, 0, 2 ** 10, F(1, 2)) == 32
+    assert scan_horizon(2 ** 140, 1, 10 * 2 ** 140, F(49, 100)) == 4
     with pytest.raises(InsufficientPrecision):
-        scan_horizon(ApproxReal(F(1, 16), F(1, 2 ** 130)), F(1, 2))
+        scan_horizon(2 ** 130, 1, 16 * 2 ** 130, F(1, 2))
+    with pytest.raises(InsufficientPrecision):
+        scan_horizon(1, 1, 16, F(1, 2))                   # not certified positive
+    with pytest.raises(UsageError):
+        scan_horizon(0, 0, 16, F(1, 2))
 
 
 # -- integer ratio scan -------------------------------------------------------
@@ -432,43 +435,6 @@ def test_primitive_decomposition():
     assert primitive_decomposition((0, 0), (3, 6)) == ((1, 2), 0, 3)
     with pytest.raises(UsageError):
         primitive_decomposition((1, 2), (2, 3))
-
-
-# -- close-minima audit -------------------------------------------------------
-
-def test_no_close_surd_vacuous():
-    v = no_close_minima_check(S2M1, S3M1,
-                              ProbeParams(F(2, 5), F(2), F(1, 2)), 1)
-    assert (v.horizon, v.scanned_to, v.partial) == (2, 2, False)
-    assert v.qualifying == ()
-    assert v.vacuous and v.consistent
-
-
-def test_no_close_engineered_chain():
-    v = no_close_minima_check(DA, DB, ProbeParams(), 1, scan_cap=7)
-    assert (v.horizon, v.scanned_to, v.partial) == (14, 8, True)
-    assert v.qualifying == (4, 8)
-    assert [(p.m, p.k, p.ell, p.divisibility_ok, p.value_consistent)
-            for p in v.pairs] == [(4, 8, 2, True, True)]
-    assert not v.vacuous and v.consistent
-
-
-def test_no_close_full_window_reports_break():
-    v = no_close_minima_check(DA, DB, ProbeParams(), 1)
-    assert (v.horizon, v.scanned_to, v.partial) == (14, 14, False)
-    assert v.qualifying == (4, 8, 12)
-    checks = {(p.m, p.k): (p.ell, p.divisibility_ok, p.value_consistent)
-              for p in v.pairs}
-    assert checks[(4, 8)] == (2, True, True)
-    assert checks[(4, 12)] == (3, True, True)
-    # 8 does not divide 12: the rational pair breaks the chain, reported
-    assert checks[(8, 12)] == (None, False, None)
-    assert not v.consistent
-
-
-def test_no_close_requires_minimal_index():
-    with pytest.raises(UsageError):
-        no_close_minima_check(DA, DB, ProbeParams(), 2)
 
 
 # -- gap dichotomy ------------------------------------------------------------
@@ -841,19 +807,19 @@ def test_sorted_minima_scan_raises_where_oracle_does(alpha, beta):
 
 def test_minima_horizon_20000_matches_linear_evaluation():
     n_max = 20_000
-    data = _minima_impl(S2M1, S3M1, n_max, 256)
-    assert len(data.records) == n_max and data.zero_at is None
+    recs = _minima_impl(S2M1, S3M1, n_max, 256)
+    assert len(recs) == n_max and not recs[-1].is_zero
     one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(S2M1, S3M1, 256)
-    assert data.den == one
     picks = random.Random(20_000).sample(range(1, n_max), 19) + [n_max]
     for n in picks:
         dists = split_distances(one, a_mid, b_mid, n)
         d_min = min(dists)
         a = dists.index(d_min)
         rad = (n - a) * b_rad + a * a_rad
-        assert data.units[n - 1] == (d_min, rad)
-        rec = data.records[n - 1]
-        assert (rec.n, rec.u, rec.delta) == (n, (a, n - a), _value(d_min, rad, one))
+        rec = recs[n - 1]
+        assert (rec.n, rec.u, rec.d_units, rec.rad_units, rec.den) == \
+            (n, (a, n - a), d_min, rad, one)
+        assert rec.delta == ApproxReal(F(d_min, one), F(rad, one))
 
 
 # denominators far beyond the float range: 3**700 and 7**400
@@ -873,3 +839,205 @@ def test_huge_denominators_minima_ratio_separation():
     sep = orbit_separation_check(orbit_of_word("xy" * 15, HA, HB), recs)
     assert (sep.pairs_checked, sep.violations, sep.undecided,
             sep.worst_margin_bits) == (435, (), 0, None)
+
+
+# -- dichotomy, horizon and probe against the interval oracle -----------------
+
+def outcome(fn, *args, **kw):
+    """The result, or the raised error's type and message."""
+    try:
+        return fn(*args, **kw)
+    except (InsufficientPrecision, UsageError) as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+# factors near a tie: mids and radii on small denominators, of both signs
+unit_factors = st.lists(
+    st.tuples(st.integers(min_value=-40, max_value=40),
+              st.sampled_from([0, 0, 1, 2, 5]),
+              st.integers(min_value=1, max_value=5)),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_factors, unit_factors, st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=12))
+def test_cmp_powers_matches_interval_oracle(left, right, den, shift):
+    # a radius of 2^-shift units puts many gaps inside the guard band
+    def scaled(factors):
+        return [(mid << shift, rad, k) for mid, rad, k in factors]
+
+    def values(factors):
+        return [(oracle.Interval(F(mid << shift, den << shift),
+                                 F(rad, den << shift)), k)
+                for mid, rad, k in factors]
+    assert _cmp_powers(scaled(left), scaled(right), den << shift) == \
+        oracle.cmp_products(values(left), values(right))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 20),
+       st.sampled_from([0, 0, 1, 2 ** 8, 2 ** 12]),
+       st.integers(min_value=1, max_value=2 ** 24),
+       st.sampled_from([F(49, 100), F(1, 2), F(1, 4), F(2, 5), F(1)]))
+def test_scan_horizon_matches_interval_oracle(mid, rad, den, s):
+    value = oracle.Interval(F(mid, den), F(rad, den)) if rad else F(mid, den)
+    assert outcome(scan_horizon, mid, rad, den, s) == \
+        outcome(oracle.scan_horizon, value, s)
+
+
+# pairs near a rational resonance: their minima dip far below the generic
+# 1/n, so (n, m) pairs qualify and every dichotomy and probe branch runs
+resonant_values = st.builds(
+    lambda p, e, k, blur: (RealValue.from_fraction(p + F(k, 10 ** e))
+                           + RealValue.sqrt(2, F(blur, 10 ** 30))),
+    st.sampled_from([F(1, 10), F(1, 4), F(1, 3), F(2, 7), F(3, 5), F(5, 12)]),
+    st.integers(min_value=3, max_value=9),
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from([0, 0, 1]))
+# blurred minima whose horizon (1/delta)**s is an integer for s = 1/4:
+# the radius leaves N undecided
+blurred_boundaries = st.sampled_from([F(1, 16), F(1, 81), F(1, 256), F(3, 16)]) \
+    .map(lambda q: ApproxReal(q, F(1, 2 ** 130)))
+# perturbations of the engineered pair (EA, EB), whose pairs (1, 4),
+# (4, 10) and (7, 10) qualify; some carry a radius on alpha
+engineered_pairs = st.builds(
+    lambda a, b, blur: (RealValue.from_fraction(EA + F(a, 10 ** 10))
+                        + RealValue.sqrt(2, F(blur, 10 ** 30)),
+                        EB + F(b, 10 ** 5)),
+    st.integers(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5),
+    st.sampled_from([0, 1]))
+oracle_pairs = st.one_of(
+    engineered_pairs,
+    engineered_pairs,
+    st.tuples(resonant_values, resonant_values),
+    st.tuples(resonant_values, resonant_values | exact_values),
+    st.tuples(exact_values, exact_values),
+    st.tuples(dyadic_values, dyadic_values),
+    st.tuples(surd_values, exact_values | dyadic_values),
+    st.tuples(surd_values, surd_values),
+    st.tuples(blurred_values, blurred_values | dyadic_values),
+    st.tuples(blurred_boundaries, blurred_boundaries | blurred_values),
+)
+probe_params = st.builds(
+    ProbeParams,
+    st.sampled_from([F(49, 100), F(2, 5), F(1, 3), F(1, 4)]),
+    st.sampled_from([F(2), F(5, 2), F(3)]),
+    st.sampled_from([F(1, 2), F(1, 3), F(3, 4)]))
+# synthetic points: ties, duplicates, points on both sides of 0, and
+# blurred copies whose distances cannot be certified
+pool_points = st.sampled_from([F(0), F(1, 12), F(1, 10), F(1, 4), F(1, 3),
+                               F(1, 2), F(2, 3), F(9, 10), F(11, 12),
+                               F(1, 10 ** 6), 1 - F(1, 10 ** 6), F(3, 2)])
+
+
+def blur(draw, q):
+    return ApproxReal(q, F(1, 2 ** 140)) if draw(st.booleans()) else q
+
+
+@st.composite
+def pair_and_points(draw):
+    """(alpha, beta, prec, points, indices, later): an orbit of the pair,
+    synthetic points, or points at the pair's minima and their squares and
+    cubes from a base point, where the dichotomy and probe thresholds tie;
+    indices draw mostly the pair's minimal indices, and later mostly two
+    of them in increasing order."""
+    alpha, beta = draw(oracle_pairs)
+    prec = draw(st.sampled_from([128, 256]))
+    word = "".join(draw(st.lists(st.sampled_from("xy"), min_size=draw(
+        st.integers(min_value=0, max_value=40)), max_size=40)))
+    try:
+        points = orbit_of_word(word, alpha, beta, prec)
+        recs = minima_sequence(alpha, beta, 12, prec)
+    except (InsufficientPrecision, UsageError):
+        points, recs = [], []
+    minimal = [r.n for r in recs if r.minimal]
+    kind = draw(st.sampled_from(["orbit", "orbit", "pool", "threshold"]))
+    if kind == "pool":
+        pool = pool_points | st.fractions(min_value=0, max_value=1,
+                                          max_denominator=10 ** 4)
+        points = [blur(draw, q) for q in draw(st.lists(pool, min_size=draw(
+            st.integers(min_value=0, max_value=30)), max_size=30))]
+    elif kind == "threshold":
+        mids = [r.delta.mid if isinstance(r.delta, ApproxReal) else r.delta
+                for r in recs if r.minimal]
+        base = draw(pool_points)
+        ties = [base] + [base + d ** k for d in mids for k in (1, 2, 3)]
+        points = draw(st.permutations([blur(draw, q) for q in ties])) + points
+    indices = st.integers(min_value=0, max_value=12)
+    if minimal:
+        indices = st.sampled_from(minimal) | st.sampled_from(minimal) | indices
+    later = st.tuples(indices, indices)
+    if len(minimal) > 1:
+        pairs = st.sampled_from([(a, b) for a in minimal for b in minimal
+                                 if a < b])
+        later = pairs | pairs | pairs | later
+    return alpha, beta, prec, points, indices, later
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_and_points(), probe_params,
+       st.integers(min_value=1, max_value=16) | st.just(16),
+       st.sampled_from([DEFAULT_PAIR_BUDGET, 50, 5]))
+def test_dichotomy_scan_matches_interval_oracle(case, params, n_max, budget):
+    alpha, beta, prec, points, _, _ = case
+    assert outcome(dichotomy_scan, alpha, beta, points, params, n_max, prec,
+                   budget) == outcome(oracle.dichotomy_scan, alpha, beta, points,
+                                      params, n_max, prec, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_and_points(), probe_params, st.data(),
+       st.sampled_from([DEFAULT_PAIR_BUDGET, 50, 5]))
+def test_gap_dichotomy_matches_interval_oracle(case, params, data, budget):
+    alpha, beta, prec, points, _, later = case
+    n, m = data.draw(later)
+    assert outcome(gap_dichotomy, alpha, beta, points, n, m, params, prec,
+                   budget) == outcome(oracle.gap_dichotomy, alpha, beta, points,
+                                      n, m, params, prec, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_and_points(), probe_params, st.data(),
+       st.one_of(st.none(), st.lists(st.integers(min_value=-2, max_value=40))),
+       st.sampled_from([DEFAULT_SEP_BUDGET, 3]))
+def test_probe_matches_interval_oracle(case, params, data, indices, sep_budget):
+    alpha, beta, prec, points, n_indices, _ = case
+    n_list = data.draw(st.lists(n_indices, min_size=1, max_size=4))
+    assert outcome(assouad_lower_probe, alpha, beta, points, indices, params,
+                   n_list, prec, sep_budget) == \
+        outcome(oracle.assouad_lower_probe, alpha, beta, points, indices, params,
+                n_list, prec, sep_budget)
+
+
+@pytest.mark.parametrize("blurred", [False, True], ids=["exact", "radius"])
+@pytest.mark.parametrize("t", [F(2), F(3)])
+def test_engineered_ties_match_interval_oracle(blurred, t):
+    # points at the minima and their t-th powers from 1/12, where the
+    # thresholds tie, and a quarter minimum to either side of 0, whose
+    # distance wraps; with a radius the ties, and gaps 2^-136 past them,
+    # are left undecided
+    alpha = RealValue.from_fraction(EA)
+    if blurred:
+        alpha = alpha + RealValue.sqrt(2, F(1, 10 ** 30))
+    params = ProbeParams(F(12, 25), t, F(1, 2))
+    mids = [r.delta.mid if isinstance(r.delta, ApproxReal) else r.delta
+            for r in minima_sequence(alpha, EB, 12) if r.minimal]
+    base = F(1, 12)
+    ties = [base] + [q for d in mids for q in (
+        base + d, base + d ** int(t), base + d ** int(t) + F(1, 2 ** 136),
+        d / 4, 1 - d / 4)]
+    points = [ApproxReal(q, F(1, 2 ** 140)) if blurred else q for q in ties] \
+        + orbit_of_word("x" * 11, alpha, EB)
+    reports = [gap_dichotomy(alpha, EB, points, n, m, params)
+               for n, m in ((1, 4), (4, 10), (7, 10))]
+    assert reports == [oracle.gap_dichotomy(alpha, EB, points, n, m, params)
+                       for n, m in ((1, 4), (4, 10), (7, 10))]
+    assert dichotomy_scan(alpha, EB, points, params, 12) == \
+        oracle.dichotomy_scan(alpha, EB, points, params, 12)
+    probe = assouad_lower_probe(alpha, EB, points, None, params, [1, 4, 7, 10])
+    assert probe == oracle.assouad_lower_probe(alpha, EB, points, None, params,
+                                               [1, 4, 7, 10])
+    assert any(r.min_gap_violations for r in reports)
+    assert any(r.undecided for r in reports) == (blurred and t == 2)
+    assert "case2b" in [c.outcome for c in probe.cases]
