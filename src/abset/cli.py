@@ -197,13 +197,20 @@ def _run_thin_checks(stages) -> List[Check]:
 
 def _covering_warnings(covering: dict) -> List[Warn]:
     """The covering bounds a survey records but does not enforce, for each
-    one that came out false."""
+    one that came out false, and the cell bound when too few samples were
+    drawn for it to fail."""
     n0 = covering["n0"]
+    bound = covering["cell_bound_claimed"]
+    samples = covering["samples_random"] + covering["samples_deterministic"]
     out: List[Warn] = []
     if not covering["cell_bound_ok"]:
         out.append(("cell_bound_ok",
                     f"{covering['cells_restricted']} restricted cells > "
-                    f"N_{n0} = {covering['cell_bound_claimed']} at n0 = {n0}"))
+                    f"N_{n0} = {bound} at n0 = {n0}"))
+    elif samples < bound:
+        out.append(("cell_bound_vacuous",
+                    f"{samples} samples < N_{n0} = {bound} at n0 = {n0}, "
+                    f"so cells <= N_{n0} cannot fail"))
     if not covering["drift_bound_ok"]:
         out.append(("drift_bound_ok",
                     f"max drift {dec_sci(covering['max_drift'])} >= "
@@ -249,9 +256,9 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
     want = {"minima", "ratio", "separation", "dichotomy"} \
         if which == "all" else {which}
 
-    # one orbit serves both the separation check (a prefix) and the dichotomy
-    if want & {"separation", "dichotomy"}:
-        word = "xy" * ((nmax + 1) // 2)
+    # the separation check reads a prefix of the word, the dichotomy its orbit
+    word = "xy" * ((nmax + 1) // 2)
+    if "dichotomy" in want:
         orbit = diophantine.orbit_of_word(word[:nmax], alpha, beta, prec)
     records = None
     if want & {"minima", "separation"}:
@@ -276,7 +283,7 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
         # an exact zero ends the minima early; check the prefix they cover
         n_pts = min(nmax, len(records) + 1)
         rep = results["separation"] = diophantine.orbit_separation_check(
-            orbit[:n_pts], records)
+            word[:n_pts], alpha, beta, records, prec)
         summary["separation"] = {"points": n_pts,
                                  "pairs_checked": rep.pairs_checked,
                                  "violations": len(rep.violations),

@@ -21,8 +21,9 @@ onto the dyadic grid 2**-(prec+16), and its radius covers the rounding
 and the input error.  A minima record keeps its units and renders delta
 on demand, as a Fraction when the radius is zero and as an ApproxReal
 (midpoint plus radius) otherwise; orbit points leave orbit_of_word the
-same way.  Points handed to the separation check, the dichotomy or the
-probe enter them on the lcm of their denominators (`_point_units`).
+same way.  Points handed to the dichotomy or the probe enter them on the
+lcm of their denominators (`_point_units`); the separation check takes
+the word and works on its letter counts.
 
 Precision discipline: a comparison is certified only when the midpoints
 differ by more than the summed radii times 2**GUARD_BITS; anything
@@ -37,7 +38,8 @@ import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import sub
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import mpmath
@@ -80,10 +82,6 @@ class ApproxReal:
         object.__setattr__(self, "rad", Fraction(self.rad))
         if self.rad < 0:
             raise UsageError("ApproxReal radius must be nonnegative")
-
-    @classmethod
-    def exact(cls, value) -> "ApproxReal":
-        return cls(Fraction(value), _ZERO)
 
     @classmethod
     def sqrt_of_int(cls, n: int, prec_bits: int) -> "ApproxReal":
@@ -642,6 +640,18 @@ def integer_ratio_scan(alpha, beta, n_max: int, tol=Fraction(1, 1 << 64),
 # orbits and the gap dichotomy
 
 
+def _word_letters(word: Union[WordExpr, str]) -> Iterator[str]:
+    """The letters of `word`, in any form orbit_of_word takes."""
+    if not isinstance(word, str):
+        return letters(word)
+    if word and set(word) <= {"x", "y"}:
+        return iter(word)
+    try:
+        return letters(parse_word(word))
+    except ValueError as exc:
+        raise UsageError(f"bad word expression: {exc}") from None
+
+
 def orbit_of_word(word: Union[WordExpr, str], alpha, beta,
                   prec_bits: int = DEFAULT_PREC) -> List[Union[Fraction, ApproxReal]]:
     """Points t_1..t_|w| visited by the word, reduced mod 1.
@@ -649,16 +659,7 @@ def orbit_of_word(word: Union[WordExpr, str], alpha, beta,
     `word` may be a WordExpr, a plain string of x/y letters, or a string
     in the parenthesized grammar of `words.parse_word`.
     """
-    if isinstance(word, str):
-        if word and set(word) <= {"x", "y"}:
-            seq: Iterator[str] = iter(word)
-        else:
-            try:
-                seq = letters(parse_word(word))
-            except ValueError as exc:
-                raise UsageError(f"bad word expression: {exc}") from None
-    else:
-        seq = letters(word)
+    seq = _word_letters(word)
     one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(alpha, beta, prec_bits)
     out: List[Union[Fraction, ApproxReal]] = []
     mid = rad = 0
@@ -694,46 +695,88 @@ class SeparationReport:
     worst_margin_bits: Optional[int]
 
 
-def orbit_separation_check(points, records: Sequence[MinimaRecord]) -> SeparationReport:
-    """Audit d(t_i, t_j) >= delta_(j-i) over all pairs of orbit points.
+def orbit_separation_check(word: Union[WordExpr, str], alpha, beta,
+                           records: Sequence[MinimaRecord],
+                           prec_bits: int = DEFAULT_PREC) -> SeparationReport:
+    """Audit d(t_i, t_j) >= delta_(j-i) over all pairs of the points
+    t_1..t_|w| that `word` visits (any form orbit_of_word takes).
 
     True for every genuine orbit of the pair behind `records`; a certified
     counterexample means the points do not belong to such an orbit.
+
+    A pair i < j with gap g = j - i and window x-count a = X_j - X_i has
+    t_j - t_i = a*alpha + (g - a)*beta, so its distance, and its gap to
+    delta_g, depend on (g, a) only.  Its radius R_i + R_j + rad(delta_g),
+    with R_k = X_k a_rad + Y_k b_rad, never falls as i grows, so the
+    undecided pairs of a (g, a) group come after its decided ones: one
+    bisection per group splits them, and the group's worst margin sits at
+    its last decided pair.  Units are those the points and deltas have on
+    the lcm of their reduced denominators, so margins in bits do not
+    depend on the scale the inputs were held on.
     """
-    n_pts = len(points)
+    is_x = [ch == "x" for ch in _word_letters(word)]
+    one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(alpha, beta, prec_bits)
+    n_pts = len(is_x)
     if n_pts < 2:
         return SeparationReport(0, (), 0, None)
     if len(records) < n_pts - 1:
         raise UsageError(f"need minima up to gap {n_pts - 1}, got {len(records)}")
-    for g, rec in enumerate(records[:n_pts - 1], start=1):
+    recs = records[:n_pts - 1]
+    for g, rec in enumerate(recs, start=1):
         if rec.n != g:
             raise UsageError("minima records must cover gaps 1, 2, ... in order")
 
-    one, units = _point_units(list(points) + [r.delta for r in records[:n_pts - 1]])
-    pu, du = units[:n_pts], units[n_pts:]
-    half = one >> 1
+    # every value on a common multiple of the denominators, then divided
+    # by the gcd of all units: the lcm of the reduced denominators.  The
+    # points' mids and radii are sums of their letters' steps, so the
+    # letters that occur stand in for them in the gcd.
+    big = math.lcm(one, *{r.den for r in recs})
+    scale = big // one
+    steps = ((a_mid, a_rad) if any(is_x) else ()) + \
+        ((b_mid, b_rad) if not all(is_x) else ())
+    deltas = [(r.d_units * (big // r.den), r.rad_units * (big // r.den))
+              for r in recs]
+    unit = math.gcd(big, *(scale * v for v in steps),
+                    *(v for pair in deltas for v in pair))
+    deltas = [(d // unit, r // unit) for d, r in deltas]
+    one = big // unit
+    a_mid, a_rad, b_mid, b_rad = (scale * v // unit
+                                  for v in (a_mid, a_rad, b_mid, b_rad))
+    xs = list(accumulate(is_x, initial=0))               # X_0..X_n
+    radii = [x * a_rad + (k - x) * b_rad for k, x in enumerate(xs)]
+
     violations: List[Tuple[int, int]] = []
     undecided = 0
     worst: Optional[int] = None
-    pairs = 0
-    for i in range(n_pts):
-        mi, ri = pu[i]
-        for j in range(i + 1, n_pts):
-            pairs += 1
-            r = (pu[j][0] - mi) % one
-            d = r if r <= half else one - r
-            dm, dr = du[j - i - 1]
-            gap = d - dm
-            radsum = ri + pu[j][1] + dr
-            if radsum and abs(gap) <= radsum << GUARD_BITS:
-                undecided += 1
-            elif gap < 0:
-                violations.append((i + 1, j + 1))
-            elif radsum:                # an exact pair carries no margin
+    for g in range(1, n_pts):
+        m = n_pts - g
+        dm, dr = deltas[g - 1]
+        counts = list(map(sub, xs[g + 1:], xs[1:m + 1]))  # pair (i, i + g) at i - 1
+        rev = counts[::-1]
+        for a in set(counts):
+            r = (a * a_mid + (g - a) * b_mid) % one
+            gap = min(r, one - r) - dm
+            # undecided iff the radius sum is positive and at least
+            # |gap| / 2**GUARD_BITS
+            need = max(-(-abs(gap) >> GUARD_BITS), 1) - dr
+            p = bisect_left(range(1, m + 1), need,
+                            key=lambda i: radii[i] + radii[i + g])
+            undecided += counts[p:].count(a)
+            if gap < 0:
+                violations.extend((i + 1, i + 1 + g)
+                                  for i in range(p) if counts[i] == a)
+                continue
+            try:
+                q = m - rev.index(a, m - p)                # last decided i
+            except ValueError:
+                continue
+            radsum = radii[q] + radii[q + g] + dr
+            if radsum:                  # an exact pair carries no margin
                 bits = gap.bit_length() - radsum.bit_length()
                 if worst is None or bits < worst:
                     worst = bits
-    return SeparationReport(pairs, tuple(violations), undecided, worst)
+    return SeparationReport(n_pts * (n_pts - 1) // 2, tuple(sorted(violations)),
+                            undecided, worst)
 
 
 @dataclass(frozen=True)

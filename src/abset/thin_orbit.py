@@ -317,7 +317,6 @@ def _covering_times(stages: Sequence[TStage], n0: int, sample_budget: int,
         if j not in excluded:
             picked.append(j)
 
-    det = set()
     menus = [_sample_menu(stages[lev].L) for lev in range(K - 1, n0 - 1, -1)]
     offsets = [stages[lev - 1].N for lev in range(K - 1, n0 - 1, -1)]
     base = stages[n0 - 1]
@@ -328,21 +327,19 @@ def _covering_times(stages: Sequence[TStage], n0: int, sample_budget: int,
         base_menu.extend(c * sub for c in _sample_menu(base.L or 1)
                          if 1 <= c * sub <= base.N)
 
-    def emit(j: int):
-        for cand in (j - 1, j, j + 1):
-            if 1 <= cand <= horizon and cand not in excluded:
-                det.add(cand)
+    near = set()                # each corner time and its two neighbours
 
     def walk(depth: int, offset: int):
         if depth == len(menus):
             for r in base_menu:
-                emit(offset + r)
+                near.update((offset + r - 1, offset + r, offset + r + 1))
             return
         for c in menus[depth]:
             walk(depth + 1, offset + c * offsets[depth])
 
     walk(0, 0)
-    return excluded, list(det), picked
+    det = [j for j in near if 1 <= j <= horizon and j not in excluded]
+    return excluded, det, picked
 
 
 def restricted_covering(stages: Sequence[TStage], n0: int, *,
@@ -422,6 +419,7 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     drift_counts = set()        # drift count vectors that may hold the max
     drift_floor = 0             # running max of the drift lower bounds
     base_w, final_w = base.W, final.W
+    base_counts: Dict[int, Tuple[int, int]] = {}    # W_n0 prefix counts by p
     for j in det + picked:
         p = j
         dx = dy = img = 0
@@ -434,7 +432,9 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
             dy += c * l_lev
             img += c * w_img
             p = rem + 1
-        bx, by = prefix_counts(base_w, p)
+        if p not in base_counts:
+            base_counts[p] = prefix_counts(base_w, p)
+        bx, by = base_counts[p]
         cx, cy = prefix_counts(final_w, j)
         if cx != dx + bx or cy != dy + by:
             raise InvariantViolation("split-eval-mismatch", f"time {j}")

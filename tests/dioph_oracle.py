@@ -1,5 +1,7 @@
 """Test oracle: the Fraction interval arithmetic and the dichotomy, horizon
-and probe scans that ran on it before they moved onto integer units.
+and probe scans that ran on it before they moved onto integer units, and
+the separation check's loop over every pair of orbit points, which ran
+before the check moved onto letter counts.
 
 Every value here is an `Interval` of two exact Fractions, and every
 power threshold goes through `cmp_products`.  The scans read the minima
@@ -8,6 +10,7 @@ the integer-unit code but the minima scan itself, which has its own
 oracles.  The integer-unit scans must agree with these field for field.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -26,6 +29,7 @@ from abset.diophantine import (
     GapDichotomyReport,
     ProbeCase,
     QualifyingScan,
+    SeparationReport,
     WindowWitness,
     _minima_impl,
 )
@@ -135,6 +139,42 @@ def scan_horizon(delta, s: Fraction) -> int:
     if n_lo != n_hi:
         raise InsufficientPrecision("scan-horizon", f"N lies in [{n_lo}, {n_hi}]")
     return n_hi
+
+
+def orbit_separation_check(points, records) -> SeparationReport:
+    """d(t_i, t_j) >= delta_(j-i), one pair at a time, on the lcm of the
+    reduced denominators of the points, the deltas and their radii."""
+    n_pts = len(points)
+    if n_pts < 2:
+        return SeparationReport(0, (), 0, None)
+    if len(records) < n_pts - 1:
+        raise UsageError(f"need minima up to gap {n_pts - 1}, got {len(records)}")
+    for g, rec in enumerate(records[:n_pts - 1], start=1):
+        if rec.n != g:
+            raise UsageError("minima records must cover gaps 1, 2, ... in order")
+    vals = [as_interval(v) for v in points] + \
+        [as_interval(r.delta) for r in records[:n_pts - 1]]
+    one = math.lcm(*(x.denominator for v in vals for x in (v.mid, v.rad)))
+    units = [(int(v.mid * one), int(v.rad * one)) for v in vals]
+    pu, du = units[:n_pts], units[n_pts:]
+    violations: List[Tuple[int, int]] = []
+    undecided = 0
+    worst: Optional[int] = None
+    for i in range(n_pts):
+        for j in range(i + 1, n_pts):
+            r = (pu[j][0] - pu[i][0]) % one
+            gap = min(r, one - r) - du[j - i - 1][0]
+            radsum = pu[i][1] + pu[j][1] + du[j - i - 1][1]
+            if radsum and abs(gap) <= radsum << GUARD_BITS:
+                undecided += 1
+            elif gap < 0:
+                violations.append((i + 1, j + 1))
+            elif radsum:                # an exact pair carries no margin
+                bits = gap.bit_length() - radsum.bit_length()
+                if worst is None or bits < worst:
+                    worst = bits
+    return SeparationReport(n_pts * (n_pts - 1) // 2, tuple(violations),
+                            undecided, worst)
 
 
 def _dec(value) -> str:

@@ -226,7 +226,8 @@ def test_criterion_5_surd_pair_scans():
     ratio = dio.integer_ratio_scan(alpha, beta, 500, tol=Fraction(1, 2 ** 64),
                                    prec_bits=256)
     orbit = dio.orbit_of_word("( ( x y ) ^ 250 )", alpha, beta, 256)
-    separation = dio.orbit_separation_check(orbit, records[:499])
+    separation = dio.orbit_separation_check("( ( x y ) ^ 250 )", alpha, beta,
+                                            records[:499], 256)
     dich = dio.dichotomy_scan(alpha, beta, orbit, dio.ProbeParams(), 500, 256)
     elapsed = time.monotonic() - t0
 

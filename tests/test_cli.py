@@ -107,14 +107,20 @@ def test_thin_orbit_desk_defaults(capsys, tmp_path):
     assert report["config"]["eps1"] == "2^-40"
 
 
-def test_thin_orbit_level2_bounds_hold_without_warnings(capsys, tmp_path):
+def test_thin_orbit_level2_bounds_hold_vacuously_with_a_warning(capsys, tmp_path):
+    # both level-2 bounds hold, but 2,806 samples cannot show more than
+    # N_2 (about 1.1e12) cells, so the cell bound is named vacuous
     out = tmp_path / "t.json"
     rc, stdout, _ = run(capsys, "thin-orbit", "--samples", "200", "--n0", "2",
                         "--out", str(out))
     assert rc == 0
     cov = json.loads(out.read_text())["covering"]
     assert cov["cell_bound_ok"] is True and cov["drift_bound_ok"] is True
-    assert "WARN " not in stdout
+    warns = [line for line in stdout.splitlines() if line.startswith("WARN ")]
+    assert warns == [
+        "WARN cell_bound_vacuous: 2806 samples < N_2 = 1099506938400 at n0 = 2, "
+        "so cells <= N_2 cannot fail (recorded, not enforced)",
+    ]
 
 
 def test_thin_orbit_deterministic_covering(capsys, tmp_path):

@@ -7,6 +7,7 @@ instances are checked against high-precision mpmath evaluations.  Frozen
 counts come from oracle runs of the same instances.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from abset.diophantine import (
     DEFAULT_PAIR_BUDGET,
+    DEFAULT_PREC,
     DEFAULT_SEP_BUDGET,
     GUARD_BITS,
     ApproxReal,
@@ -40,6 +42,7 @@ from abset.diophantine import (
     _resolve_pair,
 )
 from abset.errors import InsufficientPrecision, UsageError
+from abset.words import EMPTY, X, Y, concat, format_word
 
 import dioph_oracle as oracle
 
@@ -543,7 +546,7 @@ def test_separation_exact_orbit_all_equalities(al):
     # exact equalities are decided whatever the denominator
     pts = orbit_of_word("x" * 10, al, al)
     recs = minima_sequence(al, al, 9)
-    rep = orbit_separation_check(pts, recs)
+    rep = orbit_separation_check("x" * 10, al, al, recs)
     assert rep.pairs_checked == 45
     assert not rep.violations
     assert rep.undecided == 0
@@ -553,9 +556,8 @@ def test_separation_exact_orbit_all_equalities(al):
 
 
 def test_separation_surd_orbit_frozen():
-    pts = orbit_of_word("xy" * 25, S2M1, S3M1)
     recs = minima_sequence(S2M1, S3M1, 49)
-    rep = orbit_separation_check(pts, recs)
+    rep = orbit_separation_check("xy" * 25, S2M1, S3M1, recs)
     assert rep.pairs_checked == 1225
     assert not rep.violations
     assert rep.undecided == 153     # exact-equality pairs stay undecided
@@ -564,13 +566,12 @@ def test_separation_surd_orbit_frozen():
 
 def test_separation_requires_gap_coverage():
     al = F(89, 144)
-    pts = orbit_of_word("x" * 10, al, al)
     recs = minima_sequence(al, al, 9)
     with pytest.raises(UsageError) as exc:
-        orbit_separation_check(pts, recs[:5])
+        orbit_separation_check("x" * 10, al, al, recs[:5])
     assert "need minima up to gap 9" in str(exc.value)
     with pytest.raises(UsageError):
-        orbit_separation_check(pts, list(reversed(recs)))
+        orbit_separation_check("x" * 10, al, al, list(reversed(recs)))
 
 
 # -- localized probe ----------------------------------------------------------
@@ -836,7 +837,7 @@ def test_huge_denominators_minima_ratio_separation():
     assert [(p.i, p.j, p.ell) for p in rep.qualifying] == \
         fraction_ratio_pairs([r.delta for r in recs], F(1, 2 ** 64))
     assert rep.pairs_examined == 435 and rep.undecided == ()
-    sep = orbit_separation_check(orbit_of_word("xy" * 15, HA, HB), recs)
+    sep = orbit_separation_check("xy" * 15, HA, HB, recs)
     assert (sep.pairs_checked, sep.violations, sep.undecided,
             sep.worst_margin_bits) == (435, (), 0, None)
 
@@ -1041,3 +1042,93 @@ def test_engineered_ties_match_interval_oracle(blurred, t):
     assert any(r.min_gap_violations for r in reports)
     assert any(r.undecided for r in reports) == (blurred and t == 2)
     assert "case2b" in [c.outcome for c in probe.cases]
+
+
+# -- separation on letter counts against the pair loop ------------------------
+
+@st.composite
+def separation_cases(draw):
+    """(word, alpha, beta, prec, records): an x/y word of 0 to 60 letters,
+    mostly cut to the prefix its minima cover, plain, as a WordExpr or in
+    the grammar; the pair's minima at this or another precision, some
+    raised past real distances (a certified violation) or by one unit (a
+    tie left undecided)."""
+    alpha, beta = draw(oracle_pairs)
+    prec = draw(st.sampled_from([128, 256]))
+    rec_prec = draw(st.sampled_from([128, 256]))
+    size = draw(st.integers(min_value=0, max_value=60))
+    letters_ = draw(st.text("xy", min_size=size, max_size=size))
+    try:
+        recs = minima_sequence(alpha, beta, max(size - 1, 1), rec_prec)
+    except (InsufficientPrecision, UsageError):
+        recs = []
+    if draw(st.integers(min_value=0, max_value=3)):
+        letters_ = letters_[:len(recs) + 1]   # the prefix the minima cover
+    word = letters_
+    if draw(st.booleans()):
+        expr = functools.reduce(concat, [X if c == "x" else Y for c in letters_],
+                                EMPTY)
+        word = draw(st.sampled_from([expr, format_word(expr)]))
+    if draw(st.booleans()):
+        recs = [MinimaRecord(r.n, r.u, r.minimal, r.d_units + draw(st.sampled_from(
+                    [0, 0, 1, r.den >> 2, r.den >> 8, r.den >> 40])),
+                    r.rad_units, r.den) for r in recs]
+    return word, alpha, beta, prec, recs
+
+
+def pair_loop_separation(word, alpha, beta, prec, recs):
+    return oracle.orbit_separation_check(orbit_of_word(word, alpha, beta, prec), recs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(separation_cases())
+def test_separation_matches_pair_loop_oracle(case):
+    assert outcome(orbit_separation_check, *case[:3], case[4], case[3]) == \
+        outcome(pair_loop_separation, *case)
+
+
+def test_separation_forged_records_match_pair_loop_oracle():
+    # delta_g forged to half a turn puts every pair of gap g below it
+    recs = minima_sequence(S2M1, S3M1, 29)
+    forged = [MinimaRecord(r.n, r.u, r.minimal,
+                           r.den >> 1 if r.n % 7 == 3 else r.d_units,
+                           r.rad_units, r.den) for r in recs]
+    word = "xyyxy" * 6
+    rep = orbit_separation_check(word, S2M1, S3M1, forged)
+    assert rep == pair_loop_separation(word, S2M1, S3M1, DEFAULT_PREC, forged)
+    assert rep.violations == tuple(sorted(rep.violations))
+    assert {j - i for i, j in rep.violations} == {3, 10, 17, 24}
+    assert len(rep.violations) == 27 + 20 + 13 + 6
+
+
+def test_separation_margin_on_units_that_share_an_odd_factor():
+    # a mixed pair on den = 3 * 2^272 whose x-only orbit and (lowered)
+    # minima all sit on multiples of 3 units: the margin in bits is read
+    # on the lcm of the reduced denominators, den / 3 up to a power of 2,
+    # and reads 81 on den itself
+    alpha = ApproxReal(F(3, 64), F(1, 3 * 2 ** 151))
+    beta = F(1, 3)
+    recs = [MinimaRecord(r.n, r.u, r.minimal, r.d_units - (21 << 200),
+                         r.rad_units, r.den)
+            for r in minima_sequence(alpha, beta, 2)]
+    assert all(r.d_units % 3 == r.rad_units % 3 == 0 for r in recs)
+    rep = orbit_separation_check("xxx", alpha, beta, recs)
+    assert rep == pair_loop_separation("xxx", alpha, beta, DEFAULT_PREC, recs)
+    assert (rep.pairs_checked, rep.undecided, rep.worst_margin_bits) == (3, 0, 80)
+
+
+@pytest.mark.parametrize("past", [-1, 0, 1], ids=["inside", "at", "past"])
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_separation_guard_edge(past, side):
+    # one pair t_1, t_2 of gap 1 whose gap to a forged delta_1 sits at
+    # the guard edge |gap| = radius * 2^GUARD_BITS, or one unit to either
+    # side; a record radius of one unit keeps the units unscaled
+    one, (a_mid, a_rad), _ = _resolve_pair(S2M1, S3M1, DEFAULT_PREC)
+    d = min(a_mid % one, one - a_mid % one)
+    edge = (a_rad + 2 * a_rad + 1) << GUARD_BITS
+    rec = MinimaRecord(1, (1, 0), True, d - side * (edge + past), 1, one)
+    rep = orbit_separation_check("xx", S2M1, S3M1, [rec])
+    assert rep == pair_loop_separation("xx", S2M1, S3M1, DEFAULT_PREC, [rec])
+    assert rep.undecided == (past <= 0)
+    assert rep.violations == (((1, 2),) if past > 0 and side < 0 else ())
+    assert (rep.worst_margin_bits is not None) == (past > 0 and side > 0)
