@@ -256,21 +256,17 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
     want = {"minima", "ratio", "separation", "dichotomy"} \
         if which == "all" else {which}
 
-    # the separation check reads a prefix of the word, the dichotomy its orbit
+    # one minima pass for every scan; the separation check reads a prefix
+    # of the word, the dichotomy its orbit
+    records = diophantine.minima_sequence(alpha, beta, nmax, prec)
     word = "xy" * ((nmax + 1) // 2)
-    if "dichotomy" in want:
-        orbit = diophantine.orbit_of_word(word[:nmax], alpha, beta, prec)
-    records = None
-    if want & {"minima", "separation"}:
-        records = diophantine.minima_sequence(alpha, beta, nmax, prec)
     if "minima" in want:
         minimal = [r for r in records if r.minimal]
         summary["minima"] = {"computed": len(records),
                              "minimal": [r.n for r in minimal]}
         results["minima"] = records
     if "ratio" in want:
-        rep = results["ratio"] = diophantine.integer_ratio_scan(
-            alpha, beta, nmax, prec_bits=prec)
+        rep = results["ratio"] = diophantine.integer_ratio_scan(records)
         summary["ratio"] = {"pairs_examined": rep.pairs_examined,
                             "qualifying": len(rep.qualifying),
                             "violations": len(rep.violations),
@@ -294,8 +290,9 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
                        f"{len(rep.violations)} violations, "
                        f"{rep.undecided} undecided"))
     if "dichotomy" in want:
+        orbit = diophantine.orbit_of_word(word[:nmax], alpha, beta, prec)
         scan = results["dichotomy"] = diophantine.dichotomy_scan(
-            alpha, beta, orbit, params, nmax, prec)
+            orbit, records, params)
         summary["dichotomy"] = {"qualifying": list(scan.qualifying),
                                 "violation_total": scan.violation_total,
                                 "refusals": list(scan.refusals)}
@@ -336,6 +333,10 @@ def _dioph_rows(results: dict) -> list:
 
 
 def cmd_dioph(args) -> Tuple[dict, List[Check], List[Warn]]:
+    if args.nmax < 1:
+        raise UsageError(f"bad nmax {args.nmax}: need an integer >= 1")
+    if args.prec < 0:
+        raise UsageError(f"bad prec {args.prec}: need an integer >= 0")
     summary, checks, results = _run_dioph_scans(args.alpha, args.beta,
                                                 args.nmax, args.prec, args.scan)
     if args.out:

@@ -4,15 +4,21 @@ built on them.
 The basic object is delta_n = min ||a*alpha + b*beta|| over integer
 pairs (a, b) >= 0 with a + b = n, together with the realizing vector
 u_n.  An index n is *minimal* when delta_n improves on (or ties) every
-earlier value.  On top of the minima sit three scans:
+earlier value.  `minima_sequence` computes the records once, and the
+scans read them as an argument:
 
   * integer_ratio_scan: pairs of values whose ratio is within tolerance
     of an integer l must satisfy the structural lemma n_i | n_j and
     u_j = l * u_i; deviations are reported.
-  * gap_dichotomy: pairwise distances on an orbit prefix either exceed
-    delta_n^t or fall below delta_m / delta_n^s; nothing in between.
-  * assouad_lower_probe: the localized covering case analysis behind
-    the min(s/t, r/t, r) lower-bound exponent.
+  * orbit_separation_check: points t_i, t_j of an orbit keep distance
+    at least delta_(j-i).
+  * dichotomy_scan: for each qualifying (n, m), pairwise distances on an
+    orbit prefix either exceed delta_n^t or fall below
+    delta_m / delta_n^s; nothing in between.
+
+assouad_lower_probe, the localized covering case analysis behind the
+min(s/t, r/t, r) lower-bound exponent, extends its own minima up to
+each horizon.
 
 Representation: every circle value is an integer midpoint and an integer
 radius over one common denominator.  An exact rational pair sits on the
@@ -355,8 +361,9 @@ def _near(codes: List[int], width: int, target: int, reach: int,
     return codes[start:] + codes[:bisect_left(codes, (hi - one + 1) * width)]
 
 
-def _minima_impl(alpha, beta, n_max: int, prec_bits: int) -> List[MinimaRecord]:
-    """The minima scan; stops at an exact zero, its last record.
+def minima_sequence(alpha, beta, n_max: int,
+                    prec_bits: int = DEFAULT_PREC) -> List[MinimaRecord]:
+    """Records for n = 1..n_max; stops at an exact zero, its last record.
 
     With gamma = alpha - beta, the value at (a, n - a) is a*gamma + n*beta,
     so delta_n is the circle distance from the target -n*beta to the
@@ -429,22 +436,6 @@ def _minima_impl(alpha, beta, n_max: int, prec_bits: int) -> List[MinimaRecord]:
         if d_min == 0 and rad_min == 0:
             break
     return records
-
-
-def delta_n(alpha, beta, n: int, prec_bits: int = DEFAULT_PREC) -> MinimaRecord:
-    """The n-th minimum with its realizing vector and minimality flag."""
-    if n < 1:
-        raise UsageError("delta_n needs n >= 1")
-    recs = _minima_impl(alpha, beta, n, prec_bits)
-    if len(recs) < n:                # an exact zero ended the scan early
-        raise UsageError(f"minima sequence terminates at n={recs[-1].n} with value 0")
-    return recs[n - 1]
-
-
-def minima_sequence(alpha, beta, n_max: int,
-                    prec_bits: int = DEFAULT_PREC) -> List[MinimaRecord]:
-    """Records for n = 1..n_max; stops early at an exact zero."""
-    return _minima_impl(alpha, beta, n_max, prec_bits)
 
 
 def scan_horizon(mid: int, rad: int, den: int, s: Fraction) -> int:
@@ -527,9 +518,7 @@ class RatioViolation:
 
 @dataclass(frozen=True)
 class RatioScanReport:
-    n_max: int
     tol: Fraction
-    records: Tuple[MinimaRecord, ...]
     qualifying: Tuple[RatioPair, ...]
     violations: Tuple[RatioViolation, ...]
     undecided: Tuple[Tuple[int, int], ...]
@@ -570,15 +559,14 @@ def primitive_decomposition(u: Tuple[int, int],
     return prim, a, b
 
 
-def integer_ratio_scan(alpha, beta, n_max: int, tol=Fraction(1, 1 << 64),
-                       prec_bits: int = DEFAULT_PREC) -> RatioScanReport:
-    """Flag value pairs with a near-integer ratio and audit the lemma
-    n_i | n_j, u_j = l * u_i on each; raw rational inputs may genuinely
-    violate it and are reported, not raised."""
+def integer_ratio_scan(records: Sequence[MinimaRecord],
+                       tol=Fraction(1, 1 << 64)) -> RatioScanReport:
+    """Flag pairs of the minima `records` with a near-integer ratio and
+    audit the lemma n_i | n_j, u_j = l * u_i on each; raw rational inputs
+    may genuinely violate it and are reported, not raised."""
     tol = Fraction(tol)
     if tol <= 0:
         raise UsageError("tolerance must be positive")
-    recs = _minima_impl(alpha, beta, n_max, prec_bits)
     qualifying: List[RatioPair] = []
     violations: List[RatioViolation] = []
     undecided: List[Tuple[int, int]] = []
@@ -603,24 +591,24 @@ def integer_ratio_scan(alpha, beta, n_max: int, tol=Fraction(1, 1 << 64),
 
     tp, tq = tol.numerator, tol.denominator
     screen = tol <= _SCREEN / 2
-    fl = [r.d_units / r.den for r in recs]    # once per record, never overflows
-    for i in range(len(recs)):
-        d_i, r_i = recs[i].d_units, recs[i].rad_units
+    fl = [r.d_units / r.den for r in records]  # once per record, never overflows
+    for i in range(len(records)):
+        d_i, r_i = records[i].d_units, records[i].rad_units
         c = _decide(d_i, r_i)
         if c is None:
             # sign of the base value itself is unclear; flagged as (n, 0)
-            undecided.append((recs[i].n, 0))
+            undecided.append((records[i].n, 0))
         if not c:
             continue
         f_i = fl[i] if screen and fl[i] >= _TINY else None
-        for j in range(i + 1, len(recs)):
+        for j in range(i + 1, len(records)):
             pairs += 1
             if f_i is not None:
                 ratio = fl[j] / f_i
                 if ratio < 0.5 or (ratio < _SCREEN_MAX
                                    and abs(ratio - round(ratio)) > _SCREEN):
                     continue
-            d_j, r_j = recs[j].d_units, recs[j].rad_units
+            d_j, r_j = records[j].d_units, records[j].rad_units
             ell = (2 * d_j + d_i) // (2 * d_i)          # nearest integer
             if ell < 1:
                 continue
@@ -628,23 +616,23 @@ def integer_ratio_scan(alpha, beta, n_max: int, tol=Fraction(1, 1 << 64),
             off = abs(d_j - ell * d_i)
             c = _decide(tq * off - tp * d_i, tq * (r_j + ell * r_i) + tp * r_i)
             if c is None:
-                undecided.append((recs[i].n, recs[j].n))
+                undecided.append((records[i].n, records[j].n))
             elif c <= 0:
-                audit(recs[i], recs[j], ell)
-    return RatioScanReport(n_max, tol, tuple(recs), tuple(qualifying),
-                           tuple(violations), tuple(undecided), pairs,
-                           recs[-1].n if recs[-1].is_zero else None)
+                audit(records[i], records[j], ell)
+    return RatioScanReport(tol, tuple(qualifying), tuple(violations),
+                           tuple(undecided), pairs,
+                           records[-1].n if records[-1].is_zero else None)
 
 
 # ---------------------------------------------------------------------------
-# orbits and the gap dichotomy
+# orbits, their separation and the gap dichotomy
 
 
 def _word_letters(word: Union[WordExpr, str]) -> Iterator[str]:
     """The letters of `word`, in any form orbit_of_word takes."""
     if not isinstance(word, str):
         return letters(word)
-    if word and set(word) <= {"x", "y"}:
+    if set(word) <= {"x", "y"}:
         return iter(word)
     try:
         return letters(parse_word(word))
@@ -796,91 +784,8 @@ class GapDichotomyReport:
     min_gap_violations: Tuple[Tuple[int, int], ...] = ()
 
 
-def gap_dichotomy(alpha, beta, points, n: int, m: int, params: ProbeParams,
-                  prec_bits: int = DEFAULT_PREC,
-                  pair_budget: int = DEFAULT_PAIR_BUDGET) -> GapDichotomyReport:
-    """Classify orbit pair distances as separated (>= delta_n**t) or
-    clustered (<= delta_m / delta_n**s); anything between is a violation.
-
-    Unmet preconditions refuse the classification with a reason instead
-    of raising.
-    """
-    def refuse(reason, horizon=None):
-        return GapDichotomyReport(n, m, True, reason, horizon)
-
-    if n < 1 or m < 1:
-        return refuse("indices must be >= 1")
-    recs = _minima_impl(alpha, beta, max(n, m), prec_bits)
-    if len(recs) < max(n, m):
-        return refuse(f"minima sequence terminates at n={recs[-1].n} with value 0")
-    rec_n, rec_m = recs[n - 1], recs[m - 1]
-    if not rec_n.minimal:
-        return refuse(f"delta at n={n} is not minimal")
-    if not rec_m.minimal:
-        return refuse(f"delta at m={m} is not minimal")
-    if rec_n.is_zero:
-        return refuse("delta_n is zero")
-    c = _cmp_close(rec_m, rec_n, params.t)
-    if c is None:
-        return refuse("delta_m vs delta_n**t undecidable at working precision")
-    if c >= 0:
-        return refuse("delta_m is not below delta_n**t")
-    try:
-        horizon = scan_horizon(rec_n.d_units, rec_n.rad_units, rec_n.den, params.s)
-    except InsufficientPrecision as exc:
-        return refuse(f"horizon undecidable: {exc.detail}")
-    if m > horizon:
-        return refuse(f"m={m} exceeds the horizon {horizon}", horizon)
-    return _classify_gaps(points, rec_n, rec_m, horizon, params, pair_budget)
-
-
-def _classify_gaps(points, rec_n: MinimaRecord, rec_m: MinimaRecord,
-                   horizon: int, params: ProbeParams,
-                   pair_budget: int) -> GapDichotomyReport:
-    """gap_dichotomy past its minima preconditions: (n, m) qualifies and
-    m is within the horizon."""
-    n, m = rec_n.n, rec_m.n
-    if len(points) < horizon:
-        return GapDichotomyReport(n, m, True, f"orbit has {len(points)} points, "
-                                  f"horizon needs {horizon}", horizon)
-    if horizon * (horizon - 1) // 2 > pair_budget:
-        return GapDichotomyReport(n, m, True, f"horizon {horizon} exceeds the "
-                                  "pair budget", horizon)
-    tp, tq = params.t.numerator, params.t.denominator
-    sp, sq = params.s.numerator, params.s.denominator
-    one, units = _point_units([rec_n.delta, rec_m.delta] + list(points[:horizon]))
-    (dn, rn), (dm, rm), pts = units[0], units[1], units[2:]
-    separated = clustered = 0
-    violations: List[Tuple[int, int]] = []
-    undecided: List[Tuple[int, int]] = []
-    min_gap_bad: List[Tuple[int, int]] = []
-    for i in range(horizon):
-        for j in range(i + 1, horizon):
-            d, rad = _gap(pts[j], pts[i], one)
-            if _decide(d - dm, rad + rm) == -1:
-                min_gap_bad.append((i + 1, j + 1))
-            sep = _cmp_powers([(d, rad, tq)], [(dn, rn, tp)], one)
-            if sep is not None and sep >= 0:
-                separated += 1
-                continue
-            clu = _cmp_powers([(d, rad, sq), (dn, rn, sp)], [(dm, rm, sq)], one)
-            if clu is not None and clu <= 0:
-                clustered += 1
-            elif sep is None or clu is None:
-                undecided.append((i + 1, j + 1))
-            else:
-                violations.append((i + 1, j + 1))
-    return GapDichotomyReport(n, m, False, None, horizon,
-                              dec_sci(Fraction(rec_n.d_units, rec_n.den)),
-                              dec_sci(Fraction(rec_m.d_units, rec_m.den)),
-                              horizon * (horizon - 1) // 2, separated, clustered,
-                              tuple(violations), tuple(undecided),
-                              tuple(min_gap_bad))
-
-
 @dataclass(frozen=True)
 class QualifyingScan:
-    n_max: int
     qualifying: Tuple[Tuple[int, int], ...]
     reports: Tuple[GapDichotomyReport, ...]
     violation_total: int
@@ -888,14 +793,63 @@ class QualifyingScan:
     notes: Tuple[str, ...]
 
 
-def dichotomy_scan(alpha, beta, points, params: ProbeParams, n_max: int,
-                   prec_bits: int = DEFAULT_PREC,
+def dichotomy_scan(points, records: Sequence[MinimaRecord], params: ProbeParams,
                    pair_budget: int = DEFAULT_PAIR_BUDGET) -> QualifyingScan:
-    """Run gap_dichotomy on every qualifying (n, m): n minimal, m minimal,
-    m <= min(horizon(n), n_max), delta_m < delta_n**t."""
-    minimal = [r for r in _minima_impl(alpha, beta, n_max, prec_bits) if r.minimal]
+    """Classify orbit pair distances for every qualifying (n, m) of the
+    minima `records`: n and m minimal, n < m <= horizon(n) and
+    delta_m < delta_n**t.
+
+    Below the horizon each pair of `points` is separated (>= delta_n**t)
+    or clustered (<= delta_m / delta_n**s); anything between is a
+    violation.  A pair whose orbit is too short for its horizon, or whose
+    horizon exceeds the pair budget, is refused with a reason.
+    """
+    tp, tq = params.t.numerator, params.t.denominator
+    sp, sq = params.s.numerator, params.s.denominator
+    minimal = [r for r in records if r.minimal]
     reports: List[GapDichotomyReport] = []
     notes: List[str] = []
+
+    def classify(rec_n: MinimaRecord, rec_m: MinimaRecord,
+                 horizon: int) -> GapDichotomyReport:
+        n, m = rec_n.n, rec_m.n
+        if len(points) < horizon:
+            return GapDichotomyReport(n, m, True, f"orbit has {len(points)} "
+                                      f"points, horizon needs {horizon}", horizon)
+        if horizon * (horizon - 1) // 2 > pair_budget:
+            return GapDichotomyReport(n, m, True, f"horizon {horizon} exceeds "
+                                      "the pair budget", horizon)
+        one, units = _point_units([rec_n.delta, rec_m.delta]
+                                  + list(points[:horizon]))
+        (dn, rn), (dm, rm), pts = units[0], units[1], units[2:]
+        separated = clustered = 0
+        violations: List[Tuple[int, int]] = []
+        undecided: List[Tuple[int, int]] = []
+        min_gap_bad: List[Tuple[int, int]] = []
+        for i in range(horizon):
+            for j in range(i + 1, horizon):
+                d, rad = _gap(pts[j], pts[i], one)
+                if _decide(d - dm, rad + rm) == -1:
+                    min_gap_bad.append((i + 1, j + 1))
+                sep = _cmp_powers([(d, rad, tq)], [(dn, rn, tp)], one)
+                if sep is not None and sep >= 0:
+                    separated += 1
+                    continue
+                clu = _cmp_powers([(d, rad, sq), (dn, rn, sp)], [(dm, rm, sq)],
+                                  one)
+                if clu is not None and clu <= 0:
+                    clustered += 1
+                elif sep is None or clu is None:
+                    undecided.append((i + 1, j + 1))
+                else:
+                    violations.append((i + 1, j + 1))
+        return GapDichotomyReport(n, m, False, None, horizon,
+                                  dec_sci(Fraction(rec_n.d_units, rec_n.den)),
+                                  dec_sci(Fraction(rec_m.d_units, rec_m.den)),
+                                  horizon * (horizon - 1) // 2, separated,
+                                  clustered, tuple(violations),
+                                  tuple(undecided), tuple(min_gap_bad))
+
     for rec in minimal:
         if rec.is_zero:
             notes.append(f"n={rec.n}: zero minimum, no horizon")
@@ -905,16 +859,15 @@ def dichotomy_scan(alpha, beta, points, params: ProbeParams, n_max: int,
         except InsufficientPrecision as exc:
             notes.append(f"n={rec.n}: {exc}")
             continue
-        for other in minimal:           # every record lies at or below n_max
+        for other in minimal:
             if not rec.n < other.n <= horizon:
                 continue
             c = _cmp_close(other, rec, params.t)
             if c is None:
                 notes.append(f"(n={rec.n}, m={other.n}): closeness undecidable")
             elif c < 0:
-                reports.append(_classify_gaps(points, rec, other, horizon,
-                                              params, pair_budget))
-    return QualifyingScan(n_max, tuple((r.n, r.m) for r in reports), tuple(reports),
+                reports.append(classify(rec, other, horizon))
+    return QualifyingScan(tuple((r.n, r.m) for r in reports), tuple(reports),
                           sum(len(r.violations) for r in reports),
                           tuple((r.n, r.m, r.reason) for r in reports if r.refused),
                           tuple(notes))
@@ -989,7 +942,7 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
     """
     if not n_list:
         raise UsageError("probe needs a nonempty n_list")
-    recs = _minima_impl(alpha, beta, max(n_list), prec_bits)
+    recs = minima_sequence(alpha, beta, max(n_list), prec_bits)
     tp, tq = params.t.numerator, params.t.denominator
     sp, sq = params.s.numerator, params.s.denominator
     rp, rq = params.r.numerator, params.r.denominator
@@ -1007,16 +960,19 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
             horizon = scan_horizon(rec.d_units, rec.rad_units, rec.den, params.s)
         except InsufficientPrecision as exc:
             return ProbeCase(n, "skipped", f"horizon undecidable: {exc.detail}")
-        if horizon > len(recs) and not recs[-1].is_zero:
-            # companion minima up to the horizon, not just up to max(n_list)
-            try:
-                recs = _minima_impl(alpha, beta, horizon, prec_bits)
-            except InsufficientPrecision as exc:
-                return ProbeCase(n, "skipped", f"minima extension undecidable: "
-                                 f"{exc.detail}", horizon)
+        # before the minima extension, which would otherwise run to a
+        # horizon no orbit prefix reaches (about 10**14 for a delta_n
+        # near 10**-29)
         if len(points) < horizon:
             return ProbeCase(n, "skipped", f"orbit has {len(points)} points, "
                              f"horizon needs {horizon}", horizon)
+        if horizon > len(recs) and not recs[-1].is_zero:
+            # companion minima up to the horizon, not just up to max(n_list)
+            try:
+                recs = minima_sequence(alpha, beta, horizon, prec_bits)
+            except InsufficientPrecision as exc:
+                return ProbeCase(n, "skipped", f"minima extension undecidable: "
+                                 f"{exc.detail}", horizon)
         if indices is None:
             sel = list(range(1, horizon + 1))
         elif isinstance(indices, IndexSet):

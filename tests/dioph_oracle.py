@@ -31,7 +31,7 @@ from abset.diophantine import (
     QualifyingScan,
     SeparationReport,
     WindowWitness,
-    _minima_impl,
+    minima_sequence,
 )
 from abset.errors import InsufficientPrecision, UsageError
 from abset.exact import ceil_root_ratio, dec_sci, dist_to_int
@@ -188,7 +188,7 @@ def gap_dichotomy(alpha, beta, points, n, m, params, prec_bits=DEFAULT_PREC,
 
     if n < 1 or m < 1:
         return refuse("indices must be >= 1")
-    recs = _minima_impl(alpha, beta, max(n, m), prec_bits)
+    recs = minima_sequence(alpha, beta, max(n, m), prec_bits)
     if len(recs) < max(n, m):
         return refuse(f"minima sequence terminates at n={recs[-1].n} with value 0")
     rec_n, rec_m = recs[n - 1], recs[m - 1]
@@ -249,7 +249,7 @@ def gap_dichotomy(alpha, beta, points, n, m, params, prec_bits=DEFAULT_PREC,
 
 def dichotomy_scan(alpha, beta, points, params, n_max, prec_bits=DEFAULT_PREC,
                    pair_budget=DEFAULT_PAIR_BUDGET) -> QualifyingScan:
-    recs = _minima_impl(alpha, beta, n_max, prec_bits)
+    recs = minima_sequence(alpha, beta, n_max, prec_bits)
     tp, tq = params.t.numerator, params.t.denominator
     qualifying, reports, refusals, notes = [], [], [], []
     total = 0
@@ -281,7 +281,7 @@ def dichotomy_scan(alpha, beta, points, params, n_max, prec_bits=DEFAULT_PREC,
                     refusals.append((rec.n, mm, rep.reason))
                 else:
                     total += len(rep.violations)
-    return QualifyingScan(n_max, tuple(qualifying), tuple(reports), total,
+    return QualifyingScan(tuple(qualifying), tuple(reports), total,
                           tuple(refusals), tuple(notes))
 
 
@@ -302,7 +302,7 @@ def assouad_lower_probe(alpha, beta, points, indices, params,
                         sep_budget=DEFAULT_SEP_BUDGET) -> AssouadProbeReport:
     if not n_list:
         raise UsageError("probe needs a nonempty n_list")
-    recs = _minima_impl(alpha, beta, max(n_list), prec_bits)
+    recs = minima_sequence(alpha, beta, max(n_list), prec_bits)
     tp, tq = params.t.numerator, params.t.denominator
     sp, sq = params.s.numerator, params.s.denominator
     rp, rq = params.r.numerator, params.r.denominator
@@ -324,19 +324,19 @@ def assouad_lower_probe(alpha, beta, points, indices, params,
         except InsufficientPrecision as exc:
             cases.append(ProbeCase(n, "skipped", f"horizon undecidable: {exc.detail}"))
             continue
-        if horizon > len(recs) and not is_zero(recs[-1].delta):
-            try:
-                recs = _minima_impl(alpha, beta, horizon, prec_bits)
-            except InsufficientPrecision as exc:
-                cases.append(ProbeCase(n, "skipped",
-                                       f"minima extension undecidable: "
-                                       f"{exc.detail}", horizon))
-                continue
         if len(points) < horizon:
             cases.append(ProbeCase(n, "skipped",
                                    f"orbit has {len(points)} points, horizon "
                                    f"needs {horizon}", horizon))
             continue
+        if horizon > len(recs) and not is_zero(recs[-1].delta):
+            try:
+                recs = minima_sequence(alpha, beta, horizon, prec_bits)
+            except InsufficientPrecision as exc:
+                cases.append(ProbeCase(n, "skipped",
+                                       f"minima extension undecidable: "
+                                       f"{exc.detail}", horizon))
+                continue
         if indices is None:
             sel = list(range(1, horizon + 1))
         elif isinstance(indices, IndexSet):

@@ -223,12 +223,11 @@ def test_criterion_5_surd_pair_scans():
     alpha = dio.parse_value("sqrt(2) - 1")
     beta = dio.parse_value("sqrt(3) - 1")
     records = dio.minima_sequence(alpha, beta, 500, 256)
-    ratio = dio.integer_ratio_scan(alpha, beta, 500, tol=Fraction(1, 2 ** 64),
-                                   prec_bits=256)
+    ratio = dio.integer_ratio_scan(records, tol=Fraction(1, 2 ** 64))
     orbit = dio.orbit_of_word("( ( x y ) ^ 250 )", alpha, beta, 256)
     separation = dio.orbit_separation_check("( ( x y ) ^ 250 )", alpha, beta,
                                             records[:499], 256)
-    dich = dio.dichotomy_scan(alpha, beta, orbit, dio.ProbeParams(), 500, 256)
+    dich = dio.dichotomy_scan(orbit, records, dio.ProbeParams())
     elapsed = time.monotonic() - t0
 
     ok = (

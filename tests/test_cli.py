@@ -11,10 +11,12 @@ import json
 
 import pytest
 
+from abset import diophantine
 from abset.cli import main
 from abset.reporting import VERSION
 
 DS = "list:32,64;256,1024"
+SURDS = ["--alpha", "sqrt(2) - 1", "--beta", "sqrt(3) - 1"]
 
 
 def run(capsys, *argv):
@@ -231,6 +233,39 @@ def test_dioph_mixed_pair_keeps_rational_member_exact(capsys, tmp_path, argv, ze
     assert minima[-1] == zero_row
 
 
+@pytest.mark.parametrize("argv", [
+    ["dioph", *SURDS, "--nmax", "500", "--scan", "all"],
+    ["verify-all", "--profile", "desk"],
+], ids=["dioph-all", "verify-all"])
+def test_one_minima_pass_feeds_every_scan(capsys, monkeypatch, argv):
+    passes, scans = [], []
+    minima, dichotomy = diophantine.minima_sequence, diophantine.dichotomy_scan
+
+    def counted(*args, **kw):
+        passes.append(minima(*args, **kw))
+        return passes[-1]
+
+    def recorded(points, records, *args, **kw):
+        scans.append((records, dichotomy(points, records, *args, **kw)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(diophantine, "minima_sequence", counted)
+    monkeypatch.setattr(diophantine, "dichotomy_scan", recorded)
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0
+    assert len(passes) == 1 and len(passes[0]) == 500
+    [(records, scan)] = scans
+    assert records is passes[0]
+    assert scan.qualifying == ()
+
+
+def test_dioph_rational_pair_runs_at_prec_0(capsys):
+    rc, stdout, stderr = run(capsys, "dioph", "--alpha", "1/3", "--beta", "2/7",
+                             "--nmax", "50", "--prec", "0")
+    assert rc == 0 and stderr == ""
+    assert "FAIL " not in stdout
+
+
 # ----------------------------------------------------------------------- dim
 
 
@@ -385,6 +420,10 @@ def test_version_flag(capsys):
         (["frobnicate"], "frobnicate"),
         (["dim", "--fixture", "grid:4", "--jmin", "0", "--jmax", "2"], "jmin 0"),
         (["dim", "--fixture", "grid:4", "--base", "1"], "base 1"),
+        (["dioph", *SURDS, "--nmax", "0", "--scan", "dichotomy"], "nmax 0"),
+        (["dioph", *SURDS, "--nmax", "0", "--scan", "all"], "nmax 0"),
+        (["dioph", *SURDS, "--nmax", "50", "--prec=-20", "--scan", "minima"],
+         "prec -20"),
     ],
 )
 def test_usage_errors_exit_1_and_name_the_token(capsys, argv, fragment):

@@ -25,10 +25,9 @@ from abset.diophantine import (
     MinimaRecord,
     ProbeParams,
     RealValue,
+    SeparationReport,
     assouad_lower_probe,
-    delta_n,
     dichotomy_scan,
-    gap_dichotomy,
     integer_ratio_scan,
     minima_sequence,
     orbit_of_word,
@@ -38,7 +37,6 @@ from abset.diophantine import (
     scan_horizon,
     _cmp_powers,
     _decide,
-    _minima_impl,
     _resolve_pair,
 )
 from abset.errors import InsufficientPrecision, UsageError
@@ -215,7 +213,7 @@ def test_cmp_products_overlap_is_unknown():
 def test_coarse_input_rejected():
     coarse = ApproxReal(F(1, 3), F(1, 2 ** 100))
     with pytest.raises(UsageError):
-        delta_n(coarse, F(1, 4), 3)
+        minima_sequence(coarse, F(1, 4), 3)
 
 
 # -- value parsing ------------------------------------------------------------
@@ -297,14 +295,13 @@ def test_surd_rational_queries():
 # -- minima sequence ----------------------------------------------------------
 
 def test_minima_frozen_small_pair():
-    r1 = delta_n(F(2, 7), F(3, 7), 1)
+    r1, r2 = minima_sequence(F(2, 7), F(3, 7), 2)
     assert (r1.delta, r1.u, r1.minimal) == (F(2, 7), (1, 0), True)
-    r2 = delta_n(F(2, 7), F(3, 7), 2)
     assert (r2.delta, r2.u, r2.minimal) == (F(1, 7), (0, 2), True)
 
 
 def test_minima_tie_takes_smallest_first_coordinate():
-    r = delta_n(F(2, 7), F(2, 7), 5)
+    r = minima_sequence(F(2, 7), F(2, 7), 5)[4]
     assert r.delta == F(3, 7)
     assert r.u == (0, 5)
     assert not r.minimal
@@ -315,9 +312,6 @@ def test_minima_terminates_at_zero():
     assert len(recs) == 3
     last = recs[-1]
     assert (last.n, last.delta, last.u, last.minimal) == (3, F(0), (0, 3), True)
-    with pytest.raises(UsageError) as exc:
-        delta_n(F(1, 4), F(1, 3), 5)
-    assert "terminates at n=3" in str(exc.value)
 
 
 @pytest.mark.parametrize("alpha,beta,n", [
@@ -328,7 +322,7 @@ def test_minima_terminates_at_zero():
 ])
 def test_minima_match_brute_force(alpha, beta, n):
     d, u = brute_delta(alpha, beta, n)
-    rec = delta_n(alpha, beta, n)
+    rec = minima_sequence(alpha, beta, n)[n - 1]
     assert rec.delta == d
     assert rec.u == u
 
@@ -347,7 +341,7 @@ def test_minima_surd_pair_frozen_to_50():
 
 def test_minima_identical_surds_tie_raises():
     with pytest.raises(InsufficientPrecision) as exc:
-        delta_n(S2M1, S2M1, 2)
+        minima_sequence(S2M1, S2M1, 2)
     assert exc.value.context == "minima-argmin"
 
 
@@ -377,7 +371,7 @@ def test_scan_horizon_values():
 # -- integer ratio scan -------------------------------------------------------
 
 def test_ratio_scan_structural_doublings():
-    rep = integer_ratio_scan(DA, DB, 9)
+    rep = integer_ratio_scan(minima_sequence(DA, DB, 9))
     assert rep.pairs_examined == 36
     assert rep.zero_at is None
     assert not rep.undecided
@@ -396,7 +390,7 @@ def test_ratio_scan_structural_doublings():
 
 
 def test_ratio_scan_rational_violation_frozen():
-    rep = integer_ratio_scan(F(9, 20), F(1, 5), 3)
+    rep = integer_ratio_scan(minima_sequence(F(9, 20), F(1, 5), 3))
     assert len(rep.qualifying) == 1
     p = rep.qualifying[0]
     assert (p.i, p.j, p.ell, p.divisibility_ok, p.vector_ok) == \
@@ -408,7 +402,7 @@ def test_ratio_scan_rational_violation_frozen():
 
 
 def test_ratio_scan_surd_pair_clean():
-    rep = integer_ratio_scan(S2M1, S3M1, 60)
+    rep = integer_ratio_scan(minima_sequence(S2M1, S3M1, 60))
     assert rep.pairs_examined == 1770
     assert len(rep.qualifying) == 18
     assert not rep.violations and not rep.undecided
@@ -419,17 +413,17 @@ def test_ratio_scan_surd_pair_clean():
 
 def test_ratio_scan_precision_past_float_range():
     # at 1100 bits the dyadic units exceed the float range
-    lo = integer_ratio_scan(S2M1, S3M1, 30)
-    hi = integer_ratio_scan(S2M1, S3M1, 30, prec_bits=1100)
+    lo = integer_ratio_scan(minima_sequence(S2M1, S3M1, 30))
+    hi = integer_ratio_scan(minima_sequence(S2M1, S3M1, 30, 1100))
     assert [(p.i, p.j, p.ell) for p in hi.qualifying] == \
         [(p.i, p.j, p.ell) for p in lo.qualifying]
     assert hi.qualifying and not hi.violations and not hi.undecided
 
 
 def test_ratio_scan_zero_termination():
-    rep = integer_ratio_scan(F(1, 4), F(1, 3), 9)
-    assert rep.zero_at == 3
-    assert len(rep.records) == 3
+    recs = minima_sequence(F(1, 4), F(1, 3), 9)
+    rep = integer_ratio_scan(recs)
+    assert rep.zero_at == 3 == len(recs)
     assert not rep.qualifying and not rep.violations
 
 
@@ -442,9 +436,15 @@ def test_primitive_decomposition():
 
 # -- gap dichotomy ------------------------------------------------------------
 
+def dichotomy_report(scan, n, m):
+    """The report of the qualifying pair (n, m) of a dichotomy scan."""
+    return scan.reports[scan.qualifying.index((n, m))]
+
+
 def test_gap_dichotomy_matches_brute_force():
     pts = orbit_of_word("x" * 17, EA, EB)
-    rep = gap_dichotomy(EA, EB, pts, 4, 10, ProbeParams())
+    recs = minima_sequence(EA, EB, 10)
+    rep = dichotomy_report(dichotomy_scan(pts, recs, ProbeParams()), 4, 10)
     assert not rep.refused
     assert (rep.horizon, rep.pairs_total) == (17, 136)
     assert (rep.separated, rep.clustered) == (129, 7)
@@ -452,8 +452,7 @@ def test_gap_dichotomy_matches_brute_force():
     assert not rep.min_gap_violations
 
     # oracle: classify every pair directly with exact Fractions
-    dn = delta_n(EA, EB, 4).delta
-    dm = delta_n(EA, EB, 10).delta
+    dn, dm = recs[3].delta, recs[9].delta
     s, t = ProbeParams().s, ProbeParams().t
     sep = clu = vio = 0
     for i in range(17):
@@ -474,35 +473,28 @@ def test_gap_dichotomy_flags_band_distances():
     syn = [F(k, 17) for k in range(1, 18)]
     syn[1] = syn[0] + F(1, 10**6)
     syn[2] = syn[0]
-    rep = gap_dichotomy(EA, EB, syn, 4, 10, ProbeParams())
+    scan = dichotomy_scan(syn, minima_sequence(EA, EB, 10), ProbeParams())
+    rep = dichotomy_report(scan, 4, 10)
     assert (rep.separated, rep.clustered) == (133, 1)
     assert rep.violations == ((1, 2), (2, 3))
     assert rep.min_gap_violations == ((1, 3),)
 
 
-REFUSALS = [
-    ((EA, EB, 17, 2, 10), {}, "delta at n=2 is not minimal"),
-    ((EA, EB, 17, 1, 10), {}, "m=10 exceeds the horizon 4"),
-    ((EA, EB, 3, 1, 4), {}, "orbit has 3 points, horizon needs 4"),
-    ((EA, EB, 17, 4, 10), {"pair_budget": 5}, "exceeds the pair budget"),
-    ((S2M1, S3M1, 17, 1, 2), {}, "delta_m is not below delta_n**t"),
-    ((F(1, 4), F(1, 3), 17, 1, 4), {}, "terminates at n=3"),
-    ((F(1, 4), F(1, 3), 17, 3, 3), {}, "delta_n is zero"),
-]
-
-
-@pytest.mark.parametrize("args,kw,fragment", REFUSALS)
-def test_gap_dichotomy_refusals(args, kw, fragment):
-    alpha, beta, npts, n, m = args
-    pts = orbit_of_word("x" * npts, EA, EB)[:npts]
-    rep = gap_dichotomy(alpha, beta, pts, n, m, ProbeParams(), **kw)
-    assert rep.refused
-    assert fragment in rep.reason
+@pytest.mark.parametrize("npts,n,m,budget,reason", [
+    (3, 1, 4, DEFAULT_PAIR_BUDGET, "orbit has 3 points, horizon needs 4"),
+    (17, 4, 10, 5, "horizon 17 exceeds the pair budget"),
+], ids=["short-orbit", "pair-budget"])
+def test_dichotomy_scan_refusals(npts, n, m, budget, reason):
+    pts = orbit_of_word("x" * npts, EA, EB)
+    scan = dichotomy_scan(pts, minima_sequence(EA, EB, m), ProbeParams(), budget)
+    rep = dichotomy_report(scan, n, m)
+    assert (rep.refused, rep.reason) == (True, reason)
+    assert (n, m, reason) in scan.refusals
 
 
 def test_dichotomy_scan_engineered():
     pts = orbit_of_word("x" * 17, EA, EB)
-    scan = dichotomy_scan(EA, EB, pts, ProbeParams(), 10)
+    scan = dichotomy_scan(pts, minima_sequence(EA, EB, 10), ProbeParams())
     assert scan.qualifying == ((1, 4), (4, 10), (7, 10))
     assert scan.violation_total == 0
     assert scan.refusals == ((7, 10, "orbit has 17 points, horizon needs 24"),)
@@ -510,7 +502,7 @@ def test_dichotomy_scan_engineered():
 
 def test_dichotomy_scan_surds_has_no_qualifying_pairs():
     pts = orbit_of_word("xy" * 10, S2M1, S3M1)
-    scan = dichotomy_scan(S2M1, S3M1, pts, ProbeParams(), 20)
+    scan = dichotomy_scan(pts, minima_sequence(S2M1, S3M1, 20), ProbeParams())
     assert scan.qualifying == ()
     assert scan.violation_total == 0
 
@@ -529,6 +521,14 @@ def test_orbit_bad_word():
     with pytest.raises(UsageError) as exc:
         orbit_of_word("xz", F(1, 4), F(1, 3))
     assert "bad word expression" in str(exc.value)
+
+
+@pytest.mark.parametrize("word", [EMPTY, "()", ""], ids=["expr", "grammar", "plain"])
+def test_empty_word_has_no_points(word):
+    assert orbit_of_word(word, F(1, 4), F(1, 3)) == []
+    recs = minima_sequence(F(1, 4), F(1, 3), 1)
+    assert orbit_separation_check(word, F(1, 4), F(1, 3), recs) == \
+        SeparationReport(0, (), 0, None)
 
 
 def test_orbit_surd_matches_mpmath():
@@ -659,6 +659,17 @@ def test_probe_skips_never_raise():
         assouad_lower_probe(EA, EB, fixture, None, ProbeParams(), [])
 
 
+def test_probe_skips_a_horizon_past_the_orbit_before_extending_minima():
+    # delta_10 is about 1.4e-29, so the horizon is about 1.4e14 and no
+    # exact zero ends the minima: the case is skipped on the orbit's
+    # length, before any minima run that far
+    alpha = RealValue.from_fraction(F(1, 10)) + RealValue.sqrt(2, F(1, 10 ** 30))
+    points = orbit_of_word("x" * 12, alpha, S3M1)
+    c, = assouad_lower_probe(alpha, S3M1, points, None, ProbeParams(), [10]).cases
+    assert (c.outcome, c.horizon) == ("skipped", 136850897847463)
+    assert c.note == "orbit has 12 points, horizon needs 136850897847463"
+
+
 # -- properties ---------------------------------------------------------------
 
 small_fractions = st.builds(
@@ -671,12 +682,12 @@ small_fractions = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(small_fractions, small_fractions, st.integers(min_value=1, max_value=10))
 def test_minima_agree_with_oracle(alpha, beta, n):
-    try:
-        rec = delta_n(alpha, beta, n)
-    except UsageError as exc:
-        # early zero: the oracle must confirm a zero at the named index
-        assert "terminates" in str(exc)
+    recs = minima_sequence(alpha, beta, n)
+    if len(recs) < n:
+        # early zero: the oracle must confirm a zero at the last index
+        assert recs[-1].delta == brute_delta(alpha, beta, recs[-1].n)[0] == 0
         return
+    rec = recs[n - 1]
     d, _ = brute_delta(alpha, beta, n)
     assert rec.delta == d
     a, b = rec.u
@@ -691,11 +702,10 @@ def test_minima_agree_with_oracle(alpha, beta, n):
        st.integers(min_value=1, max_value=6))
 def test_triangle_bound_never_violated(alpha, beta, i, j):
     # ||(u_i + u_j).(alpha, beta)|| <= delta_i + delta_j, in Fractions
-    try:
-        ra = delta_n(alpha, beta, i)
-        rb = delta_n(alpha, beta, j)
-    except UsageError:
+    recs = minima_sequence(alpha, beta, max(i, j))
+    if len(recs) < max(i, j):
         return
+    ra, rb = recs[i - 1], recs[j - 1]
     v = (ra.u[0] + rb.u[0]) * alpha + (ra.u[1] + rb.u[1]) * beta
     assert circle_dist(v, 0) <= ra.delta + rb.delta
 
@@ -703,11 +713,12 @@ def test_triangle_bound_never_violated(alpha, beta, i, j):
 @settings(max_examples=40, deadline=None)
 @given(small_fractions, small_fractions)
 def test_ratio_scan_total_and_zero_consistency(alpha, beta):
-    rep = integer_ratio_scan(alpha, beta, 12)
+    recs = minima_sequence(alpha, beta, 12)
+    rep = integer_ratio_scan(recs)
     if rep.zero_at is not None:
-        assert rep.records[-1].delta == 0
-        assert rep.records[-1].n == rep.zero_at
-    n = len(rep.records)
+        assert recs[-1].delta == 0
+        assert recs[-1].n == rep.zero_at
+    n = len(recs)
     assert rep.pairs_examined <= n * (n - 1) // 2
 
 
@@ -742,15 +753,16 @@ def test_exact_minima_match_fraction_scan(alpha, beta, n):
     recs = minima_sequence(alpha, beta, n)
     assert [(r.delta, r.u, r.minimal) for r in recs] == want
     assert all(isinstance(r.delta, Fraction) for r in recs)
-    assert integer_ratio_scan(alpha, beta, n).zero_at == zero_at
+    assert integer_ratio_scan(recs).zero_at == zero_at
 
 
 @settings(max_examples=60, deadline=None)
 @given(exact_values, exact_values, st.integers(min_value=2, max_value=24),
        st.sampled_from([F(1, 2 ** 64), F(1, 100)]))
 def test_exact_ratio_scan_matches_fraction_oracle(alpha, beta, n, tol):
-    rep = integer_ratio_scan(alpha, beta, n, tol=tol)
-    values = [r.delta for r in rep.records]
+    recs = minima_sequence(alpha, beta, n)
+    rep = integer_ratio_scan(recs, tol=tol)
+    values = [r.delta for r in recs]
     assert [(p.i, p.j, p.ell) for p in rep.qualifying] == \
         fraction_ratio_pairs(values, tol)
     assert rep.pairs_examined == sum(len(values) - 1 - i
@@ -788,7 +800,7 @@ scan_pairs = st.one_of(
        st.sampled_from([128, 256]))
 def test_sorted_minima_scan_matches_quadratic_oracle(pair, n, prec):
     alpha, beta = pair
-    assert scan_outcome(_minima_impl, alpha, beta, n, prec) == \
+    assert scan_outcome(minima_sequence, alpha, beta, n, prec) == \
         scan_outcome(quadratic_minima, alpha, beta, n, prec)
 
 
@@ -803,12 +815,12 @@ def test_sorted_minima_scan_matches_quadratic_oracle(pair, n, prec):
 def test_sorted_minima_scan_raises_where_oracle_does(alpha, beta):
     want = scan_outcome(quadratic_minima, alpha, beta, 12, 256)
     assert want[0] == "raised"
-    assert scan_outcome(_minima_impl, alpha, beta, 12, 256) == want
+    assert scan_outcome(minima_sequence, alpha, beta, 12, 256) == want
 
 
 def test_minima_horizon_20000_matches_linear_evaluation():
     n_max = 20_000
-    recs = _minima_impl(S2M1, S3M1, n_max, 256)
+    recs = minima_sequence(S2M1, S3M1, n_max, 256)
     assert len(recs) == n_max and not recs[-1].is_zero
     one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(S2M1, S3M1, 256)
     picks = random.Random(20_000).sample(range(1, n_max), 19) + [n_max]
@@ -833,7 +845,7 @@ def test_huge_denominators_minima_ratio_separation():
     recs = minima_sequence(HA, HB, 30)
     assert [(r.delta, r.u, r.minimal) for r in recs] == want
     assert zero_at is None
-    rep = integer_ratio_scan(HA, HB, 30)
+    rep = integer_ratio_scan(recs)
     assert [(p.i, p.j, p.ell) for p in rep.qualifying] == \
         fraction_ratio_pairs([r.delta for r in recs], F(1, 2 ** 64))
     assert rep.pairs_examined == 435 and rep.undecided == ()
@@ -938,11 +950,10 @@ def blur(draw, q):
 
 @st.composite
 def pair_and_points(draw):
-    """(alpha, beta, prec, points, indices, later): an orbit of the pair,
+    """(alpha, beta, prec, points, indices): an orbit of the pair,
     synthetic points, or points at the pair's minima and their squares and
     cubes from a base point, where the dichotomy and probe thresholds tie;
-    indices draw mostly the pair's minimal indices, and later mostly two
-    of them in increasing order."""
+    indices draw mostly the pair's minimal indices."""
     alpha, beta = draw(oracle_pairs)
     prec = draw(st.sampled_from([128, 256]))
     word = "".join(draw(st.lists(st.sampled_from("xy"), min_size=draw(
@@ -968,12 +979,7 @@ def pair_and_points(draw):
     indices = st.integers(min_value=0, max_value=12)
     if minimal:
         indices = st.sampled_from(minimal) | st.sampled_from(minimal) | indices
-    later = st.tuples(indices, indices)
-    if len(minimal) > 1:
-        pairs = st.sampled_from([(a, b) for a in minimal for b in minimal
-                                 if a < b])
-        later = pairs | pairs | pairs | later
-    return alpha, beta, prec, points, indices, later
+    return alpha, beta, prec, points, indices
 
 
 @settings(max_examples=200, deadline=None)
@@ -981,21 +987,13 @@ def pair_and_points(draw):
        st.integers(min_value=1, max_value=16) | st.just(16),
        st.sampled_from([DEFAULT_PAIR_BUDGET, 50, 5]))
 def test_dichotomy_scan_matches_interval_oracle(case, params, n_max, budget):
-    alpha, beta, prec, points, _, _ = case
-    assert outcome(dichotomy_scan, alpha, beta, points, params, n_max, prec,
-                   budget) == outcome(oracle.dichotomy_scan, alpha, beta, points,
-                                      params, n_max, prec, budget)
+    alpha, beta, prec, points, _ = case
 
-
-@settings(max_examples=200, deadline=None)
-@given(pair_and_points(), probe_params, st.data(),
-       st.sampled_from([DEFAULT_PAIR_BUDGET, 50, 5]))
-def test_gap_dichotomy_matches_interval_oracle(case, params, data, budget):
-    alpha, beta, prec, points, _, later = case
-    n, m = data.draw(later)
-    assert outcome(gap_dichotomy, alpha, beta, points, n, m, params, prec,
-                   budget) == outcome(oracle.gap_dichotomy, alpha, beta, points,
-                                      n, m, params, prec, budget)
+    def scan():
+        return dichotomy_scan(points, minima_sequence(alpha, beta, n_max, prec),
+                              params, budget)
+    assert outcome(scan) == outcome(oracle.dichotomy_scan, alpha, beta, points,
+                                    params, n_max, prec, budget)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1003,7 +1001,7 @@ def test_gap_dichotomy_matches_interval_oracle(case, params, data, budget):
        st.one_of(st.none(), st.lists(st.integers(min_value=-2, max_value=40))),
        st.sampled_from([DEFAULT_SEP_BUDGET, 3]))
 def test_probe_matches_interval_oracle(case, params, data, indices, sep_budget):
-    alpha, beta, prec, points, n_indices, _ = case
+    alpha, beta, prec, points, n_indices = case
     n_list = data.draw(st.lists(n_indices, min_size=1, max_size=4))
     assert outcome(assouad_lower_probe, alpha, beta, points, indices, params,
                    n_list, prec, sep_budget) == \
@@ -1030,17 +1028,16 @@ def test_engineered_ties_match_interval_oracle(blurred, t):
         d / 4, 1 - d / 4)]
     points = [ApproxReal(q, F(1, 2 ** 140)) if blurred else q for q in ties] \
         + orbit_of_word("x" * 11, alpha, EB)
-    reports = [gap_dichotomy(alpha, EB, points, n, m, params)
-               for n, m in ((1, 4), (4, 10), (7, 10))]
-    assert reports == [oracle.gap_dichotomy(alpha, EB, points, n, m, params)
-                       for n, m in ((1, 4), (4, 10), (7, 10))]
-    assert dichotomy_scan(alpha, EB, points, params, 12) == \
-        oracle.dichotomy_scan(alpha, EB, points, params, 12)
+    scan = dichotomy_scan(points, minima_sequence(alpha, EB, 12), params)
+    assert scan == oracle.dichotomy_scan(alpha, EB, points, params, 12)
+    # at t = 3 only delta_10 lies below delta_4**t
+    assert scan.qualifying == (((1, 4), (4, 10), (7, 10)) if t == 2
+                               else ((4, 10),))
     probe = assouad_lower_probe(alpha, EB, points, None, params, [1, 4, 7, 10])
     assert probe == oracle.assouad_lower_probe(alpha, EB, points, None, params,
                                                [1, 4, 7, 10])
-    assert any(r.min_gap_violations for r in reports)
-    assert any(r.undecided for r in reports) == (blurred and t == 2)
+    assert all(r.min_gap_violations for r in scan.reports)
+    assert any(r.undecided for r in scan.reports) == (blurred and t == 2)
     assert "case2b" in [c.outcome for c in probe.cases]
 
 
