@@ -256,8 +256,8 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
     want = {"minima", "ratio", "separation", "dichotomy"} \
         if which == "all" else {which}
 
-    # one minima pass for every scan; the separation check reads a prefix
-    # of the word, the dichotomy its orbit
+    # one minima pass for every scan; the separation check and the
+    # dichotomy read the word's letter counts
     records = diophantine.minima_sequence(alpha, beta, nmax, prec)
     word = "xy" * ((nmax + 1) // 2)
     if "minima" in want:
@@ -290,9 +290,8 @@ def _run_dioph_scans(alpha_text: str, beta_text: str, nmax: int, prec: int,
                        f"{len(rep.violations)} violations, "
                        f"{rep.undecided} undecided"))
     if "dichotomy" in want:
-        orbit = diophantine.orbit_of_word(word[:nmax], alpha, beta, prec)
         scan = results["dichotomy"] = diophantine.dichotomy_scan(
-            orbit, records, params)
+            word[:nmax], alpha, beta, records, params, prec)
         summary["dichotomy"] = {"qualifying": list(scan.qualifying),
                                 "violation_total": scan.violation_total,
                                 "refusals": list(scan.refusals)}
@@ -337,6 +336,12 @@ def cmd_dioph(args) -> Tuple[dict, List[Check], List[Warn]]:
         raise UsageError(f"bad nmax {args.nmax}: need an integer >= 1")
     if args.prec < 0:
         raise UsageError(f"bad prec {args.prec}: need an integer >= 0")
+    least = diophantine.MIN_INPUT_BITS
+    for text in (args.alpha, args.beta):
+        rad = diophantine.parse_value(text).approx(args.prec).rad
+        if rad > Fraction(1, 1 << least):
+            raise UsageError(f"bad prec {args.prec}: {text!r} is held coarser "
+                             f"than 2^-{least}; --prec {least} always passes")
     summary, checks, results = _run_dioph_scans(args.alpha, args.beta,
                                                 args.nmax, args.prec, args.scan)
     if args.out:

@@ -101,12 +101,6 @@ def _covering(circle, rho: Fraction) -> int:
     return n
 
 
-def grid_cells(points, rho: Fraction) -> List[int]:
-    """Sorted distinct indices of grid cells [i*rho, (i+1)*rho) hit by the
-    set; the grid is anchored at 0."""
-    return _cells(_keys(points), rho)
-
-
 def grid_covering(points, rho: Fraction) -> int:
     """Number of rho-grid cells needed for the set (grid anchored at 0)."""
     return _covering(_keys(points), rho)

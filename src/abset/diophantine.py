@@ -27,9 +27,10 @@ onto the dyadic grid 2**-(prec+16), and its radius covers the rounding
 and the input error.  A minima record keeps its units and renders delta
 on demand, as a Fraction when the radius is zero and as an ApproxReal
 (midpoint plus radius) otherwise; orbit points leave orbit_of_word the
-same way.  Points handed to the dichotomy or the probe enter them on the
-lcm of their denominators (`_point_units`); the separation check takes
-the word and works on its letter counts.
+same way.  Points handed to the probe enter it on the lcm of their
+denominators (`_point_units`); the separation check and the dichotomy
+take the word and work on its letter counts, where the pairs of one gap
+and window x-count share a distance (`words.window_groups`).
 
 Precision discipline: a comparison is certified only when the midpoints
 differ by more than the summed radii times 2**GUARD_BITS; anything
@@ -44,8 +45,6 @@ import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
-from operator import sub
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import mpmath
@@ -53,13 +52,11 @@ import mpmath
 from .errors import InsufficientPrecision, InvariantViolation, UsageError
 from .exact import ceil_root_ratio, dec_sci
 from .index_sets import IndexSet
-from .words import WordExpr, letters, parse_word
+from .words import WordExpr, letters, parse_word, window_groups, window_pairs
 
 GUARD_BITS = 8
 MIN_INPUT_BITS = 128            # coarser input radii are a usage error
 DEFAULT_PREC = 256
-DEFAULT_PAIR_BUDGET = 500_000
-DEFAULT_SEP_BUDGET = 20_000
 LOG_DIGITS = 12
 DEC_PREC_BITS = 128
 
@@ -675,6 +672,29 @@ def _gap(p: Tuple[int, int], q: Tuple[int, int], one: int) -> Tuple[int, int]:
     return min(r, one - r), p[1] + q[1]
 
 
+def _first(hi: int, pred) -> int:
+    """The least k in [0, hi) with pred(k), or hi; pred is monotone."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _split(cmp, radius, m):
+    """(sign, p): a comparison's sign where it is decided, and the number p
+    of leading pairs k < m at whose radius(k) it is.  A wider interval only
+    loses decisions, and keeps the sign of those it makes."""
+    sign = cmp(radius(m - 1))
+    if sign is not None:
+        return sign, m
+    sign = cmp(0)
+    return sign, 0 if sign is None else _first(m, lambda k: cmp(radius(k)) is None)
+
+
 @dataclass(frozen=True)
 class SeparationReport:
     pairs_checked: int
@@ -687,23 +707,16 @@ def orbit_separation_check(word: Union[WordExpr, str], alpha, beta,
                            records: Sequence[MinimaRecord],
                            prec_bits: int = DEFAULT_PREC) -> SeparationReport:
     """Audit d(t_i, t_j) >= delta_(j-i) over all pairs of the points
-    t_1..t_|w| that `word` visits (any form orbit_of_word takes).
+    t_1..t_|w| that `word` visits (any form orbit_of_word takes): true for
+    every genuine orbit of the pair behind `records`.
 
-    True for every genuine orbit of the pair behind `records`; a certified
-    counterexample means the points do not belong to such an orbit.
-
-    A pair i < j with gap g = j - i and window x-count a = X_j - X_i has
-    t_j - t_i = a*alpha + (g - a)*beta, so its distance, and its gap to
-    delta_g, depend on (g, a) only.  Its radius R_i + R_j + rad(delta_g),
-    with R_k = X_k a_rad + Y_k b_rad, never falls as i grows, so the
-    undecided pairs of a (g, a) group come after its decided ones: one
-    bisection per group splits them, and the group's worst margin sits at
-    its last decided pair.  Units are those the points and deltas have on
-    the lcm of their reduced denominators, so margins in bits do not
-    depend on the scale the inputs were held on.
+    A (gap, x-count) group (`window_groups`) has one gap to delta_g, decided
+    on its leading pairs only (`_split`); its worst margin sits at its last
+    decided pair.  Units are on the lcm of the reduced denominators, so
+    margins in bits do not depend on the scale the inputs were held on.
     """
     is_x = [ch == "x" for ch in _word_letters(word)]
-    one, (a_mid, a_rad), (b_mid, b_rad) = _resolve_pair(alpha, beta, prec_bits)
+    one, step_x, step_y = _resolve_pair(alpha, beta, prec_bits)
     n_pts = len(is_x)
     if n_pts < 2:
         return SeparationReport(0, (), 0, None)
@@ -719,52 +732,32 @@ def orbit_separation_check(word: Union[WordExpr, str], alpha, beta,
     # points' mids and radii are sums of their letters' steps, so the
     # letters that occur stand in for them in the gcd.
     big = math.lcm(one, *{r.den for r in recs})
-    scale = big // one
-    steps = ((a_mid, a_rad) if any(is_x) else ()) + \
-        ((b_mid, b_rad) if not all(is_x) else ())
-    deltas = [(r.d_units * (big // r.den), r.rad_units * (big // r.den))
-              for r in recs]
-    unit = math.gcd(big, *(scale * v for v in steps),
-                    *(v for pair in deltas for v in pair))
-    deltas = [(d // unit, r // unit) for d, r in deltas]
-    one = big // unit
-    a_mid, a_rad, b_mid, b_rad = (scale * v // unit
-                                  for v in (a_mid, a_rad, b_mid, b_rad))
-    xs = list(accumulate(is_x, initial=0))               # X_0..X_n
-    radii = [x * a_rad + (k - x) * b_rad for k, x in enumerate(xs)]
+    vals = [v * (big // one) for v in step_x + step_y] + \
+        [v * (big // r.den) for r in recs for v in (r.d_units, r.rad_units)]
+    used = vals[:2] * any(is_x) + vals[2:4] * (not all(is_x)) + vals[4:]
+    unit = math.gcd(big, *used)
+    one, vals = big // unit, [v // unit for v in vals]
+    deltas = list(zip(vals[4::2], vals[5::2]))
 
     violations: List[Tuple[int, int]] = []
-    undecided = 0
-    worst: Optional[int] = None
-    for g in range(1, n_pts):
-        m = n_pts - g
+    undecided, margins = 0, []
+    for g, a, d, counts, radius in window_groups(is_x, vals[:4], one):
         dm, dr = deltas[g - 1]
-        counts = list(map(sub, xs[g + 1:], xs[1:m + 1]))  # pair (i, i + g) at i - 1
-        rev = counts[::-1]
-        for a in set(counts):
-            r = (a * a_mid + (g - a) * b_mid) % one
-            gap = min(r, one - r) - dm
-            # undecided iff the radius sum is positive and at least
-            # |gap| / 2**GUARD_BITS
-            need = max(-(-abs(gap) >> GUARD_BITS), 1) - dr
-            p = bisect_left(range(1, m + 1), need,
-                            key=lambda i: radii[i] + radii[i + g])
-            undecided += counts[p:].count(a)
-            if gap < 0:
-                violations.extend((i + 1, i + 1 + g)
-                                  for i in range(p) if counts[i] == a)
-                continue
-            try:
-                q = m - rev.index(a, m - p)                # last decided i
-            except ValueError:
-                continue
-            radsum = radii[q] + radii[q + g] + dr
-            if radsum:                  # an exact pair carries no margin
-                bits = gap.bit_length() - radsum.bit_length()
-                if worst is None or bits < worst:
-                    worst = bits
+        gap = d - dm
+        _, p = _split(lambda rad: _decide(gap, rad + dr), radius, len(counts))
+        undecided += counts[p:].count(a)
+        if gap < 0:
+            violations.extend(window_pairs(counts, a, g, 0, p))
+            continue
+        try:
+            q = p - 1 - counts[:p][::-1].index(a)        # last decided pair
+        except ValueError:
+            continue
+        radsum = radius(q) + dr
+        if radsum:                  # an exact pair carries no margin
+            margins.append(gap.bit_length() - radsum.bit_length())
     return SeparationReport(n_pts * (n_pts - 1) // 2, tuple(sorted(violations)),
-                            undecided, worst)
+                            undecided, min(margins, default=None))
 
 
 @dataclass(frozen=True)
@@ -793,62 +786,64 @@ class QualifyingScan:
     notes: Tuple[str, ...]
 
 
-def dichotomy_scan(points, records: Sequence[MinimaRecord], params: ProbeParams,
-                   pair_budget: int = DEFAULT_PAIR_BUDGET) -> QualifyingScan:
+def dichotomy_scan(word: Union[WordExpr, str], alpha, beta,
+                   records: Sequence[MinimaRecord], params: ProbeParams,
+                   prec_bits: int = DEFAULT_PREC) -> QualifyingScan:
     """Classify orbit pair distances for every qualifying (n, m) of the
     minima `records`: n and m minimal, n < m <= horizon(n) and
     delta_m < delta_n**t.
 
-    Below the horizon each pair of `points` is separated (>= delta_n**t)
-    or clustered (<= delta_m / delta_n**s); anything between is a
-    violation.  A pair whose orbit is too short for its horizon, or whose
-    horizon exceeds the pair budget, is refused with a reason.
+    Below the horizon each pair of the points that `word` visits (any
+    form orbit_of_word takes) is separated (>= delta_n**t) or clustered
+    (<= delta_m / delta_n**s), else a violation; a word too short for the
+    horizon is refused.  Comparisons are per (gap, x-count) group.
     """
+    is_x = [ch == "x" for ch in _word_letters(word)]
+    one, step_x, step_y = _resolve_pair(alpha, beta, prec_bits)
     tp, tq = params.t.numerator, params.t.denominator
     sp, sq = params.s.numerator, params.s.denominator
     minimal = [r for r in records if r.minimal]
     reports: List[GapDichotomyReport] = []
     notes: List[str] = []
+    # the comparisons do not depend on the denominator's scale
+    den = math.lcm(one, *{r.den for r in minimal})
+    steps = [v * (den // one) for v in step_x + step_y]
+    units = {r.n: (r.d_units * (den // r.den), r.rad_units * (den // r.den))
+             for r in minimal}
 
-    def classify(rec_n: MinimaRecord, rec_m: MinimaRecord,
-                 horizon: int) -> GapDichotomyReport:
+    def classify(rec_n, rec_m, horizon: int) -> GapDichotomyReport:
         n, m = rec_n.n, rec_m.n
-        if len(points) < horizon:
-            return GapDichotomyReport(n, m, True, f"orbit has {len(points)} "
+        if len(is_x) < horizon:
+            return GapDichotomyReport(n, m, True, f"orbit has {len(is_x)} "
                                       f"points, horizon needs {horizon}", horizon)
-        if horizon * (horizon - 1) // 2 > pair_budget:
-            return GapDichotomyReport(n, m, True, f"horizon {horizon} exceeds "
-                                      "the pair budget", horizon)
-        one, units = _point_units([rec_n.delta, rec_m.delta]
-                                  + list(points[:horizon]))
-        (dn, rn), (dm, rm), pts = units[0], units[1], units[2:]
+        (dn, rn), (dm, rm) = units[n], units[m]
         separated = clustered = 0
-        violations: List[Tuple[int, int]] = []
-        undecided: List[Tuple[int, int]] = []
-        min_gap_bad: List[Tuple[int, int]] = []
-        for i in range(horizon):
-            for j in range(i + 1, horizon):
-                d, rad = _gap(pts[j], pts[i], one)
-                if _decide(d - dm, rad + rm) == -1:
-                    min_gap_bad.append((i + 1, j + 1))
-                sep = _cmp_powers([(d, rad, tq)], [(dn, rn, tp)], one)
-                if sep is not None and sep >= 0:
-                    separated += 1
-                    continue
-                clu = _cmp_powers([(d, rad, sq), (dn, rn, sp)], [(dm, rm, sq)],
-                                  one)
-                if clu is not None and clu <= 0:
-                    clustered += 1
-                elif sep is None or clu is None:
-                    undecided.append((i + 1, j + 1))
-                else:
-                    violations.append((i + 1, j + 1))
+        violations, undecided, min_gap_bad = [], [], []
+        for g, a, d, counts, radius in window_groups(is_x[:horizon], steps, den):
+            end = len(counts)
+            low, p_low = _split(lambda rad: _decide(d - dm, rad + rm), radius, end)
+            s, p_sep = _split(lambda rad: _cmp_powers(
+                [(d, rad, tq)], [(dn, rn, tp)], den), radius, end)
+            c, p_clu = (None, 0) if s in (0, 1) and p_sep == end else _split(
+                lambda rad: _cmp_powers([(d, rad, sq), (dn, rn, sp)],
+                                        [(dm, rm, sq)], den), radius, end)
+            if low == -1:
+                min_gap_bad += window_pairs(counts, a, g, 0, p_low)
+            sep_ok, clu_ok = s in (0, 1), c in (-1, 0)
+            # separated, clustered, violations, undecided: four runs of k
+            k1 = p_sep if sep_ok else 0
+            k2 = max(k1, p_clu) if clu_ok else k1
+            k3 = k2 if sep_ok or clu_ok else min(p_sep, p_clu)
+            separated += counts[:k1].count(a)
+            clustered += counts[k1:k2].count(a)
+            violations += window_pairs(counts, a, g, k2, k3)
+            undecided += window_pairs(counts, a, g, k3, end)
         return GapDichotomyReport(n, m, False, None, horizon,
                                   dec_sci(Fraction(rec_n.d_units, rec_n.den)),
                                   dec_sci(Fraction(rec_m.d_units, rec_m.den)),
                                   horizon * (horizon - 1) // 2, separated,
-                                  clustered, tuple(violations),
-                                  tuple(undecided), tuple(min_gap_bad))
+                                  clustered, *(tuple(sorted(x)) for x in (
+                                      violations, undecided, min_gap_bad)))
 
     for rec in minimal:
         if rec.is_zero:
@@ -929,8 +924,7 @@ def _probe_exponent(count: int, neg_log_scale) -> str:
 
 def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
                         n_list: Sequence[int],
-                        prec_bits: int = DEFAULT_PREC,
-                        sep_budget: int = DEFAULT_SEP_BUDGET) -> AssouadProbeReport:
+                        prec_bits: int = DEFAULT_PREC) -> AssouadProbeReport:
     """Case analysis behind the localized lower bound.
 
     For each minimal n: either no k <= N carries a value below
@@ -1007,16 +1001,22 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
         ent = [(k, pts[k - 1]) for k in sel]
 
         if close_m is None:
-            # every index pair below the horizon keeps distance >= delta_n**t
+            # every index pair below the horizon keeps distance >= delta_n**t;
+            # `edge` is certified so at twice the largest point radius, hence
+            # any pair that far apart is: only closer pairs are compared.
+            circle = sorted((p % one, r) for _, (p, r) in ent)
+            wide = 2 * max(r for _, r in circle)
+            edge = _first(one // 2 + 1, lambda d: _cmp_powers(
+                [(d, wide, tq)], [(dn, rn, tp)], one) == 1)
             sep_bad = sep_und = 0
-            for checked, (p, q) in enumerate(combinations([v for _, v in ent], 2)):
-                if checked >= sep_budget:
-                    note_bits.append(f"separation sampled on first {checked} pairs")
-                    break
-                d, rad = _gap(q, p, one)
-                c = _cmp_powers([(d, rad, tq)], [(dn, rn, tp)], one)
-                sep_und += c is None
-                sep_bad += c == -1
+            for i, p in enumerate(circle):
+                hi = bisect_left(circle, (p[0] + edge,))
+                lo = max(bisect_left(circle, (p[0] + one - edge + 1,)), hi)
+                for q in circle[i + 1:hi] + circle[lo:]:
+                    d, rad = _gap(q, p, one)
+                    c = _cmp_powers([(d, rad, tq)], [(dn, rn, tp)], one)
+                    sep_und += c is None
+                    sep_bad += c == -1
             log_scale = neg_log_dn * tp / tq             # log(1/delta_n**t)
             return ProbeCase(n, "case1", "; ".join(note_bits), horizon, rho,
                              d_n_dec, None, len(ent),

@@ -105,12 +105,6 @@ def lift_half(fr) -> Fraction:
     return m if m <= HALF else m - 1
 
 
-def dist_to_int(fr) -> Fraction:
-    """Distance from fr to the nearest integer, in [0, 1/2]."""
-    m = mod1(fr)
-    return m if m <= HALF else 1 - m
-
-
 def round_half_even_div(a: int, b: int) -> int:
     """round(a / b) with ties to even, for a >= 0, b >= 1."""
     q, r = divmod(a, b)

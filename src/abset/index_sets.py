@@ -4,16 +4,12 @@ Each component is a nested periodic block: one block of consecutive
 indices repeated along several layers of periods, as produced by
 recursively substituted words.  Membership and counting are exact;
 unions assume pairwise-disjoint components, which is what the
-construction-produced sets guarantee.
-
-Member iteration is bounded by SWEEP_LIMIT because these sets routinely
-describe horizons around 10**24 indices.
+construction-produced sets guarantee.  The sets routinely describe
+horizons around 10**24 indices, so nothing here sweeps their members.
 """
 
 from fractions import Fraction
-from typing import Iterator, Sequence, Tuple
-
-SWEEP_LIMIT = 10 ** 6
+from typing import Sequence, Tuple
 
 
 class _NestedBlocks:
@@ -117,14 +113,6 @@ class IndexSet:
         if h < 1:
             raise ValueError("density needs a horizon >= 1")
         return Fraction(self.count_up_to(h), h)
-
-    def iter_members(self, limit: int) -> Iterator[int]:
-        """Ascending members <= limit; sweep-bounded."""
-        if limit > SWEEP_LIMIT:
-            raise ValueError(f"member sweep capped at {SWEEP_LIMIT}; got {limit}")
-        for j in range(1, limit + 1):
-            if self.contains(j):
-                yield j
 
     def describe(self):
         """Stable structural description for reports."""

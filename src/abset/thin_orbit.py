@@ -117,12 +117,6 @@ class TStage:
     shift_sup: Fraction         # sup-norm of the rotation perturbation
     shift_within_sqrt: Optional[bool]   # recorded: shift_sup < sqrt(eps_prev)
 
-    @property
-    def g_value(self) -> Fraction:
-        """k beta - l alpha mod 1; zero means the pair is balanced for
-        this word's counts."""
-        return mod1(self.k * self.beta - self.l * self.alpha)
-
 
 def init_stage(config: ThinConfig) -> TStage:
     """W_1 = x^m y^m at alpha = beta = 1/2 + eps1/(2m), which lands W_1

@@ -7,16 +7,16 @@ construction; prefix counts descend the DAG instead of expanding it.
 
 Evaluating a word at a rotation pair (alpha, beta) means: each x steps
 the circle point by alpha, each y by beta.  The point reached after the
-whole word is `evaluate_end`; the sampled trajectory is `orbit_points`.
+whole word is `evaluate_end`; the sampled trajectory is `orbit_points`,
+whose pairs `window_groups` groups by gap and window x-count.
 """
 
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from itertools import accumulate
+from operator import sub
+from typing import Iterable, Iterator, List, NamedTuple
 
 from .exact import mod1
-
-# letters a word of this size is allowed to spell out explicitly
-FLATTEN_LIMIT = 10 ** 6
 
 
 class CountVector(NamedTuple):
@@ -171,11 +171,35 @@ def letters(w: WordExpr) -> Iterator[str]:
             raise AssertionError(f"unreachable kind {kind!r}")
 
 
-def to_string(w: WordExpr) -> str:
-    """Spell the word out, for debugging small words only."""
-    if w.length > FLATTEN_LIMIT:
-        raise ValueError(f"refusing to flatten a word of length {w.length}")
-    return "".join(letters(w))
+def window_groups(is_x: List[bool], steps, one: int):
+    """(g, a, d, counts, radius) per group of the pairs i < j of the points
+    t_1..t_n that a word with letters `is_x` (True for x) visits, grouped
+    by gap g = j - i and window x-count a = X_j - X_i.
+
+    With steps = (a_mid, a_rad, b_mid, b_rad), the letters' steps and
+    radii in units of 1/one, t_j - t_i = a*alpha + (g - a)*beta has circle
+    distance d units.  counts[k] is the x-count of the pair
+    (k + 1, k + 1 + g) and radius(k) its radius R_i + R_j, with
+    R_k = X_k a_rad + Y_k b_rad, which never falls as k grows.
+    """
+    a_mid, a_rad, b_mid, b_rad = steps
+    xs = list(accumulate(is_x, initial=0))               # X_0..X_n
+    radii = [x * a_rad + (k - x) * b_rad for k, x in enumerate(xs)]
+    n = len(is_x)
+    for g in range(1, n):
+        counts = list(map(sub, xs[g + 1:], xs[1:n - g + 1]))
+
+        def radius(k, g=g):
+            return radii[k + 1] + radii[k + 1 + g]
+        for a in set(counts):
+            r = (a * a_mid + (g - a) * b_mid) % one
+            yield g, a, min(r, one - r), counts, radius
+
+
+def window_pairs(counts: List[int], a: int, g: int, lo: int, hi: int):
+    """The pairs (k + 1, k + 1 + g) of a window_groups group with
+    counts[k] == a and lo <= k < hi."""
+    return [(k + 1, k + 1 + g) for k in range(lo, hi) if counts[k] == a]
 
 
 def format_word(w: WordExpr) -> str:

@@ -1,7 +1,10 @@
 """Test oracle: the Fraction interval arithmetic and the dichotomy, horizon
 and probe scans that ran on it before they moved onto integer units, and
 the separation check's loop over every pair of orbit points, which ran
-before the check moved onto letter counts.
+before the check moved onto letter counts.  The dichotomy and the
+probe's case-1 separation visit every pair of points, with no budget:
+they are the references for the letter-count dichotomy and the sorted
+sweep.
 
 Every value here is an `Interval` of two exact Fractions, and every
 power threshold goes through `cmp_products`.  The scans read the minima
@@ -19,9 +22,7 @@ import mpmath
 
 from abset.diophantine import (
     DEC_PREC_BITS,
-    DEFAULT_PAIR_BUDGET,
     DEFAULT_PREC,
-    DEFAULT_SEP_BUDGET,
     GUARD_BITS,
     LOG_DIGITS,
     ApproxReal,
@@ -34,7 +35,7 @@ from abset.diophantine import (
     minima_sequence,
 )
 from abset.errors import InsufficientPrecision, UsageError
-from abset.exact import ceil_root_ratio, dec_sci, dist_to_int
+from abset.exact import ceil_root_ratio, dec_sci, mod1
 from abset.index_sets import IndexSet
 
 _ZERO = Fraction(0)
@@ -84,7 +85,8 @@ class Interval:
 
     def dist_to_nearest_int(self) -> "Interval":
         # distance-to-Z is 1-Lipschitz, so the radius carries over
-        return Interval(dist_to_int(self.mid), self.rad)
+        m = mod1(self.mid)
+        return Interval(min(m, 1 - m), self.rad)
 
 
 def from_bounds(lo: Fraction, hi: Fraction) -> Interval:
@@ -181,14 +183,12 @@ def _dec(value) -> str:
     return dec_sci(as_interval(value).mid)
 
 
-def gap_dichotomy(alpha, beta, points, n, m, params, prec_bits=DEFAULT_PREC,
-                  pair_budget=DEFAULT_PAIR_BUDGET) -> GapDichotomyReport:
+def gap_dichotomy(points, recs, n, m, params) -> GapDichotomyReport:
     def refuse(reason, horizon=None):
         return GapDichotomyReport(n, m, True, reason, horizon)
 
     if n < 1 or m < 1:
         return refuse("indices must be >= 1")
-    recs = minima_sequence(alpha, beta, max(n, m), prec_bits)
     if len(recs) < max(n, m):
         return refuse(f"minima sequence terminates at n={recs[-1].n} with value 0")
     rec_n, rec_m = recs[n - 1], recs[m - 1]
@@ -214,8 +214,6 @@ def gap_dichotomy(alpha, beta, points, n, m, params, prec_bits=DEFAULT_PREC,
     if len(points) < horizon:
         return refuse(f"orbit has {len(points)} points, horizon needs {horizon}",
                       horizon)
-    if horizon * (horizon - 1) // 2 > pair_budget:
-        return refuse(f"horizon {horizon} exceeds the pair budget", horizon)
 
     d_n, d_m = rec_n.delta, rec_m.delta
     separated = clustered = 0
@@ -247,9 +245,7 @@ def gap_dichotomy(alpha, beta, points, n, m, params, prec_bits=DEFAULT_PREC,
                               tuple(min_gap_bad))
 
 
-def dichotomy_scan(alpha, beta, points, params, n_max, prec_bits=DEFAULT_PREC,
-                   pair_budget=DEFAULT_PAIR_BUDGET) -> QualifyingScan:
-    recs = minima_sequence(alpha, beta, n_max, prec_bits)
+def dichotomy_scan(points, recs, params) -> QualifyingScan:
     tp, tq = params.t.numerator, params.t.denominator
     qualifying, reports, refusals, notes = [], [], [], []
     total = 0
@@ -266,7 +262,7 @@ def dichotomy_scan(alpha, beta, points, params, n_max, prec_bits=DEFAULT_PREC,
             continue
         for other in recs:
             mm = other.n
-            if mm <= rec.n or mm > min(horizon, n_max) or not other.minimal:
+            if mm <= rec.n or mm > horizon or not other.minimal:
                 continue
             c = cmp_products([(other.delta, tq)], [(rec.delta, tp)])
             if c is None:
@@ -274,8 +270,7 @@ def dichotomy_scan(alpha, beta, points, params, n_max, prec_bits=DEFAULT_PREC,
                 continue
             if c < 0:
                 qualifying.append((rec.n, mm))
-                rep = gap_dichotomy(alpha, beta, points, rec.n, mm, params,
-                                    prec_bits, pair_budget)
+                rep = gap_dichotomy(points, recs, rec.n, mm, params)
                 reports.append(rep)
                 if rep.refused:
                     refusals.append((rec.n, mm, rep.reason))
@@ -298,8 +293,7 @@ def _probe_exponent(count: int, neg_log_scale) -> str:
 
 
 def assouad_lower_probe(alpha, beta, points, indices, params,
-                        n_list: Sequence[int], prec_bits=DEFAULT_PREC,
-                        sep_budget=DEFAULT_SEP_BUDGET) -> AssouadProbeReport:
+                        n_list: Sequence[int], prec_bits=DEFAULT_PREC) -> AssouadProbeReport:
     if not n_list:
         raise UsageError("probe needs a nonempty n_list")
     recs = minima_sequence(alpha, beta, max(n_list), prec_bits)
@@ -368,17 +362,8 @@ def assouad_lower_probe(alpha, beta, points, indices, params,
 
         if close_m is None:
             sep_bad = sep_und = 0
-            checked = 0
-            outer = True
             for ai in range(len(ent)):
-                if not outer:
-                    break
                 for bi in range(ai + 1, len(ent)):
-                    if checked >= sep_budget:
-                        note_bits.append(f"separation sampled on first {checked} pairs")
-                        outer = False
-                        break
-                    checked += 1
                     d = (ent[bi][1] - ent[ai][1]).dist_to_nearest_int()
                     c = cmp_products([(d, tq)], [(d_n, tp)])
                     if c is None:

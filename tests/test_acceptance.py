@@ -42,7 +42,7 @@ from abset.thin_orbit import (
     deleted_union,
     restricted_covering,
 )
-from abset.words import evaluate_end
+from abset.words import evaluate_end, parse_word
 
 DESK_PAIRS = [(32, 64), (256, 1024)]
 
@@ -224,10 +224,9 @@ def test_criterion_5_surd_pair_scans():
     beta = dio.parse_value("sqrt(3) - 1")
     records = dio.minima_sequence(alpha, beta, 500, 256)
     ratio = dio.integer_ratio_scan(records, tol=Fraction(1, 2 ** 64))
-    orbit = dio.orbit_of_word("( ( x y ) ^ 250 )", alpha, beta, 256)
-    separation = dio.orbit_separation_check("( ( x y ) ^ 250 )", alpha, beta,
-                                            records[:499], 256)
-    dich = dio.dichotomy_scan(orbit, records, dio.ProbeParams())
+    word = parse_word("( ( x y ) ^ 250 )")
+    separation = dio.orbit_separation_check(word, alpha, beta, records[:499], 256)
+    dich = dio.dichotomy_scan(word, alpha, beta, records, dio.ProbeParams(), 256)
     elapsed = time.monotonic() - t0
 
     ok = (
@@ -244,7 +243,7 @@ def test_criterion_5_surd_pair_scans():
         f"{len(separation.violations)} bad, "
         f"dichotomy {len(dich.qualifying)} qualifying / {dich.violation_total} bad",
     )
-    assert len(orbit) == 500
+    assert word.length == 500
     assert not ratio.violations
     assert not separation.violations
     assert dich.violation_total == 0

@@ -238,25 +238,46 @@ def test_dioph_mixed_pair_keeps_rational_member_exact(capsys, tmp_path, argv, ze
     ["verify-all", "--profile", "desk"],
 ], ids=["dioph-all", "verify-all"])
 def test_one_minima_pass_feeds_every_scan(capsys, monkeypatch, argv):
-    passes, scans = [], []
+    # and no orbit is built: the dichotomy reads the word's letter counts
+    passes, scans, orbits = [], [], []
     minima, dichotomy = diophantine.minima_sequence, diophantine.dichotomy_scan
 
     def counted(*args, **kw):
         passes.append(minima(*args, **kw))
         return passes[-1]
 
-    def recorded(points, records, *args, **kw):
-        scans.append((records, dichotomy(points, records, *args, **kw)))
+    def recorded(word, alpha, beta, records, *args, **kw):
+        scans.append((records, dichotomy(word, alpha, beta, records, *args, **kw)))
         return scans[-1][1]
 
     monkeypatch.setattr(diophantine, "minima_sequence", counted)
     monkeypatch.setattr(diophantine, "dichotomy_scan", recorded)
+    monkeypatch.setattr(diophantine, "orbit_of_word",
+                        lambda *args, **kw: orbits.append(args))
     rc, _, _ = run(capsys, *argv)
     assert rc == 0
     assert len(passes) == 1 and len(passes[0]) == 500
     [(records, scan)] = scans
     assert records is passes[0]
     assert scan.qualifying == ()
+    assert orbits == []
+
+
+@pytest.mark.parametrize("prec", ["100", "0"])
+def test_dioph_prec_too_coarse_for_a_surd_names_the_flag(capsys, prec):
+    rc, stdout, stderr = run(capsys, "dioph", *SURDS, "--nmax", "50",
+                             "--prec", prec, "--scan", "minima")
+    assert (rc, stdout) == (1, "")
+    assert stderr == (f"usage error: bad prec {prec}: 'sqrt(2) - 1' is held "
+                      "coarser than 2^-128; --prec 128 always passes\n")
+
+
+@pytest.mark.parametrize("prec", ["119", "127", "128"])
+def test_dioph_surd_runs_at_every_prec_that_holds_it(capsys, prec):
+    rc, stdout, stderr = run(capsys, "dioph", *SURDS, "--nmax", "50",
+                             "--prec", prec, "--scan", "minima")
+    assert rc == 0 and stderr == ""
+    assert '"computed": 50' in stdout
 
 
 def test_dioph_rational_pair_runs_at_prec_0(capsys):

@@ -21,11 +21,11 @@ from abset.dimension import (
     DEFAULT_PREC_BITS,
     KEY_GUARD_BITS,
     LOG_DIGITS,
+    _cells,
     _keys,
     _log_inverse,
     assouad_probe_windows,
     box_dim_series,
-    grid_cells,
     grid_covering,
     maximal_separated_subset,
     min_gap,
@@ -275,6 +275,11 @@ def test_returned_points_are_fractions():
     rep = assouad_probe_windows([0, 1], [(F(1, 2), F(1, 2))])
     assert type(rep[0]["witness_anchor"]) is Fraction
     assert type(min_gap([0, F(1, 2)])) is Fraction
+
+
+def grid_cells(points, rho):
+    """Sorted distinct indices of the rho-grid cells the set hits."""
+    return _cells(_keys(points), rho)
 
 
 def test_grid_cells_sorted_distinct():

@@ -10,6 +10,7 @@ counts come from oracle runs of the same instances.
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -17,9 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abset.diophantine import (
-    DEFAULT_PAIR_BUDGET,
     DEFAULT_PREC,
-    DEFAULT_SEP_BUDGET,
     GUARD_BITS,
     ApproxReal,
     MinimaRecord,
@@ -444,7 +443,8 @@ def dichotomy_report(scan, n, m):
 def test_gap_dichotomy_matches_brute_force():
     pts = orbit_of_word("x" * 17, EA, EB)
     recs = minima_sequence(EA, EB, 10)
-    rep = dichotomy_report(dichotomy_scan(pts, recs, ProbeParams()), 4, 10)
+    rep = dichotomy_report(dichotomy_scan("x" * 17, EA, EB, recs, ProbeParams()),
+                           4, 10)
     assert not rep.refused
     assert (rep.horizon, rep.pairs_total) == (17, 136)
     assert (rep.separated, rep.clustered) == (129, 7)
@@ -468,41 +468,41 @@ def test_gap_dichotomy_matches_brute_force():
 
 
 def test_gap_dichotomy_flags_band_distances():
-    # synthetic points: two distances fall between the clustered window
-    # and the separation scale, one duplicate trips the min-gap bound
+    # synthetic points, which no word orbit visits, on the pair-loop
+    # oracle: two distances fall between the clustered window and the
+    # separation scale, one duplicate trips the min-gap bound
     syn = [F(k, 17) for k in range(1, 18)]
     syn[1] = syn[0] + F(1, 10**6)
     syn[2] = syn[0]
-    scan = dichotomy_scan(syn, minima_sequence(EA, EB, 10), ProbeParams())
+    scan = oracle.dichotomy_scan(syn, minima_sequence(EA, EB, 10), ProbeParams())
     rep = dichotomy_report(scan, 4, 10)
     assert (rep.separated, rep.clustered) == (133, 1)
     assert rep.violations == ((1, 2), (2, 3))
     assert rep.min_gap_violations == ((1, 3),)
 
 
-@pytest.mark.parametrize("npts,n,m,budget,reason", [
-    (3, 1, 4, DEFAULT_PAIR_BUDGET, "orbit has 3 points, horizon needs 4"),
-    (17, 4, 10, 5, "horizon 17 exceeds the pair budget"),
-], ids=["short-orbit", "pair-budget"])
-def test_dichotomy_scan_refusals(npts, n, m, budget, reason):
-    pts = orbit_of_word("x" * npts, EA, EB)
-    scan = dichotomy_scan(pts, minima_sequence(EA, EB, m), ProbeParams(), budget)
+@pytest.mark.parametrize("npts,n,m,reason", [
+    (3, 1, 4, "orbit has 3 points, horizon needs 4"),
+], ids=["short-orbit"])
+def test_dichotomy_scan_refusals(npts, n, m, reason):
+    scan = dichotomy_scan("x" * npts, EA, EB, minima_sequence(EA, EB, m),
+                          ProbeParams())
     rep = dichotomy_report(scan, n, m)
     assert (rep.refused, rep.reason) == (True, reason)
     assert (n, m, reason) in scan.refusals
 
 
 def test_dichotomy_scan_engineered():
-    pts = orbit_of_word("x" * 17, EA, EB)
-    scan = dichotomy_scan(pts, minima_sequence(EA, EB, 10), ProbeParams())
+    scan = dichotomy_scan("x" * 17, EA, EB, minima_sequence(EA, EB, 10),
+                          ProbeParams())
     assert scan.qualifying == ((1, 4), (4, 10), (7, 10))
     assert scan.violation_total == 0
     assert scan.refusals == ((7, 10, "orbit has 17 points, horizon needs 24"),)
 
 
 def test_dichotomy_scan_surds_has_no_qualifying_pairs():
-    pts = orbit_of_word("xy" * 10, S2M1, S3M1)
-    scan = dichotomy_scan(pts, minima_sequence(S2M1, S3M1, 20), ProbeParams())
+    scan = dichotomy_scan("xy" * 10, S2M1, S3M1, minima_sequence(S2M1, S3M1, 20),
+                          ProbeParams())
     assert scan.qualifying == ()
     assert scan.violation_total == 0
 
@@ -607,6 +607,42 @@ def test_probe_case1_surd():
     assert float(c.exponent_dec) == pytest.approx(0.263162240106, rel=1e-9)
     assert rep.exponent_at_params == F(49, 200)
     assert rep.implied_exponent_limit == F(1, 4)
+
+
+def test_probe_real_orbit_checks_every_case1_pair():
+    # the 14 minimal n <= 2000 of the 2,000-point orbit: every case is
+    # case 1, and its separation covers all of its pairs (about 1.16
+    # million in all, 835,278 at n = 700)
+    t0 = time.monotonic()
+    points = orbit_of_word("xy" * 1000, S2M1, S3M1)
+    n_list = [r.n for r in minima_sequence(S2M1, S3M1, 2000) if r.minimal]
+    rep = assouad_lower_probe(S2M1, S3M1, points, None, ProbeParams(), n_list)
+    elapsed = time.monotonic() - t0
+    assert n_list == [1, 2, 3, 4, 5, 9, 37, 46, 76, 122, 129, 339, 468, 700]
+    assert [c.horizon for c in rep.cases][-4:] == [361, 488, 528, 1293]
+    for c in rep.cases:
+        assert (c.outcome, c.note, c.sep_count) == ("case1", "", c.horizon)
+        assert c.sep_violations == c.sep_undecided == 0
+    assert elapsed < 5.0, f"budget 5 s exceeded: {elapsed:.2f} s"
+
+
+def test_probe_case1_sweep_wraps_and_ties():
+    # a pair 2e-14 apart across 0, a duplicate, and a pair 2^-192 farther
+    # apart than delta_9**2, certified so at radius zero but not at its
+    # radii of 2^-200, among the orbit's 35 points below the horizon of
+    # n = 9: the sweep's band is set at twice the largest point radius
+    points = orbit_of_word("xy" * 20, S2M1, S3M1)
+    d_9 = minima_sequence(S2M1, S3M1, 9)[8].delta.mid
+    points[:6] = [F(1, 10 ** 14), 1 - F(1, 10 ** 14),
+                  ApproxReal(F(1, 3), F(1, 2 ** 200)),
+                  ApproxReal(F(1, 3) + d_9 ** 2 + F(1, 2 ** 192), F(1, 2 ** 200)),
+                  points[5], points[5]]
+    rep = assouad_lower_probe(S2M1, S3M1, points, None, ProbeParams(), [9])
+    assert rep == oracle.assouad_lower_probe(S2M1, S3M1, points, None,
+                                             ProbeParams(), [9])
+    c, = rep.cases
+    assert (c.outcome, c.horizon, c.sep_violations, c.sep_undecided) == \
+        ("case1", 35, 2, 1)
 
 
 def test_probe_case2a_spread_net():
@@ -952,8 +988,8 @@ def blur(draw, q):
 def pair_and_points(draw):
     """(alpha, beta, prec, points, indices): an orbit of the pair,
     synthetic points, or points at the pair's minima and their squares and
-    cubes from a base point, where the dichotomy and probe thresholds tie;
-    indices draw mostly the pair's minimal indices."""
+    cubes from a base point, where the probe's thresholds tie; indices
+    draw mostly the pair's minimal indices."""
     alpha, beta = draw(oracle_pairs)
     prec = draw(st.sampled_from([128, 256]))
     word = "".join(draw(st.lists(st.sampled_from("xy"), min_size=draw(
@@ -983,30 +1019,15 @@ def pair_and_points(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(pair_and_points(), probe_params,
-       st.integers(min_value=1, max_value=16) | st.just(16),
-       st.sampled_from([DEFAULT_PAIR_BUDGET, 50, 5]))
-def test_dichotomy_scan_matches_interval_oracle(case, params, n_max, budget):
-    alpha, beta, prec, points, _ = case
-
-    def scan():
-        return dichotomy_scan(points, minima_sequence(alpha, beta, n_max, prec),
-                              params, budget)
-    assert outcome(scan) == outcome(oracle.dichotomy_scan, alpha, beta, points,
-                                    params, n_max, prec, budget)
-
-
-@settings(max_examples=200, deadline=None)
 @given(pair_and_points(), probe_params, st.data(),
-       st.one_of(st.none(), st.lists(st.integers(min_value=-2, max_value=40))),
-       st.sampled_from([DEFAULT_SEP_BUDGET, 3]))
-def test_probe_matches_interval_oracle(case, params, data, indices, sep_budget):
+       st.one_of(st.none(), st.lists(st.integers(min_value=-2, max_value=40))))
+def test_probe_matches_interval_oracle(case, params, data, indices):
     alpha, beta, prec, points, n_indices = case
     n_list = data.draw(st.lists(n_indices, min_size=1, max_size=4))
     assert outcome(assouad_lower_probe, alpha, beta, points, indices, params,
-                   n_list, prec, sep_budget) == \
+                   n_list, prec) == \
         outcome(oracle.assouad_lower_probe, alpha, beta, points, indices, params,
-                n_list, prec, sep_budget)
+                n_list, prec)
 
 
 @pytest.mark.parametrize("blurred", [False, True], ids=["exact", "radius"])
@@ -1028,8 +1049,9 @@ def test_engineered_ties_match_interval_oracle(blurred, t):
         d / 4, 1 - d / 4)]
     points = [ApproxReal(q, F(1, 2 ** 140)) if blurred else q for q in ties] \
         + orbit_of_word("x" * 11, alpha, EB)
-    scan = dichotomy_scan(points, minima_sequence(alpha, EB, 12), params)
-    assert scan == oracle.dichotomy_scan(alpha, EB, points, params, 12)
+    # no word orbit visits these points: the dichotomy half reads the
+    # pair-loop oracle
+    scan = oracle.dichotomy_scan(points, minima_sequence(alpha, EB, 12), params)
     # at t = 3 only delta_10 lies below delta_4**t
     assert scan.qualifying == (((1, 4), (4, 10), (7, 10)) if t == 2
                                else ((4, 10),))
@@ -1043,13 +1065,21 @@ def test_engineered_ties_match_interval_oracle(blurred, t):
 
 # -- separation on letter counts against the pair loop ------------------------
 
+def word_form(draw, letters_: str):
+    """The x/y letters plain, as a WordExpr or in the grammar."""
+    if not draw(st.booleans()):
+        return letters_
+    expr = functools.reduce(concat, [X if c == "x" else Y for c in letters_],
+                            EMPTY)
+    return draw(st.sampled_from([expr, format_word(expr)]))
+
+
 @st.composite
 def separation_cases(draw):
     """(word, alpha, beta, prec, records): an x/y word of 0 to 60 letters,
-    mostly cut to the prefix its minima cover, plain, as a WordExpr or in
-    the grammar; the pair's minima at this or another precision, some
-    raised past real distances (a certified violation) or by one unit (a
-    tie left undecided)."""
+    mostly cut to the prefix its minima cover, in any form; the pair's
+    minima at this or another precision, some raised past real distances
+    (a certified violation) or by one unit (a tie left undecided)."""
     alpha, beta = draw(oracle_pairs)
     prec = draw(st.sampled_from([128, 256]))
     rec_prec = draw(st.sampled_from([128, 256]))
@@ -1061,16 +1091,48 @@ def separation_cases(draw):
         recs = []
     if draw(st.integers(min_value=0, max_value=3)):
         letters_ = letters_[:len(recs) + 1]   # the prefix the minima cover
-    word = letters_
-    if draw(st.booleans()):
-        expr = functools.reduce(concat, [X if c == "x" else Y for c in letters_],
-                                EMPTY)
-        word = draw(st.sampled_from([expr, format_word(expr)]))
     if draw(st.booleans()):
         recs = [MinimaRecord(r.n, r.u, r.minimal, r.d_units + draw(st.sampled_from(
                     [0, 0, 1, r.den >> 2, r.den >> 8, r.den >> 40])),
                     r.rad_units, r.den) for r in recs]
-    return word, alpha, beta, prec, recs
+    return word_form(draw, letters_), alpha, beta, prec, recs
+
+
+@st.composite
+def dichotomy_cases(draw):
+    """(word, alpha, beta, prec, records): half the time a perturbed
+    engineered pair, whose (1, 4), (4, 10) and (7, 10) qualify, with minima
+    to n >= 10 and a word long enough for their horizons, else any oracle
+    pair; a word of x only (the clustered gap-10 windows of the engineered
+    pair repeat) or of x and y, in any form; the minima at this or another
+    precision, one minimal record often forged: lowered 2^7-fold (clustered
+    pairs become certified violations), raised past the real distances
+    (min-gap violations), or by one unit or 2^14 units (a min-gap tie,
+    certified for the leading pairs of a radius pair only)."""
+    if draw(st.booleans()):
+        alpha, beta = draw(engineered_pairs)
+        n_max = draw(st.integers(min_value=10, max_value=16))
+        size = draw(st.integers(min_value=17, max_value=40))
+    else:
+        alpha, beta = draw(oracle_pairs)
+        n_max = draw(st.integers(min_value=1, max_value=16))
+        size = draw(st.integers(min_value=0, max_value=40))
+    prec = draw(st.sampled_from([128, 256]))
+    letters_ = "x" * size if draw(st.booleans()) else \
+        draw(st.text("xy", min_size=size, max_size=size))
+    try:
+        recs = minima_sequence(alpha, beta, n_max, draw(st.sampled_from([128, 256])))
+    except (InsufficientPrecision, UsageError):
+        recs = []
+    minimal = [k for k, r in enumerate(recs) if r.minimal]
+    if minimal and draw(st.integers(min_value=0, max_value=3)):
+        k = minimal[-1] if draw(st.booleans()) else draw(st.sampled_from(minimal))
+        r = recs[k]
+        d = draw(st.sampled_from([r.d_units >> 7, r.d_units + (r.den >> 24),
+                                  r.d_units + 1, r.d_units + (1 << 14)]))
+        recs = recs[:k] + [MinimaRecord(r.n, r.u, True, d, r.rad_units, r.den)] \
+            + recs[k + 1:]
+    return word_form(draw, letters_), alpha, beta, prec, recs
 
 
 def pair_loop_separation(word, alpha, beta, prec, recs):
@@ -1082,6 +1144,88 @@ def pair_loop_separation(word, alpha, beta, prec, recs):
 def test_separation_matches_pair_loop_oracle(case):
     assert outcome(orbit_separation_check, *case[:3], case[4], case[3]) == \
         outcome(pair_loop_separation, *case)
+
+
+def pair_loop_dichotomy(word, alpha, beta, prec, recs, params):
+    return oracle.dichotomy_scan(orbit_of_word(word, alpha, beta, prec), recs, params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dichotomy_cases(), probe_params)
+def test_dichotomy_scan_matches_interval_oracle(case, params):
+    word, alpha, beta, prec, recs = case
+    assert outcome(dichotomy_scan, word, alpha, beta, recs, params, prec) == \
+        outcome(pair_loop_dichotomy, *case, params)
+
+
+# the engineered pair with a radius on alpha: (4, 10) has 7 clustered
+# pairs of gap 10, each at distance delta_10
+BLURRED_EA = RealValue.from_fraction(EA) + RealValue.sqrt(2, F(1, 10 ** 30))
+
+
+@pytest.mark.parametrize("forge,clustered,violations,min_gap", [
+    (lambda r: r.d_units >> 7, 0, 7, 0),
+    (lambda r: r.d_units + (r.den >> 24), 7, 0, 7),
+    # 2^14 units past the distance: certified while the pair radius is small
+    (lambda r: r.d_units + (1 << 14), 7, 0, 5),
+], ids=["lowered", "raised", "raised-to-the-guard"])
+def test_dichotomy_forged_delta_m_matches_pair_loop_oracle(forge, clustered,
+                                                           violations, min_gap):
+    recs = minima_sequence(BLURRED_EA, EB, 10)
+    r = recs[9]
+    recs[9] = MinimaRecord(r.n, r.u, True, forge(r), r.rad_units, r.den)
+    scan = dichotomy_scan("x" * 17, BLURRED_EA, EB, recs, ProbeParams())
+    assert scan == pair_loop_dichotomy("x" * 17, BLURRED_EA, EB, DEFAULT_PREC,
+                                       recs, ProbeParams())
+    rep = dichotomy_report(scan, 4, 10)
+    assert (rep.separated, rep.clustered, len(rep.violations)) == \
+        (129, clustered, violations)
+    assert rep.min_gap_violations == tuple((i, i + 10)
+                                           for i in range(1, min_gap + 1))
+
+
+def test_dichotomy_lists_pairs_of_several_gaps_in_pair_order():
+    # t_k = k/4096 exactly, delta_1 forged to 307/12288 (horizon 7) and
+    # delta_2 to 7/12288, between the gap-2 distance and delta_1**2: the
+    # pairs of gaps 1 and 2 are clustered and below delta_2
+    recs = [MinimaRecord(1, (1, 0), True, 307, 0, 12288),
+            MinimaRecord(2, (2, 0), True, 7, 0, 12288)]
+    scan = dichotomy_scan("x" * 8, F(1, 4096), F(1, 3), recs, ProbeParams())
+    assert scan == pair_loop_dichotomy("x" * 8, F(1, 4096), F(1, 3),
+                                       DEFAULT_PREC, recs, ProbeParams())
+    rep = dichotomy_report(scan, 1, 2)
+    assert (rep.horizon, rep.separated, rep.clustered) == (7, 10, 11)
+    assert rep.min_gap_violations == tuple(sorted(
+        (i, i + g) for g in (1, 2) for i in range(1, 8 - g)))
+
+
+@pytest.mark.parametrize("mult,certified", [(5, 0), (11, 2), (100, 7)])
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+def test_dichotomy_separation_tie_splits_at_the_guard_edge(side, mult, certified):
+    # t_k = k/4096 within a radius that grows with k, and delta_1 forged
+    # just off 1/64, so each gap-1 distance misses delta_1**2 by a margin
+    # that is certified for the leading pairs of the (gap, x-count) group
+    # only.  Above 1/64 those are violations and the rest undecided; below
+    # it, with delta_2 = 2^-13 widening the cluster window past them, they
+    # are separated and the rest clustered.
+    alpha, beta = ApproxReal(F(1, 4096), F(1, 2 ** 140)), F(1, 3)
+    one, (_, a_rad), _ = _resolve_pair(alpha, beta, DEFAULT_PREC)
+    recs = [MinimaRecord(1, (1, 0), True, one // 64 + side * 4096 * a_rad * mult,
+                         0, one),
+            MinimaRecord(2, (2, 0), True, 1 if side > 0 else one >> 13, 0, one)]
+    scan = dichotomy_scan("x" * 8, alpha, beta, recs, ProbeParams())
+    assert scan == pair_loop_dichotomy("x" * 8, alpha, beta, DEFAULT_PREC, recs,
+                                       ProbeParams())
+    rep = dichotomy_report(scan, 1, 2)
+    gap_1 = tuple((i, i + 1) for i in range(1, 8))
+    assert rep.horizon == 8 and rep.min_gap_violations == ()
+    if side > 0:
+        assert (rep.separated, rep.clustered) == (21, 0)
+        assert (rep.violations, rep.undecided) == (gap_1[:certified],
+                                                   gap_1[certified:])
+    else:
+        assert (rep.separated, rep.clustered) == (21 + certified, 7 - certified)
+        assert rep.violations == rep.undecided == ()
 
 
 def test_separation_forged_records_match_pair_loop_oracle():

@@ -14,7 +14,6 @@ from abset.exact import (
     ceil_root_ratio,
     dec_sci,
     digit_len,
-    dist_to_int,
     exact_sqrt,
     iroot,
     lift_half,
@@ -107,15 +106,16 @@ def test_mod1_and_lifts():
     assert mod1(Fraction(-1, 4)) == Fraction(3, 4)
     assert lift_half(Fraction(3, 4)) == Fraction(-1, 4)
     assert lift_half(Fraction(1, 2)) == Fraction(1, 2)
-    assert dist_to_int(Fraction(9, 10)) == Fraction(1, 10)
-    assert dist_to_int(Fraction(1, 20) - Fraction(19, 20)) == Fraction(1, 10)
+    assert abs(lift_half(Fraction(9, 10))) == Fraction(1, 10)
+    assert abs(lift_half(Fraction(1, 20) - Fraction(19, 20))) == Fraction(1, 10)
 
 
 @given(st.fractions(), st.fractions())
 def test_circ_dist_symmetric_and_bounded(a, b):
-    # the circle distance of two rationals is dist_to_int of their difference
-    d = dist_to_int(a - b)
-    assert d == dist_to_int(b - a)
+    # the circle distance of two rationals is |lift_half| of their difference
+    d = abs(lift_half(a - b))
+    assert d == abs(lift_half(b - a))
+    assert d == min(mod1(a - b), 1 - mod1(a - b))
     assert Fraction(0) <= d <= Fraction(1, 2)
 
 

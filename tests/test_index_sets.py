@@ -66,11 +66,6 @@ def test_union_counts_additive_when_disjoint():
                                      36, 37, 46, 47, 56, 57]
 
 
-def test_iter_members_capped():
-    with pytest.raises(ValueError):
-        list(IndexSet().iter_members(10 ** 6 + 1))
-
-
 # -- property tests -----------------------------------------------------------
 
 @st.composite

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from abset import thin_orbit
 from abset.errors import InvariantViolation, UsageError
-from abset.exact import ceil_root, dist_to_int, mod1, sqrt_bracket
+from abset.exact import ceil_root, lift_half, mod1, sqrt_bracket
 from abset.thin_orbit import (
     DEFAULT_SAMPLE_BUDGET,
     DEFAULT_SEED,
@@ -35,7 +35,12 @@ from abset.thin_orbit import (
     init_stage,
     restricted_covering,
 )
-from abset.words import X, prefix_counts, to_string
+from abset.words import X, letters, prefix_counts
+
+
+def spell(w) -> str:
+    return "".join(letters(w))
+
 
 TINY = ThinConfig(m=3, eps1=Fraction(1, 2 ** 12), rho=lambda n: 2)
 
@@ -138,8 +143,8 @@ class TestSeed:
         s1 = init_stage(TINY)
         assert s1.alpha == s1.beta == Fraction(1, 2) + Fraction(1, 6 * 2 ** 12)
         assert (s1.N, s1.k, s1.l) == (6, 3, 3)
-        assert walk(to_string(s1.W), s1.alpha, s1.beta)[-1] == TINY.eps1
-        assert s1.g_value == 0
+        assert walk(spell(s1.W), s1.alpha, s1.beta)[-1] == TINY.eps1
+        assert mod1(s1.k * s1.beta - s1.l * s1.alpha) == 0
 
     def test_config_guards(self):
         with pytest.raises(UsageError):
@@ -200,11 +205,11 @@ class TestTinyAdvance:
         assert (s2.N, s2.k, s2.l) == (3942, 1896, 2046)
         assert s2.V.length == 300
         assert s2.eps == Fraction(1, 2 ** 24)
-        assert to_string(s2.V) == ("xxx" + "y" * 9) * 25
+        assert spell(s2.V) == ("xxx" + "y" * 9) * 25
 
     def test_walk_oracle(self, tiny_stages):
         s1, s2 = tiny_stages
-        values = walk(to_string(s2.W), s2.alpha, s2.beta)
+        values = walk(spell(s2.W), s2.alpha, s2.beta)
         assert values[-1] == s2.eps                 # new word lands on target
         assert values[s1.N - 1] == s1.eps           # W_1 preserved exactly
         for c in range(2, s2.L + 1):                # every full repeat too
@@ -213,7 +218,7 @@ class TestTinyAdvance:
     def test_prefix_structure(self, tiny_stages):
         s1, s2 = tiny_stages
         assert prefix_counts(s2.W, s1.N) == s1.W.counts
-        assert to_string(s2.W)[:6] == "xxxyyy"
+        assert spell(s2.W)[:6] == "xxxyyy"
 
     def test_balance_band(self, tiny_stages):
         s2 = tiny_stages[1]
@@ -222,8 +227,9 @@ class TestTinyAdvance:
 
     def test_imbalance_generic_after_one_step(self, tiny_stages):
         s2 = tiny_stages[1]
-        assert s2.g_value == Fraction(326558353, 419430400)
-        assert dist_to_int(s2.g_value) > Fraction(1, 8)
+        g_value = mod1(s2.k * s2.beta - s2.l * s2.alpha)
+        assert g_value == Fraction(326558353, 419430400)
+        assert abs(lift_half(g_value)) > Fraction(1, 8)
 
     def test_shift_recorded(self, tiny_stages):
         s2 = tiny_stages[1]
@@ -316,7 +322,7 @@ class TestDeletedSets:
 
     def test_tiny_tail_block(self, tiny_stages):
         js = deleted_sets(tiny_stages)
-        members = set(js[1].iter_members(3942))
+        members = {j for j in range(1, 3943) if j in js[1]}
         assert members == set(range(3643, 3943))
 
 
@@ -326,11 +332,11 @@ class TestRestrictedCovering:
         rep = restricted_covering(tiny_stages, 1, sample_budget=800,
                                   seed=20260823)
         # brute force over every surviving time
-        values = walk(to_string(s2.W), s2.alpha, s2.beta)
+        values = walk(spell(s2.W), s2.alpha, s2.beta)
         cells, drift = set(), Fraction(0)
         for j in range(1, s2.L * s1.N + 1):
             cells.add(values[j - 1] // Fraction(1, 32))
-            drift = max(drift, dist_to_int(((j - 1) // s1.N) * s1.eps))
+            drift = max(drift, abs(lift_half(((j - 1) // s1.N) * s1.eps)))
         assert rep["scale"] == Fraction(1, 32) and rep["scale_exact_sqrt"]
         assert rep["cells_restricted"] == len(cells) == 10
         assert rep["max_drift"] == drift == Fraction(303, 2048)

@@ -25,7 +25,6 @@ from abset.words import (
     parse_word,
     power,
     prefix_counts,
-    to_string,
 )
 
 
@@ -138,12 +137,6 @@ def test_orbit_sample_from_numerators():
 def test_orbit_sample_from_numerators_rejects(items):
     with pytest.raises(ValueError):
         OrbitSample.from_numerators(10, items)
-
-
-def test_flatten_refusal():
-    huge = power(X, FLATTEN_CAP_PLUS := 10 ** 6 + 1)
-    with pytest.raises(ValueError):
-        to_string(huge)
 
 
 def test_parse_format_roundtrip_examples():
