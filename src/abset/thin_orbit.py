@@ -133,24 +133,26 @@ def init_stage(config: ThinConfig) -> TStage:
 
 def choose_L(eps: Fraction, N: int, n: int, buffer: int = 3) -> Tuple[int, int]:
     """Largest L with (L + buffer * ceil(sqrt(L))) * N <= T where
-    T = ceil((1/eps)^(1/n)).  Returns (L, T)."""
+    T = ceil((1/eps)^(1/n)).  Returns (L, T).
+
+    With M = T // N the condition reads L + buffer * s <= M for
+    s = ceil(sqrt(L)).  The L with that s fill ((s - 1)^2, s^2], so
+    one of them fits iff (s - 1)^2 + buffer * s < M, a condition that
+    grows with s; the largest L is then min(s^2, M - buffer * s) at the
+    largest s that meets it.  No s above isqrt(M) + 1 can, as then
+    (s - 1)^2 > M, and the walk down from there stops after about
+    buffer / 2 + 1 steps: s = sqrt(M) - c meets it once c + 1 > buffer / 2.
+    """
     T = ceil_root_ratio(eps.denominator, eps.numerator, n)
-
-    def fits(L: int) -> bool:
-        return (L + buffer * ceil_root(L, 2)) * N <= T
-
-    if not fits(4):
+    M = T // N
+    if 4 + buffer * 2 > M:
         raise UsageError(
             f"horizon T={T} leaves no room for L >= 4 at N={N}; "
             "eps is too large for this stage count")
-    lo, hi = 4, T // N + 1   # fits(lo) holds; hi * N already exceeds T
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, T
+    s = math.isqrt(M) + 1
+    while (s - 1) ** 2 + buffer * s >= M:     # ends by s = 2, as L = 4 fits
+        s -= 1
+    return min(s * s, M - buffer * s), T
 
 
 def advance(stage: TStage, config: ThinConfig) -> TStage:
@@ -353,17 +355,25 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     every rotation pair, so this implies the value identity.
 
     Values are never reduced modulo the pair's common denominator den
-    unless a bound is undecided.  With P = bits(horizon) + bits(1/scale)
-    + COVER_GUARD_BITS, A = floor(a 2^P / den) and B likewise, a point
-    with counts (cx, cy) lies in [lo, lo + cx + cy] units of 2^-P, where
+    unless a bound is undecided.  For the scale sn / sd let
+    Q = bits(sd) + COVER_GUARD_BITS and P = bits(horizon) + Q; with
+    A = floor(a 2^P / den) and B likewise, a point with counts (cx, cy)
+    lies in [lo, lo + cx + cy] units of 2^-P, where
     lo = (cx A + cy B) mod 2^P: each multiplier adds less than one unit
-    of truncation.  The cell is read off lo when both ends of that
-    interval fall in one cell and it does not wrap past 1; otherwise the
-    exact value decides it.  The drift of a sample (its full-word part,
-    as a distance to the nearest integer) gets the same interval from
-    the fixed-point word images; only drift count vectors whose upper
-    bound reaches the running maximum of the lower bounds are kept, and
-    those are evaluated exactly, so `max_drift` is exact.
+    of truncation.  A restricted sample takes lo from its level split,
+    which already sums img = sum c_lev (k_lev A + l_lev B) mod 2^P, that
+    is dx A + dy B for its full-word counts (dx, dy); so
+    lo = (img + bx A + by B) mod 2^P with the small W_n0 prefix counts
+    (bx, by).  The cell is read from the top Q bits of lo: with
+    top = lo >> bits(horizon) the point lies in
+    [top, top + ((cx + cy) >> bits(horizon)) + 2) units of 2^-Q, so the
+    multiply by sd takes Q bits instead of P.  When both ends of that
+    interval fall in one cell and it does not pass 1, that is the cell;
+    otherwise the exact value decides it.  The drift of a sample (its
+    full-word part, as a distance to the nearest integer) gets the same
+    interval from img; only drift count vectors whose upper bound
+    reaches the running maximum of the lower bounds are kept, and those
+    are evaluated exactly, so `max_drift` is exact.
 
     The box-count and drift bounds are recorded in the returned report,
     never enforced; the construction promises them only for n0 >= 2.
@@ -384,14 +394,15 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     scale, scale_exact = covering_scale(base.eps)
     sn, sd = scale.numerator, scale.denominator
 
-    den = (final.alpha.denominator * final.beta.denominator //
-           math.gcd(final.alpha.denominator, final.beta.denominator))
+    den = math.lcm(final.alpha.denominator, final.beta.denominator)
     a_int = final.alpha.numerator * (den // final.alpha.denominator)
     b_int = final.beta.numerator * (den // final.beta.denominator)
     cell_den = den * sn
 
-    prec = horizon.bit_length() + sd.bit_length() + COVER_GUARD_BITS
-    one = 1 << prec
+    q = sd.bit_length() + COVER_GUARD_BITS
+    shift = horizon.bit_length()
+    prec = shift + q
+    one, one_q = 1 << prec, 1 << q
     mask = one - 1
     a_fix = (a_int << prec) // den
     b_fix = (b_int << prec) // den
@@ -400,12 +411,13 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
                (st.k * a_fix + st.l * b_fix) & mask)
               for st in reversed(stages[n0 - 1:K - 1])]
 
-    def cell_of(cx: int, cy: int) -> int:
-        lo = (cx * a_fix + cy * b_fix) & mask
-        if lo + cx + cy < one:
-            lo_sd = lo * sd
-            cell = (lo_sd >> prec) // sn
-            if cell == ((lo_sd + (cx + cy) * sd) >> prec) // sn:
+    def cell_of(lo: int, cx: int, cy: int) -> int:
+        top = lo >> shift
+        width = ((cx + cy) >> shift) + 2
+        if top + width <= one_q:
+            top_sd = top * sd
+            cell = (top_sd >> q) // sn
+            if cell == ((top_sd + width * sd) >> q) // sn:
                 return cell
         return ((cx * a_int + cy * b_int) % den * sd) // cell_den
 
@@ -432,8 +444,8 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
         cx, cy = prefix_counts(final_w, j)
         if cx != dx + bx or cy != dy + by:
             raise InvariantViolation("split-eval-mismatch", f"time {j}")
-        cells.add(cell_of(cx, cy))
         img &= mask
+        cells.add(cell_of((img + bx * a_fix + by * b_fix) & mask, cx, cy))
         dist = min(img, one - img)
         err = dx + dy
         if dist + err >= drift_floor:
@@ -451,7 +463,7 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     contrast_cells = set()
     for _ in range(len(picked)):
         cx, cy = prefix_counts(final_w, rng2.randrange(1, horizon + 1))
-        contrast_cells.add(cell_of(cx, cy))
+        contrast_cells.add(cell_of((cx * a_fix + cy * b_fix) & mask, cx, cy))
 
     return {
         "n0": n0,

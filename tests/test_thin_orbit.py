@@ -6,7 +6,9 @@ letter-by-letter walk.  The desk configuration (m=10, eps1=2^-40, rho=4)
 freezes the grown-up numbers, including the recorded failure of the
 level-1 covering and drift bounds.  restricted_covering's fixed-point
 core is checked against `exact_covering`, the loop it replaced, which
-evaluates every sample exactly on the pair's common denominator.
+evaluates every sample exactly on the pair's common denominator, and
+choose_L's closed form against `bisect_choose_L`, the bisection over L
+it replaced.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from abset import thin_orbit
 from abset.errors import InvariantViolation, UsageError
-from abset.exact import ceil_root, lift_half, mod1, sqrt_bracket
+from abset.exact import ceil_root, ceil_root_ratio, lift_half, mod1, sqrt_bracket
 from abset.thin_orbit import (
     DEFAULT_SAMPLE_BUDGET,
     DEFAULT_SEED,
@@ -52,6 +54,27 @@ def walk(word_str, alpha, beta):
         val = (val + (alpha if ch == "x" else beta)) % 1
         out.append(val)
     return out
+
+
+def bisect_choose_L(eps, N, n, buffer=3):
+    """choose_L's former bisection over L, kept as its oracle."""
+    T = ceil_root_ratio(eps.denominator, eps.numerator, n)
+
+    def fits(L):
+        return (L + buffer * ceil_root(L, 2)) * N <= T
+
+    if not fits(4):
+        raise UsageError(
+            f"horizon T={T} leaves no room for L >= 4 at N={N}; "
+            "eps is too large for this stage count")
+    lo, hi = 4, T // N + 1   # fits(lo) holds; hi * N already exceeds T
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, T
 
 
 def exact_covering(stages, n0, *, sample_budget=DEFAULT_SAMPLE_BUDGET,
@@ -138,6 +161,12 @@ def desk_stages():
     return build_stages(ThinConfig.desk(), 3)
 
 
+@pytest.fixture(scope="module")
+def mid_stages():
+    return build_stages(ThinConfig(m=30, eps1=Fraction(1, 10 ** 60),
+                                   rho=lambda n: 10), 2)
+
+
 class TestSeed:
     def test_seed_lands_exactly(self):
         s1 = init_stage(TINY)
@@ -196,6 +225,46 @@ class TestChooseL:
             return (x + 3 * ceil_root(x, 2)) * n_len
 
         assert weight(L) <= T < weight(L + 1)
+
+    @staticmethod
+    def _against_oracle(eps, N, n, buffer):
+        try:
+            expect = bisect_choose_L(eps, N, n, buffer)
+        except UsageError as err:
+            with pytest.raises(UsageError) as got:
+                choose_L(eps, N, n, buffer)
+            assert str(got.value) == str(err)
+            return None
+        assert choose_L(eps, N, n, buffer) == expect
+        return expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps=st.one_of(
+               st.integers(1, 400).map(lambda e: Fraction(1, 2 ** e)),
+               st.integers(1, 120).map(lambda e: Fraction(1, 10 ** e)),
+               st.builds(lambda num, den: Fraction(num, num + den),
+                         st.integers(1, 10 ** 6), st.integers(1, 10 ** 90))),
+           N=st.integers(1, 10 ** 7), n=st.integers(1, 4),
+           buffer=st.integers(1, 5))
+    def test_matches_bisection(self, eps, N, n, buffer):
+        self._against_oracle(eps, N, n, buffer)
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.integers(2, 10 ** 7), past=st.integers(-1, 1),
+           slack=st.integers(-1, 1), N=st.integers(1, 10 ** 7),
+           n=st.integers(1, 4), buffer=st.integers(1, 5),
+           rem=st.integers(0, 10 ** 7), tail=st.integers(0, 1))
+    def test_matches_bisection_at_squares(self, s, past, slack, N, n, buffer,
+                                          rem, tail):
+        # the horizon just holds L = s^2 + past (and its block), or misses
+        # it by one, so L lands on a perfect square, one short or one past
+        L = s * s + past
+        T = (L + buffer * ceil_root(L, 2) + slack) * N + rem % N
+        # (T - 1)^n < T^n - 1 from n = 2 on: still ceil(eps^(-1/n)) = T
+        eps = Fraction(1, T ** n - (tail if n > 1 else 0))
+        got = self._against_oracle(eps, N, n, buffer)
+        if got is not None and slack == 0:
+            assert got == (L, T)
 
 
 class TestTinyAdvance:
@@ -425,6 +494,18 @@ class TestCoveringOracle:
                                           seed=seed)
                 assert rep == exact_covering(stages, n0, sample_budget=budget,
                                              seed=seed)
+
+    @pytest.mark.parametrize("guard", [64, 0, "starved"])
+    @pytest.mark.parametrize("n0", [1, 2])
+    def test_mid_tower_matches_exact(self, mid_stages, n0, guard, monkeypatch):
+        # a 200-bit horizon: the cell is read from lo shifted right by 200
+        # bits, where the tiny towers shift by a dozen or fewer
+        assert mid_stages[-1].N.bit_length() == 200
+        bits = guard if guard != "starved" else \
+            -covering_scale(mid_stages[n0 - 1].eps)[0].denominator.bit_length()
+        monkeypatch.setattr(thin_orbit, "COVER_GUARD_BITS", bits)
+        rep = restricted_covering(mid_stages, n0, sample_budget=1500, seed=9)
+        assert rep == exact_covering(mid_stages, n0, sample_budget=1500, seed=9)
 
     def test_scale_keeps_significant_bits(self):
         # a 64-bit lower bracket of sqrt(2^-135) is 0, which once divided
