@@ -39,6 +39,9 @@ from .words import evaluate_end
 Check = Tuple[str, bool, str]
 Warn = Tuple[str, str]
 
+# The closed-orbit tower that verify-all checks and `dim` can enumerate.
+DESK_PAIRS = [(32, 64), (256, 1024)]
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract wants 1."""
@@ -100,7 +103,8 @@ def _parse_eps(text: str) -> Fraction:
 
 
 def _parse_fixture(text: str):
-    """inverse:<kmax> is {1/k : k <= kmax} with 0; grid:<n> is {k/n}."""
+    """inverse:<kmax> is {1/k : k <= kmax} with 0; grid:<n> is {k/n};
+    closed-orbit:<stages> is the desk tower's enumerated orbit at a stage."""
     kind, _, arg = text.partition(":")
     size = _parse_int(arg, "fixture size")
     if size < 1:
@@ -109,7 +113,14 @@ def _parse_fixture(text: str):
         return [Fraction(0)] + [Fraction(1, k) for k in range(size, 0, -1)]
     if kind == "grid":
         return [Fraction(k, size) for k in range(size)]
-    raise UsageError(f"bad fixture {text!r}: expected inverse:<k> or grid:<n>")
+    if kind == "closed-orbit":
+        try:
+            stages = katznelson.build_stages(katznelson.Schedule.explicit(DESK_PAIRS), size)
+            return katznelson.enumerate_E(stages[-1]).points()
+        except UsageError as exc:
+            raise UsageError(f"bad fixture {text!r}: {exc}") from None
+    raise UsageError(f"bad fixture {text!r}: expected inverse:<k>, grid:<n> "
+                     "or closed-orbit:<stages>")
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +400,7 @@ def cmd_dim(args) -> Tuple[dict, List[Check], List[Warn]]:
 def cmd_verify_all(args) -> Tuple[dict, List[Check], List[Warn]]:
     checks: List[Check] = []
 
-    k_stages = katznelson.build_stages(
-        katznelson.Schedule.explicit([(32, 64), (256, 1024)]), 2)
+    k_stages = katznelson.build_stages(katznelson.Schedule.explicit(DESK_PAIRS), 2)
     k_ver, k_checks = _run_katznelson_checks(k_stages)
     checks.extend(k_checks)
 
@@ -465,7 +475,7 @@ def _build_parser() -> Tuple[_Parser, dict]:
 
     p = subs["dim"] = sub.add_parser("dim", help="covering series for a fixture")
     p.add_argument("--fixture", default="inverse:100000",
-                   help="inverse:<kmax> or grid:<n>")
+                   help="inverse:<kmax>, grid:<n> or closed-orbit:<stages>")
     p.add_argument("--base", type=int, default=4)
     p.add_argument("--jmin", type=int, default=4)
     p.add_argument("--jmax", type=int, default=8)

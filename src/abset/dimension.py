@@ -1,13 +1,15 @@
-"""Covering numbers, gaps and dimension probes for finite circle sets.
+"""Covering numbers, separated subsets and dimension probes for finite
+circle sets.
 
-Every estimator runs on the set's sorted distinct integer circle keys.
-When every denominator divides the largest one, D, a point is exactly
-its key over D.  Otherwise keys are fixed point over 2^K with
-K = 2 bits(D) + KEY_GUARD_BITS, and a point lies in [key, key + 1)
-over 2^K: one unit of radius.  Distinct points differ by at least
-1/D^2, so such keys stay distinct and keep the circle order.  The
-estimators decide on keys and compare exact rationals only where a cell
-or window edge falls within a key's unit.
+Every estimator runs on the set's sorted distinct integer circle keys, a
+`CirclePoints`; one passed in, as `katznelson.enumerate_E` makes them,
+is used as it is.  Else when every denominator divides the largest one,
+D, a point is exactly its key over D.  Otherwise keys are fixed point
+over 2^K with K = 2 bits(D) + KEY_GUARD_BITS, and a point lies in
+[key, key + 1) over 2^K: one unit of radius.  Distinct points differ by
+at least 1/D^2, so such keys stay distinct and keep the circle order.
+The estimators decide on keys and compare exact rationals only where a
+cell or window edge falls within a key's unit.
 
 Counts and distances are exact rationals; only the log-ratio columns of
 a report go through mpmath, at a pinned working precision, and are
@@ -16,8 +18,9 @@ rendered once into strings so reports are byte-stable.
 
 import bisect
 from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import mpmath
 
@@ -30,46 +33,63 @@ LOG_DIGITS = 12
 KEY_GUARD_BITS = 64
 
 
-def _keys(points):
-    """-> (keys, den, exact): the set's sorted distinct circle keys.
+class CirclePoints(Sequence):
+    """A finite circle set as its sorted distinct integer keys over den,
+    read as Fractions in [0, 1), each built when read: keys[i] / den when
+    exact is None, else exact[i] mod 1, where den is a power of two and
+    the point lies in [keys[i], keys[i] + 1) / den."""
 
-    When every denominator divides the largest one, den is that
-    denominator, a point is exactly key / den, and exact is None.
-    Otherwise den is a power of two, the point of keys[i] lies in
-    [keys[i], keys[i] + 1) / den, and exact[i] is that point up to an
-    integer.
-    """
+    __slots__ = ("keys", "den", "exact")
+
+    def __init__(self, keys, den: int, exact=None):
+        self.keys = tuple(keys)
+        self.den = den
+        self.exact = None if exact is None else tuple(exact)
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> Fraction:
+        if self.exact is None:
+            return Fraction(self.keys[i], self.den)
+        return mod1(self.exact[i])
+
+    def __eq__(self, other):
+        if isinstance(other, (CirclePoints, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _keys(points) -> CirclePoints:
+    """The set as its sorted distinct circle keys over den: the largest
+    denominator when every denominator divides it, else a power of two
+    with the exact points kept beside the keys."""
+    if isinstance(points, CirclePoints):
+        return points
     pts = [p if isinstance(p, (int, Fraction)) else Fraction(p) for p in points]
     dens = [p.denominator for p in pts]
     den = max(dens, default=1)
     if all(den % d == 0 for d in dens):
-        return sorted({p.numerator * (den // d) % den for p, d in zip(pts, dens)}), den, None
+        keys = {p.numerator * (den // d) % den for p, d in zip(pts, dens)}
+        return CirclePoints(sorted(keys), den)
     shift = 2 * den.bit_length() + KEY_GUARD_BITS
     by_key = {((p.numerator % d) << shift) // d: p for p, d in zip(pts, dens)}
     keys = sorted(by_key)
-    return keys, 1 << shift, [by_key[k] for k in keys]
+    return CirclePoints(keys, 1 << shift, [by_key[k] for k in keys])
 
 
-def _exact(exact, i) -> Fraction:
+def _exact(circle: CirclePoints, i) -> Fraction:
     """The exact point of index i in the unrolled circle, keys followed by
     [k + den for k in keys]; the second lap is one more."""
-    n = len(exact)
-    p = mod1(exact[i % n])
-    return p + 1 if i >= n else p
-
-
-def _point(circle, k) -> Fraction:
-    """The point of key k in [0, 1)."""
-    keys, den, exact = circle
-    return Fraction(k, den) if exact is None else mod1(exact[bisect.bisect_left(keys, k)])
+    return circle[i % len(circle)] + (i >= len(circle))
 
 
 def _ceil_div(num: int, den: int) -> int:
     return -(-num // den)
 
 
-def _cells(circle, rho: Fraction) -> List[int]:
-    keys, den, exact = circle
+def _cells(circle: CirclePoints, rho: Fraction) -> List[int]:
+    keys, den, exact = circle.keys, circle.den, circle.exact
     rho = Fraction(rho)
     if not 0 < rho <= 1:
         raise ValueError("scale must lie in (0, 1]")
@@ -94,7 +114,7 @@ def _cells(circle, rho: Fraction) -> List[int]:
     return cells
 
 
-def _covering(circle, rho: Fraction) -> int:
+def _covering(circle: CirclePoints, rho: Fraction) -> int:
     rho = Fraction(rho)
     n = len(_cells(circle, rho))
     assert n <= _ceil_div(rho.denominator, rho.numerator), "more cells than the grid has"
@@ -106,24 +126,10 @@ def grid_covering(points, rho: Fraction) -> int:
     return _covering(_keys(points), rho)
 
 
-def min_gap(points) -> Fraction:
-    """Smallest circular distance between distinct points; needs >= 2."""
-    keys, den, exact = _keys(points)
-    if len(keys) < 2:
-        raise ValueError("min_gap needs at least two distinct points")
-    ext = keys + [den + keys[0]]  # the last gap wraps
-    gaps = [b - a for a, b in zip(ext, ext[1:])]
-    best = min(gaps)
-    if exact is None:
-        return Fraction(best, den)
-    # a key gap is within one unit of its true gap
-    return min(_exact(exact, i + 1) - _exact(exact, i)
-               for i, g in enumerate(gaps) if g < best + 2)
-
-
-def maximal_separated_subset(points, rho: Fraction) -> List[Fraction]:
+def maximal_separated_subset(points, rho: Fraction) -> CirclePoints:
     """Greedy maximal rho-separated subset, scanning from the smallest
     point upward with the wrap distance checked against the first pick.
+    The subset is returned over the input's circle keys.
 
     Maximality holds because a point skipped for conflicting with the
     set keeps conflicting as the set only grows.
@@ -131,7 +137,8 @@ def maximal_separated_subset(points, rho: Fraction) -> List[Fraction]:
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError("separation must be positive")
-    circle = keys, den, exact = _keys(points)
+    circle = _keys(points)
+    keys, den, exact = circle.keys, circle.den, circle.exact
     rd = rho.denominator
     reach = rho.numerator * den   # a key distance d is below rho when d * rd < reach
     # a key distance is within one unit of the true distance: between lo
@@ -140,7 +147,7 @@ def maximal_separated_subset(points, rho: Fraction) -> List[Fraction]:
     lo, hi = reach - slack, reach + slack
 
     def near(a, b):
-        d = _point(circle, b) - _point(circle, a)
+        d = circle[bisect.bisect_left(keys, b)] - circle[bisect.bisect_left(keys, a)]
         return min(d, 1 - d) < rho
 
     chosen: List[int] = []
@@ -155,7 +162,8 @@ def maximal_separated_subset(points, rho: Fraction) -> List[Fraction]:
             if d < hi and (d < lo or near(chosen[0], k)):
                 continue
         chosen.append(k)
-    return [_point(circle, k) for k in chosen]
+    picks = None if exact is None else [exact[bisect.bisect_left(keys, k)] for k in chosen]
+    return CirclePoints(chosen, den, picks)
 
 
 @dataclass(frozen=True)
@@ -238,7 +246,8 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
     the set is large; the reported maximum is then a lower bound for the
     all-anchors maximum.
     """
-    circle = keys, den, exact = _keys(points)
+    circle = _keys(points)
+    keys, den, exact = circle.keys, circle.den, circle.exact
     if not keys:
         raise ValueError("probe needs a nonempty set")
     # the ten extremes kept at each end already take every anchor of a
@@ -249,7 +258,7 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
         step = len(keys) / anchor_cap
         anchors = sorted({int(i * step) for i in range(anchor_cap)}
                          | set(range(10)) | set(range(len(keys) - 10, len(keys))))
-    ext = keys + [k + den for k in keys]
+    ext = list(keys) + [k + den for k in keys]
     # A key offset from an anchor is within r units of the true offset
     # (r = 0 on a lattice, else 1).  Of an edge rounded up to a key, keys
     # below edge - r lie before it, keys past edge lie after it, and the
@@ -259,8 +268,8 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
     def settle(a, pos, hi, edge, bound):
         """Skip the keys from pos up to edge whose exact offset from
         anchor a is below bound."""
-        p = _exact(exact, a)
-        while pos < hi and ext[pos] <= edge and _exact(exact, pos) - p < bound:
+        p = _exact(circle, a)
+        while pos < hi and ext[pos] <= edge and _exact(circle, pos) - p < bound:
             pos += 1
         return pos
 
@@ -275,7 +284,7 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
         unit = cn * den              # a cell is unit / cd keys wide
         width = _ceil_div(big_r.numerator * den, big_r.denominator)
         best_count = 0
-        best_anchor = keys[0]
+        best_anchor = 0
         for ai in anchors:
             k = keys[ai]
             end = k + width
@@ -294,11 +303,11 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
                     d = ext[pos] - k
                     c = (d - r) * cd // unit
                     if r and (d + r) * cd // unit != c:
-                        y = _exact(exact, pos) - _exact(exact, ai)
+                        y = _exact(circle, pos) - _exact(circle, ai)
                         c = y.numerator * cd // (y.denominator * cn)
             if count > best_count:
                 best_count = count
-                best_anchor = k
+                best_anchor = ai
         with mpmath.workprec(prec_bits):
             ratio = mpmath.log(best_count) / _log_inverse(delta)
             ratio_str = mpmath.nstr(ratio, LOG_DIGITS)
@@ -307,7 +316,7 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
             "window_width": big_r,
             "delta": delta,
             "max_cells": best_count,
-            "witness_anchor": _point(circle, best_anchor),
+            "witness_anchor": circle[best_anchor],
             "log_ratio": ratio_str,
             "log_ratio_float": ratio_val,
             "anchors_probed": len(anchors),

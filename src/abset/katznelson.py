@@ -352,7 +352,7 @@ def enumerate_E(stage: KStage, cap: int = 200_000) -> OrbitSample:
         raise UsageError(f"enumeration capped at {cap} letters; |U| = {length}")
     # integer accumulation over the common denominator
     den_a, den_b = stage.alpha.denominator, stage.beta.denominator
-    common = den_a * den_b // math.gcd(den_a, den_b)
+    common = math.lcm(den_a, den_b)
     step_x = stage.alpha.numerator * (common // den_a)
     step_y = stage.beta.numerator * (common // den_b)
     first = {0: 0}
@@ -361,7 +361,8 @@ def enumerate_E(stage: KStage, cap: int = 200_000) -> OrbitSample:
         acc = (acc + (step_x if ch == "x" else step_y)) % common
         if acc not in first:
             first[acc] = idx
-    sample = OrbitSample.from_numerators(common, sorted(first.items()))
+    nums = sorted(first)
+    sample = OrbitSample.from_numerators(common, nums, map(first.__getitem__, nums))
     if len(sample) > stage.stats.point_count_upper:
         raise InvariantViolation("point-count-upper",
                                  f"{len(sample)} > {stage.stats.point_count_upper}")

@@ -7,15 +7,16 @@ construction; prefix counts descend the DAG instead of expanding it.
 
 Evaluating a word at a rotation pair (alpha, beta) means: each x steps
 the circle point by alpha, each y by beta.  The point reached after the
-whole word is `evaluate_end`; the sampled trajectory is `orbit_points`,
-whose pairs `window_groups` groups by gap and window x-count.
+whole word is `evaluate_end`; `window_groups` groups the pairs of
+visited points by gap and window x-count.
 """
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import sub
-from typing import Iterable, Iterator, List, NamedTuple
+from operator import ge, sub
+from typing import Iterator, List, NamedTuple
 
+from .dimension import CirclePoints
 from .exact import mod1
 
 
@@ -265,62 +266,38 @@ def evaluate_end(w: WordExpr, alpha: Fraction, beta: Fraction) -> Fraction:
 
 
 class OrbitSample:
-    """A finite sampled trajectory: (time index, circle point) pairs.
+    """The distinct points an orbit visits, in circle order, as
+    `enumerate_E` builds them: numerators[i] / den, with the numerators
+    strictly increasing in [0, den), and visits[i] the time of the
+    first visit to that point.  Everything is held as integers."""
 
-    The constructor builds a time-order sample (indices strictly
-    increasing).  `from_numerators` builds a circle-order sample, as
-    `enumerate_E` does: entries ordered by point value, deduplicated, and
-    each index recording the first visit time.
-    """
-
-    __slots__ = ("entries", "ordering")
-
-    def __init__(self, entries):
-        entries = tuple((int(i), mod1(p)) for i, p in entries)
-        for (i0, _), (i1, _) in zip(entries, entries[1:]):
-            if i1 <= i0:
-                raise ValueError("time indices must be strictly increasing")
-        self.entries = entries
-        self.ordering = "time"
+    __slots__ = ("den", "numerators", "visits")
 
     @classmethod
-    def from_numerators(cls, den: int, items) -> "OrbitSample":
-        """Circle-order sample from (numerator, first visit time) pairs
-        on one denominator: the points num/den, with the numerators
-        strictly increasing in [0, den)."""
-        items = tuple(items)
-        prev = -1
-        for num, _ in items:
-            if num <= prev:
-                raise ValueError("circle ordering must be strictly increasing")
-            prev = num
-        if prev >= den:
-            raise ValueError(f"numerator {prev} lies outside [0, {den})")
+    def from_numerators(cls, den: int, numerators, visits) -> "OrbitSample":
+        numerators, visits = tuple(numerators), tuple(visits)
+        if len(numerators) != len(visits):
+            raise ValueError("need one first visit time per numerator")
+        inside = not numerators or (numerators[0] >= 0 and numerators[-1] < den)
+        if any(map(ge, numerators, numerators[1:])) or not inside:
+            raise ValueError(f"numerators must increase strictly within [0, {den})")
         sample = cls.__new__(cls)
-        sample.entries = tuple((int(i), Fraction(num, den)) for num, i in items)
-        sample.ordering = "circle"
+        sample.den, sample.numerators, sample.visits = den, numerators, visits
         return sample
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.numerators)
 
     def __iter__(self):
-        return iter(self.entries)
+        """(first visit time, point) pairs in circle order."""
+        return zip(self.visits, self.points())
 
-    def points(self):
-        return [p for _, p in self.entries]
+    @property
+    def entries(self):
+        return tuple(self)
+
+    def points(self) -> CirclePoints:
+        return CirclePoints(self.numerators, self.den)
 
     def indices(self):
-        return [i for i, _ in self.entries]
-
-
-def orbit_points(w: WordExpr, alpha, beta, indices: Iterable[int]) -> OrbitSample:
-    """Sample the trajectory of w at the given strictly increasing time
-    indices (0 = starting point, |w| = end)."""
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    entries = []
-    for j in indices:
-        c = prefix_counts(w, j)
-        entries.append((j, mod1(c.dot(alpha, beta))))
-    return OrbitSample(entries)
+        return list(self.visits)

@@ -87,7 +87,7 @@ def test_criterion_2_enumerated_bracket_and_packing():
     stages = build_stages(Schedule.explicit(DESK_PAIRS), 2)
     last = stages[1]
     sample = enumerate_E(last)
-    points = [p for _, p in sample]
+    points = sample.points()
     count = grid_covering(points, last.eps)
     bracket = dimension_bracket(stages)
     with mpmath.workprec(128):

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from abset import diophantine
+from abset import diophantine, katznelson
 from abset.cli import main
 from abset.reporting import VERSION
 
@@ -331,6 +331,30 @@ def test_dim_without_out_prints_its_report(capsys):
     assert [r["count"] for r in report["rows"]] == [2, 4, 8]
 
 
+def test_dim_closed_orbit_fixture(capsys):
+    # the desk tower's 108,162 stage-2 orbit points, box-counted on their
+    # integer numerators
+    rc, stdout, stderr = run(capsys, "dim", "--fixture", "closed-orbit:2")
+    assert rc == 0 and stderr == ""
+    report = json.loads(stdout)
+    assert report["config"] == {"fixture": "closed-orbit:2", "base": 4, "jmin": 4,
+                                "jmax": 8}
+    stages = katznelson.build_stages(katznelson.Schedule.explicit([(32, 64), (256, 1024)]), 2)
+    sample = katznelson.enumerate_E(stages[1])
+    assert len(sample) == 108162
+    counts = [len({num * 4 ** j // sample.den for num in sample.numerators})
+              for j in range(4, 9)]
+    assert counts == [46, 93, 160, 358, 1150]
+    assert [r["count"] for r in report["rows"]] == counts
+    assert [(r["scale"]["num"], r["scale"]["den"]) for r in report["rows"]] == [
+        ("1", str(4 ** j)) for j in range(4, 9)]
+    assert [r["log_ratio"] for r in report["rows"]] == [
+        "0.690445244507", "0.653915881111", "0.610160674574", "0.605986841233",
+        "0.635463634114"]
+    assert report["nested_scales"] is True
+    assert len(report["slopes"]) == 4
+
+
 def test_dioph_without_out_prints_its_report(capsys):
     rc, stdout, _ = run(capsys, "dioph", "--alpha", "sqrt(2) - 1", "--beta",
                         "sqrt(3) - 1", "--nmax", "50", "--scan", "minima")
@@ -445,6 +469,8 @@ def test_version_flag(capsys):
         (["dioph", *SURDS, "--nmax", "0", "--scan", "all"], "nmax 0"),
         (["dioph", *SURDS, "--nmax", "50", "--prec=-20", "--scan", "minima"],
          "prec -20"),
+        (["dim", "--fixture", "closed-orbit:3"], "closed-orbit:3"),
+        (["dim", "--fixture", "closed-orbit:0"], "closed-orbit:0"),
     ],
 )
 def test_usage_errors_exit_1_and_name_the_token(capsys, argv, fragment):

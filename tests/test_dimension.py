@@ -10,6 +10,7 @@ Fraction, sorted, and scanned with Fraction arithmetic.
 import bisect
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import mpmath
 import pytest
@@ -21,6 +22,7 @@ from abset.dimension import (
     DEFAULT_PREC_BITS,
     KEY_GUARD_BITS,
     LOG_DIGITS,
+    CirclePoints,
     _cells,
     _keys,
     _log_inverse,
@@ -28,7 +30,6 @@ from abset.dimension import (
     box_dim_series,
     grid_covering,
     maximal_separated_subset,
-    min_gap,
     successive_slopes,
 )
 
@@ -159,9 +160,11 @@ def test_grid_covering_small_orbit_set():
 
 
 def test_min_gap_wraps():
-    assert min_gap([F(1, 20), F(19, 20)]) == F(1, 10)
-    with pytest.raises(ValueError):
-        min_gap([F(1, 2)])
+    # the smallest gap of {1/20, 19/20} is 1/10, through 0: the pair is
+    # 1/10-separated and no more
+    pts = [F(1, 20), F(19, 20)]
+    assert maximal_separated_subset(pts, F(1, 10)) == pts
+    assert maximal_separated_subset(pts, F(1, 10) + F(1, 10 ** 9)) == [F(1, 20)]
 
 
 def test_maximal_separated_example():
@@ -256,16 +259,23 @@ def test_probe_reciprocal_fixture_localizes_high():
 
 
 def test_keys_pick_integers_exactly_when_denominators_divide_the_largest():
-    assert _keys([F(3, 4), F(1, 2), 2, F(-1, 4), F(7, 4)]) == ([0, 2, 3], 4, None)
-    assert _keys([3, -1]) == ([0], 1, None)
-    assert _keys([]) == ([], 1, None)
+    def triple(points):
+        circle = _keys(points)
+        return list(circle.keys), circle.den, circle.exact
+
+    assert triple([F(3, 4), F(1, 2), 2, F(-1, 4), F(7, 4)]) == ([0, 2, 3], 4, None)
+    assert triple([3, -1]) == ([0], 1, None)
+    assert triple([]) == ([], 1, None)
     # no common denominator: fixed point over 2^(2 bits(4) + guard), one
     # unit of radius, the exact points kept beside the keys
-    keys, den, exact = _keys([F(1, 3), F(1, 4), F(4, 3)])
+    keys, den, exact = triple([F(1, 3), F(1, 4), F(4, 3)])
     assert den == 2 ** (2 * 3 + KEY_GUARD_BITS)
     assert keys == [den // 4, den // 3]
     assert [F(p) % 1 for p in exact] == [F(1, 4), F(1, 3)]
     assert all(type(k) is int for k in keys)
+    # a set already in key form is used as it is
+    circle = CirclePoints([1, 5], 8)
+    assert _keys(circle) is circle
 
 
 def test_returned_points_are_fractions():
@@ -274,7 +284,10 @@ def test_returned_points_are_fractions():
     assert all(type(p) is Fraction for p in maximal_separated_subset(pts, F(1, 4)))
     rep = assouad_probe_windows([0, 1], [(F(1, 2), F(1, 2))])
     assert type(rep[0]["witness_anchor"]) is Fraction
-    assert type(min_gap([0, F(1, 2)])) is Fraction
+    # read by index, on both kinds of keys
+    assert type(maximal_separated_subset(pts, F(1, 4))[1]) is Fraction
+    fixed = maximal_separated_subset([F(1, 3), F(1, 4)], F(1, 100))
+    assert fixed.exact is not None and fixed[-1] == F(1, 3)
 
 
 def grid_cells(points, rho):
@@ -469,20 +482,58 @@ def test_probe_matches_fraction_oracle(family, guard, data, window_scales, cap):
     assert all(type(r["witness_anchor"]) is Fraction for r in got)
 
 
+# Lattice sets in key form, as enumerate_E hands them over: distinct
+# numerators in [0, den), den up to 2^30; empty sets, single points and
+# den = 1 occur.
+lattice_circles = st.one_of(st.integers(min_value=1, max_value=12),
+                            st.integers(min_value=1, max_value=2 ** 30)).flatmap(
+    lambda den: st.lists(st.integers(min_value=0, max_value=den - 1),
+                         max_size=40, unique=True)
+    .map(lambda nums: CirclePoints(sorted(nums), den)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(circle=lattice_circles, rho=rhos, scales=scale_lists, window_scales=windows,
+       cap=st.integers(min_value=1, max_value=80))
+def test_lattice_points_match_fraction_path(circle, rho, scales, window_scales, cap):
+    # the same points as a list of Fractions are keyed afresh, on a
+    # lattice or in fixed point, and must give the same results
+    pts = list(map(Fraction, circle.keys, repeat(circle.den)))
+    assert circle == pts and list(circle) == pts and len(circle) == len(pts)
+    assert grid_covering(circle, rho) == grid_covering(pts, rho)
+    assert grid_cells(circle, rho) == grid_cells(pts, rho)
+    assert box_dim_series(circle, scales) == box_dim_series(pts, scales)
+    chosen = maximal_separated_subset(circle, rho)
+    assert type(chosen) is CirclePoints and chosen.den == circle.den
+    assert list(chosen) == list(maximal_separated_subset(pts, rho))
+    if pts:
+        got = assouad_probe_windows(circle, window_scales, anchor_cap=cap)
+        assert got == assouad_probe_windows(pts, window_scales, anchor_cap=cap)
+    else:
+        for points in (circle, pts):
+            with pytest.raises(ValueError):
+                assouad_probe_windows(points, window_scales)
+
+
 @families
 @settings(max_examples=40)
 @given(data=st.data())
 def test_min_gap_matches_fraction_scan(family, guard, data):
+    # a set is rho-separated exactly when its smallest circular gap is at
+    # least rho: the separated subset keeps every point at the smallest
+    # gap of a Fraction scan, and drops one a third of a key unit above it
     pts = data.draw(SET_FAMILIES[family])
     ps = fraction_points(pts)
+    assume(len(ps) >= 2)
+    gap = min([1 + ps[0] - ps[-1]] + [b - a for a, b in zip(ps, ps[1:])])
+    tiny = F(1, 3 << (2 * max(p.denominator for p in ps).bit_length() + guard))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dimension, "KEY_GUARD_BITS", guard)
-        if len(ps) < 2:
-            with pytest.raises(ValueError):
-                min_gap(pts)
-        else:
-            want = min([1 + ps[0] - ps[-1]] + [b - a for a, b in zip(ps, ps[1:])])
-            assert min_gap(pts) == want
+        at_gap = maximal_separated_subset(pts, gap)
+        above = maximal_separated_subset(pts, gap + tiny)
+    assert at_gap == ps
+    assert len(above) < len(ps)
+    assert above == fraction_separated_subset(pts, gap + tiny)
 
 
 @pytest.mark.parametrize("guard", [KEY_GUARD_BITS, 0])
@@ -560,11 +611,13 @@ def test_probe_offset_below_a_cell_edge_with_key_offset_past_it(guard, pts, wind
 
 def test_min_gap_candidates_within_two_units():
     # at guard 0 the unit is 1/64: the gaps 2/35 and 1/20 differ by less,
-    # and the larger one has the smaller key gap (3 units against 4)
+    # and the larger one has the smaller key gap (3 units against 4), so
+    # only the exact points tell that 1/5 and 1/4 are the pair 1/20 apart
     pts = [F(1, 7), F(1, 5), F(1, 4), F(2, 3)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dimension, "KEY_GUARD_BITS", 0)
-        assert min_gap(pts) == F(1, 20)
+        assert maximal_separated_subset(pts, F(1, 20)) == pts
+        assert maximal_separated_subset(pts, F(2, 35)) == [F(1, 7), F(1, 5), F(2, 3)]
 
 
 def test_reciprocal_counts_at_100000():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abset.dimension import min_gap
+from abset.dimension import assouad_probe_windows, grid_covering, maximal_separated_subset
 from abset.errors import InvariantViolation, UsageError
 from abset.katznelson import (
     DimensionBracket,
@@ -214,10 +214,35 @@ class TestDeskSchedule:
     def test_enumeration_all_distinct(self, desk_stages):
         stages = desk_stages
         sample = enumerate_E(stages[1], cap=200_000)
-        pts = sample.points()
         # every prefix lands somewhere new until the final closure
-        assert len(pts) == stages[1].U.length == 108162
-        assert min_gap(pts) == stages[1].eps
+        assert len(sample) == stages[1].U.length == 108162
+        # the points are eps_2-separated, and some gap is exactly eps_2
+        nums, den = sample.numerators, sample.den
+        gaps = [b - a for a, b in zip(nums, nums[1:])] + [den + nums[0] - nums[-1]]
+        assert Fraction(min(gaps), den) == stages[1].eps
+
+    def test_estimators_build_no_fraction_per_point(self, desk_stages, monkeypatch):
+        # criterion 2's pipeline keeps the points as integer numerators
+        # from the walk to the estimators' results; one Fraction per
+        # point anywhere on the way would count past 10^5
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        last = desk_stages[1]
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        pts = enumerate_E(last).points()
+        cells = grid_covering(pts, last.eps)
+        separated = maximal_separated_subset(pts, last.eps / 2)
+        window = assouad_probe_windows(pts, [(Fraction(1, 16), Fraction(1, 256))],
+                                       anchor_cap=512)
+        monkeypatch.undo()
+        assert len(pts) == cells == len(separated) == 108162
+        assert window[0]["anchors_total"] == 108162
+        assert 0 < len(made) < 100
 
     def test_gamma_sums(self, desk_stages):
         rep = gamma_report(Schedule.explicit(((32, 64), (256, 1024))), 2)

@@ -507,6 +507,21 @@ class TestCoveringOracle:
         rep = restricted_covering(mid_stages, n0, sample_budget=1500, seed=9)
         assert rep == exact_covering(mid_stages, n0, sample_budget=1500, seed=9)
 
+    def test_interval_past_one_takes_the_exact_cell(self):
+        # W_1 = x^7 y^7 at alpha = 1/7, beta = 6/7 returns to 0 exactly at
+        # times 7 and 14, whose truncated fixed-point images lie just
+        # below 1.  Their error intervals pass 1, and both ends floor into
+        # the short last cell [87/100, 1), since the scale 29/100 does not
+        # divide 1; only the exact value puts those times in cell 0.
+        start = init_stage(ThinConfig(m=7, eps1=Fraction(1, 2 ** 10), rho=lambda n: 2))
+        stage = dataclasses.replace(start, alpha=Fraction(1, 7), beta=Fraction(6, 7),
+                                    eps=Fraction(841, 40000))
+        assert covering_scale(stage.eps) == (Fraction(29, 100), True)
+        rep = restricted_covering([stage], 1, sample_budget=50)
+        assert rep == exact_covering([stage], 1, sample_budget=50)
+        assert rep["samples_deterministic"] == 14
+        assert rep["cells_restricted"] == rep["cells_unrestricted"] == 3
+
     def test_scale_keeps_significant_bits(self):
         # a 64-bit lower bracket of sqrt(2^-135) is 0, which once divided
         # by zero; the widened bracket keeps 64 significant bits

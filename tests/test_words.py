@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abset.dimension import CirclePoints
+from abset.exact import mod1
 from abset.words import (
     EMPTY,
     X,
@@ -21,7 +23,6 @@ from abset.words import (
     evaluate_end,
     format_word,
     letters,
-    orbit_points,
     parse_word,
     power,
     prefix_counts,
@@ -103,28 +104,29 @@ def test_evaluate_end_examples():
     assert evaluate_end(block(4, 2), a, b) == 0
 
 
+def orbit(w, alpha, beta):
+    """The points of w's trajectory at times 0..|w|, from prefix counts."""
+    return [mod1(prefix_counts(w, j).dot(alpha, beta)) for j in range(w.length + 1)]
+
+
 def test_orbit_example():
     w = block(4, 2)
-    sample = orbit_points(w, Fraction(1, 10), Fraction(3, 10), range(0, 7))
     expect = [Fraction(0), Fraction(1, 10), Fraction(2, 10), Fraction(3, 10),
               Fraction(4, 10), Fraction(7, 10), Fraction(0)]
-    assert sample.points() == expect
-    restricted = orbit_points(w, Fraction(1, 10), Fraction(3, 10), [2, 5])
-    assert restricted.points() == [Fraction(2, 10), Fraction(7, 10)]
-
-
-def test_orbit_sample_monotone_indices_enforced():
-    with pytest.raises(ValueError):
-        OrbitSample([(3, Fraction(0)), (1, Fraction(1, 2))])
+    assert orbit(w, Fraction(1, 10), Fraction(3, 10)) == expect
 
 
 def test_orbit_sample_from_numerators():
-    sample = OrbitSample.from_numerators(10, [(0, 0), (2, 5), (5, 1), (7, 3)])
-    assert sample.ordering == "circle"
-    assert sample.points() == [Fraction(0), Fraction(1, 5), Fraction(1, 2),
-                               Fraction(7, 10)]
+    sample = OrbitSample.from_numerators(10, [0, 2, 5, 7], [0, 5, 1, 3])
+    pts = sample.points()
+    assert type(pts) is CirclePoints and (pts.keys, pts.den) == ((0, 2, 5, 7), 10)
+    assert pts == [Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(7, 10)]
     assert sample.indices() == [0, 5, 1, 3]
-    assert len(OrbitSample.from_numerators(7, [])) == 0
+    assert list(sample) == list(sample.entries) == [
+        (0, Fraction(0)), (5, Fraction(1, 5)), (1, Fraction(1, 2)), (3, Fraction(7, 10))]
+    assert len(OrbitSample.from_numerators(7, [], [])) == 0
+    with pytest.raises(ValueError):
+        OrbitSample.from_numerators(10, [1, 2], [0])
 
 
 @pytest.mark.parametrize("items", [
@@ -135,8 +137,9 @@ def test_orbit_sample_from_numerators():
     [(0, 0), (4, 1), (13, 2)],   # past den
 ])
 def test_orbit_sample_from_numerators_rejects(items):
+    nums, visits = zip(*items)
     with pytest.raises(ValueError):
-        OrbitSample.from_numerators(10, items)
+        OrbitSample.from_numerators(10, nums, visits)
 
 
 def test_parse_format_roundtrip_examples():
@@ -173,8 +176,7 @@ def test_prefix_counts_match_letter_walk(w, data):
 def test_orbit_matches_letter_walk(w, alpha, beta):
     s = "".join(letters(w))
     oracle = walk_orbit(s, alpha, beta)
-    sample = orbit_points(w, alpha, beta, range(0, w.length + 1))
-    assert sample.points() == oracle
+    assert orbit(w, alpha, beta) == oracle
     assert evaluate_end(w, alpha, beta) == oracle[-1]
 
 
