@@ -97,16 +97,15 @@ class IndexSet:
         return IndexSet(comps)
 
     def contains(self, j: int) -> bool:
-        if j < 1:
-            return False
-        return any(c.contains(j) for c in self.components)
+        for c in self.components:
+            if c.contains(j):
+                return True
+        return False
 
     __contains__ = contains
 
     def count_up_to(self, h: int) -> int:
         """|set ∩ [1, h]|, exact, assuming disjoint components."""
-        if h < 1:
-            return 0
         return sum(c.count_up_to(h) for c in self.components)
 
     def density_up_to(self, h: int) -> Fraction:

@@ -24,11 +24,11 @@ below sqrt(eps_n) from n = 2 on.  At n0 = 1 the ladder is about 1/N_1,
 so the level-1 bounds fail by a wide, structural margin, and the
 reports say so.
 
-The survey checks each sample's level split exactly on letter counts,
-which are small integers, and reads cells and drift from fixed-point
-values with a certified error interval: only a value whose interval
-touches a cell edge, and only drift that may hold the maximum, is
-evaluated exactly on the final pair's common denominator.
+The survey checks the tower's word spine once per level, so each
+sample's level split gives its letter counts, and reads cells and drift
+from fixed-point values with a certified error interval: only a value
+whose interval touches a cell edge, and only drift that may hold the
+maximum, is evaluated exactly on the final pair's common denominator.
 """
 
 import math
@@ -272,8 +272,6 @@ def deleted_union(stages: Sequence[TStage], from_level: int) -> IndexSet:
 def _sample_menu(limit: int, cuts: int = 16) -> List[int]:
     """Small deterministic family of 0-based indices below limit:
     both edges plus evenly placed interior cuts."""
-    if limit <= 0:
-        return []
     vals = set(range(0, min(4, limit)))
     vals.update(range(max(0, limit - 3), limit))
     vals.update((limit * j) // cuts for j in range(1, cuts))
@@ -305,10 +303,9 @@ def _covering_times(stages: Sequence[TStage], n0: int, sample_budget: int,
 
     rng = random.Random(seed)
     picked = []
-    attempts = 0
-    max_attempts = 50 * sample_budget + 1000
-    while len(picked) < sample_budget and attempts < max_attempts:
-        attempts += 1
+    for _ in range(50 * sample_budget + 1000):
+        if len(picked) == sample_budget:
+            break
         j = rng.randrange(1, horizon + 1)
         if j not in excluded:
             picked.append(j)
@@ -348,11 +345,12 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     Each sampled time j is split into full-word multiplicities c_lev of
     the levels K-1 .. n0 plus a W_n0 prefix of length p; a c_lev that
     reaches the level's repetition count means j sits in a block and
-    raises `exclusion-leak`.  The split is checked on letter counts:
-    the prefix counts of the final word at j must equal
-    sum c_lev (k_lev, l_lev) plus the prefix counts of W_n0 at p, or
-    `split-eval-mismatch` raises.  Equal counts give equal values at
-    every rotation pair, so this implies the value identity.
+    raises `exclusion-leak`.  The split's counts, sum c_lev (k_lev, l_lev)
+    plus the W_n0 prefix counts at p, are the final word's prefix counts
+    at j when every W_(lev+1) is W_lev^L V on the stage's own W_lev, of
+    length N_lev and counts (k_lev, l_lev), as prefix_counts then takes
+    the split's divmods.  That spine is checked once per level, for every
+    time, or `split-eval-mismatch` raises naming the level.
 
     Values are never reduced modulo the pair's common denominator den
     unless a bound is undecided.  For the scale sn / sd let
@@ -389,6 +387,12 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     final = stages[-1]
     base = stages[n0 - 1]
     horizon = final.N
+    for st, up in zip(stages[n0 - 1:K - 1], stages[n0:]):
+        pw = up.W.left
+        if not (up.W.kind == "." and pw.kind == "^" and pw.base is st.W
+                and pw.exponent == up.L and st.W.length == st.N
+                and st.W.counts == (st.k, st.l)):
+            raise InvariantViolation("split-eval-mismatch", f"level {st.n}")
     excluded, det, picked = _covering_times(stages, n0, sample_budget, seed)
 
     scale, scale_exact = covering_scale(base.eps)
@@ -424,7 +428,6 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     cells = set()
     drift_counts = set()        # drift count vectors that may hold the max
     drift_floor = 0             # running max of the drift lower bounds
-    base_w, final_w = base.W, final.W
     base_counts: Dict[int, Tuple[int, int]] = {}    # W_n0 prefix counts by p
     for j in det + picked:
         p = j
@@ -439,11 +442,9 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
             img += c * w_img
             p = rem + 1
         if p not in base_counts:
-            base_counts[p] = prefix_counts(base_w, p)
+            base_counts[p] = prefix_counts(base.W, p)
         bx, by = base_counts[p]
-        cx, cy = prefix_counts(final_w, j)
-        if cx != dx + bx or cy != dy + by:
-            raise InvariantViolation("split-eval-mismatch", f"time {j}")
+        cx, cy = dx + bx, dy + by
         img &= mask
         cells.add(cell_of((img + bx * a_fix + by * b_fix) & mask, cx, cy))
         dist = min(img, one - img)
@@ -462,7 +463,7 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     rng2 = random.Random(f"{seed}-unrestricted")
     contrast_cells = set()
     for _ in range(len(picked)):
-        cx, cy = prefix_counts(final_w, rng2.randrange(1, horizon + 1))
+        cx, cy = prefix_counts(final.W, rng2.randrange(1, horizon + 1))
         contrast_cells.add(cell_of((cx * a_fix + cy * b_fix) & mask, cx, cy))
 
     return {

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from abset.errors import InvariantViolation, UsageError
 from abset.index_sets import IndexSet
+from abset.thin_orbit import ThinConfig, build_stages, deleted_union
 
 
 def sweep_members(s: IndexSet, h: int):
@@ -91,3 +93,35 @@ def test_single_component_count_matches_sweep(s, h):
     for comp in s.components:
         single = IndexSet([comp])
         assert single.count_up_to(h) == len(sweep_members(single, h))
+
+
+def block_starts(comp):
+    """0-based first positions of every block of one nested component."""
+    starts = [comp.origin]
+    for period, count in reversed(comp.layers):
+        starts = [q * period + b for q in range(count) for b in starts]
+    return starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 4), e=st.integers(6, 20), r=st.integers(2, 3),
+       k=st.integers(2, 3), data=st.data())
+def test_contains_matches_count_differences(m, e, r, k, data):
+    # membership against the independent counting path, one index either
+    # side of both edges of every deleted block of a small thin-orbit tower
+    try:
+        stages = build_stages(ThinConfig(m=m, eps1=Fraction(1, 2 ** e),
+                                         rho=lambda n, r=r: r), k)
+    except (UsageError, InvariantViolation):
+        assume(False)
+    s = deleted_union(stages, data.draw(st.integers(1, k)))
+    starts = [(b, c.block_len) for c in s.components for b in block_starts(c)]
+    probes = {-1, 0, 1}
+    for b, blen in starts:
+        probes.update((b, b + 1, b + 2, b + blen - 1, b + blen, b + blen + 1))
+    for j in probes:
+        assert s.contains(j) == (s.count_up_to(j) - s.count_up_to(j - 1) == 1)
+        assert (j in s) == s.contains(j)
+    for b, blen in starts:
+        assert s.contains(b + 1) and s.contains(b + blen)
+    assert not any(IndexSet().contains(j) for j in (-1, 0, 1, 2))

@@ -37,7 +37,7 @@ from abset.thin_orbit import (
     init_stage,
     restricted_covering,
 )
-from abset.words import X, letters, prefix_counts
+from abset.words import X, Y, concat, letters, power, prefix_counts
 
 
 def spell(w) -> str:
@@ -544,6 +544,41 @@ class TestCoveringOracle:
             with pytest.raises(InvariantViolation) as err:
                 run(forged, 1, sample_budget=50)
             assert err.value.name == "split-eval-mismatch"
+
+    @pytest.mark.parametrize("forge", ["halves-swapped", "other-w1"])
+    def test_forged_spine_raises(self, tiny_stages, forge):
+        # W_2 rebuilt with its own letter counts and length, but not as
+        # W_1^L_2 V_2 on the stage's W_1: the level split no longer gives
+        # the word's prefix counts, and the spine check must say so
+        s1, s2 = tiny_stages
+        if forge == "halves-swapped":
+            w2 = concat(s2.V, power(s1.W, s2.L))
+        else:
+            w2 = concat(power(concat(power(Y, 3), power(X, 3)), s2.L), s2.V)
+        assert (w2.counts, w2.length) == (s2.W.counts, s2.W.length)
+        forged = [s1, dataclasses.replace(s2, W=w2)]
+        with pytest.raises(InvariantViolation) as err:
+            restricted_covering(forged, 1, sample_budget=200)
+        assert (err.value.name, err.value.detail) == ("split-eval-mismatch", "level 1")
+        with pytest.raises(InvariantViolation) as err:
+            exact_covering(forged, 1, sample_budget=200)
+        assert err.value.name == "split-eval-mismatch"
+
+    def test_no_prefix_walk_per_sample(self, desk_stages, monkeypatch):
+        # prefix_counts runs once per contrast draw and once per distinct
+        # W_1 prefix; the restricted samples read their counts off the split
+        calls = []
+
+        def counted(w, j):
+            calls.append(j)
+            return prefix_counts(w, j)
+
+        monkeypatch.setattr(thin_orbit, "prefix_counts", counted)
+        rep = restricted_covering(desk_stages, 1)
+        monkeypatch.undo()
+        assert rep["samples_deterministic"] > 10000
+        assert len(calls) <= rep["samples_random"] + desk_stages[0].N + 8
+        assert rep == exact_covering(desk_stages, 1)
 
     def test_exclusion_leak_raises(self, tiny_stages):
         # V_1 shrunk to one letter: the deleted set misses the rest of the
