@@ -9,7 +9,9 @@ scans read them as an argument:
 
   * integer_ratio_scan: pairs of values whose ratio is within tolerance
     of an integer l must satisfy the structural lemma n_i | n_j and
-    u_j = l * u_i; deviations are reported.
+    u_j = l * u_i; deviations are reported.  Over the values sorted, a
+    pair is compared only inside a certified window around a multiple
+    of the smaller index's value.
   * orbit_separation_check: points t_i, t_j of an orbit keep distance
     at least delta_(j-i).
   * dichotomy_scan: for each qualifying (n, m), pairwise distances on an
@@ -49,7 +51,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
-from .errors import InsufficientPrecision, InvariantViolation, UsageError
+from .errors import InsufficientPrecision, UsageError
 from .exact import ceil_root_ratio, dec_sci
 from .index_sets import IndexSet
 from .words import WordExpr, letters, parse_word, window_groups, window_pairs
@@ -523,44 +525,22 @@ class RatioScanReport:
     zero_at: Optional[int]
 
 
-# float prefilter: pairs whose ratio is farther than this from every
-# integer cannot be within any tolerance up to _SCREEN / 2.  It applies
-# only where the float ratio is accurate to well below _SCREEN: the base
-# value is at least _TINY (so a ratio over an underflowed value is tiny
-# too) and the ratio is below _SCREEN_MAX.
-_SCREEN = 1e-9
-_SCREEN_MAX = float(1 << 20)
-_TINY = 2.0 ** -1000
-
-
-def primitive_decomposition(u: Tuple[int, int],
-                            v: Tuple[int, int]) -> Tuple[Tuple[int, int], int, int]:
-    """Common primitive vector g with u = a*g, v = b*g, for collinear u, v."""
-    if u[0] * v[1] - u[1] * v[0] != 0:
-        raise UsageError(f"vectors {u} and {v} are not collinear")
-    base = u if u != (0, 0) else v
-    if base == (0, 0):
-        raise UsageError("both vectors are zero")
-    g = math.gcd(abs(base[0]), abs(base[1]))
-    prim = (base[0] // g, base[1] // g)
-    if prim[0] < 0 or (prim[0] == 0 and prim[1] < 0):
-        prim = (-prim[0], -prim[1])
-    def coeff(w):
-        if w == (0, 0):
-            return 0
-        return w[0] // prim[0] if prim[0] else w[1] // prim[1]
-    a, b = coeff(u), coeff(v)
-    if (a * prim[0], a * prim[1]) != u or (b * prim[0], b * prim[1]) != v:
-        raise InvariantViolation("collinearity-decomposition",
-                                 f"u={u} v={v} prim={prim}")
-    return prim, a, b
-
-
 def integer_ratio_scan(records: Sequence[MinimaRecord],
                        tol=Fraction(1, 1 << 64)) -> RatioScanReport:
     """Flag pairs of the minima `records` with a near-integer ratio and
     audit the lemma n_i | n_j, u_j = l * u_i on each; raw rational inputs
-    may genuinely violate it and are reported, not raised."""
+    may genuinely violate it and are reported, not raised.
+
+    `pairs_examined` counts every pair i < j over a base i whose value is
+    decided nonzero.  Each such pair is either excluded by a certified
+    window or compared exactly.  With the records sorted by value, base i
+    looks at each multiple l <= max_(j>i) d_j / d_i + 1 and bisects for
+    the values within w of l * d_i, where w bounds the offset at which the
+    exact test can still come out non-positive: outside every window the
+    test is certified positive, so such a pair neither qualifies nor is
+    undecided.  A base with more multiples than later records compares
+    every later record.
+    """
     tol = Fraction(tol)
     if tol <= 0:
         raise UsageError("tolerance must be positive")
@@ -579,17 +559,16 @@ def integer_ratio_scan(records: Sequence[MinimaRecord],
         if not vec_ok:
             violations.append(RatioViolation(ri.n, rj.n, ell, "vector-multiple",
                                              ri.u, rj.u))
-        else:
-            # second route to the same fact: common primitive direction
-            _, a, b = primitive_decomposition(ri.u, rj.u)
-            if b != ell * a:
-                raise InvariantViolation("collinearity-decomposition",
-                                         f"pair ({ri.n},{rj.n}): {b} != {ell}*{a}")
 
     tp, tq = tol.numerator, tol.denominator
-    screen = tol <= _SCREEN / 2
-    fl = [r.d_units / r.den for r in records]  # once per record, never overflows
-    for i in range(len(records)):
+    m = len(records)
+    order = sorted(range(m), key=lambda k: records[k].d_units)
+    values = [records[k].d_units for k in order]
+    r_max = max((r.rad_units for r in records), default=0)
+    later_max = [0] * (m + 1)           # max d_j over j >= k
+    for k in range(m - 1, -1, -1):
+        later_max[k] = max(later_max[k + 1], records[k].d_units)
+    for i in range(m):
         d_i, r_i = records[i].d_units, records[i].rad_units
         c = _decide(d_i, r_i)
         if c is None:
@@ -597,14 +576,26 @@ def integer_ratio_scan(records: Sequence[MinimaRecord],
             undecided.append((records[i].n, 0))
         if not c:
             continue
-        f_i = fl[i] if screen and fl[i] >= _TINY else None
-        for j in range(i + 1, len(records)):
-            pairs += 1
-            if f_i is not None:
-                ratio = fl[j] / f_i
-                if ratio < 0.5 or (ratio < _SCREEN_MAX
-                                   and abs(ratio - round(ratio)) > _SCREEN):
-                    continue
+        pairs += m - 1 - i
+        ell_max = later_max[i + 1] // d_i + 1
+        if ell_max > m - 1 - i:
+            hits = range(i + 1, m)
+        else:
+            # a non-positive test needs tq * off <= tp * d_i + guarded radii
+            guard = (tq * (r_max + ell_max * r_i) + tp * r_i) << GUARD_BITS
+            w = -(-(tp * d_i + guard) // tq) + 1
+            # window l is [l * d_i - w, l * d_i + w]; windows that overlap
+            # resume where the last one ended
+            found, lo, edge = [], 0, d_i - w
+            for _ in range(ell_max):
+                lo = bisect_left(values, edge, lo)
+                while lo < m and values[lo] <= edge + 2 * w:
+                    if order[lo] > i:
+                        found.append(order[lo])
+                    lo += 1
+                edge += d_i
+            hits = sorted(found)
+        for j in hits:
             d_j, r_j = records[j].d_units, records[j].rad_units
             ell = (2 * d_j + d_i) // (2 * d_i)          # nearest integer
             if ell < 1:

@@ -4,7 +4,9 @@ the separation check's loop over every pair of orbit points, which ran
 before the check moved onto letter counts.  The dichotomy and the
 probe's case-1 separation visit every pair of points, with no budget:
 they are the references for the letter-count dichotomy and the sorted
-sweep.
+sweep.  `integer_ratio_scan_pairwise` is the integer-ratio scan's loop
+over every pair of minima records, with its float prefilter, the
+reference for the windowed scan over sorted values.
 
 Every value here is an `Interval` of two exact Fractions, and every
 power threshold goes through `cmp_products`.  The scans read the minima
@@ -30,6 +32,9 @@ from abset.diophantine import (
     GapDichotomyReport,
     ProbeCase,
     QualifyingScan,
+    RatioPair,
+    RatioScanReport,
+    RatioViolation,
     SeparationReport,
     WindowWitness,
     minima_sequence,
@@ -458,3 +463,75 @@ def assouad_lower_probe(alpha, beta, points, indices, params,
     return AssouadProbeReport(params, tuple(cases),
                               params.exponent_at_params,
                               params.implied_exponent_limit)
+
+
+# float prefilter: pairs whose ratio is farther than this from every
+# integer cannot be within any tolerance up to _SCREEN / 2.  It applies
+# only where the float ratio is accurate to well below _SCREEN: the base
+# value is at least _TINY (so a ratio over an underflowed value is tiny
+# too) and the ratio is below _SCREEN_MAX.
+_SCREEN = 1e-9
+_SCREEN_MAX = float(1 << 20)
+_TINY = 2.0 ** -1000
+
+
+def _decide(gap, rad) -> Optional[int]:
+    """The sign of gap, or None when rad > 0 and |gap| <= rad * 2**GUARD_BITS."""
+    if rad and abs(gap) <= rad * (1 << GUARD_BITS):
+        return None
+    return (gap > 0) - (gap < 0)
+
+
+def integer_ratio_scan_pairwise(records, tol=Fraction(1, 1 << 64)) -> RatioScanReport:
+    """Every pair i < j of the records over a base decided nonzero,
+    through the float prefilter and then the exact test."""
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise UsageError("tolerance must be positive")
+    qualifying: List[RatioPair] = []
+    violations: List[RatioViolation] = []
+    undecided: List[Tuple[int, int]] = []
+    pairs = 0
+
+    def audit(ri, rj, ell: int):
+        div_ok = rj.n % ri.n == 0
+        vec_ok = rj.u == (ell * ri.u[0], ell * ri.u[1])
+        qualifying.append(RatioPair(ri.n, rj.n, ell, div_ok, vec_ok))
+        if not div_ok:
+            violations.append(RatioViolation(ri.n, rj.n, ell, "divisibility",
+                                             ri.u, rj.u))
+        if not vec_ok:
+            violations.append(RatioViolation(ri.n, rj.n, ell, "vector-multiple",
+                                             ri.u, rj.u))
+
+    tp, tq = tol.numerator, tol.denominator
+    screen = tol <= _SCREEN / 2
+    fl = [r.d_units / r.den for r in records]
+    for i in range(len(records)):
+        d_i, r_i = records[i].d_units, records[i].rad_units
+        c = _decide(d_i, r_i)
+        if c is None:
+            undecided.append((records[i].n, 0))
+        if not c:
+            continue
+        f_i = fl[i] if screen and fl[i] >= _TINY else None
+        for j in range(i + 1, len(records)):
+            pairs += 1
+            if f_i is not None:
+                ratio = fl[j] / f_i
+                if ratio < 0.5 or (ratio < _SCREEN_MAX
+                                   and abs(ratio - round(ratio)) > _SCREEN):
+                    continue
+            d_j, r_j = records[j].d_units, records[j].rad_units
+            ell = (2 * d_j + d_i) // (2 * d_i)          # nearest integer
+            if ell < 1:
+                continue
+            off = abs(d_j - ell * d_i)
+            c = _decide(tq * off - tp * d_i, tq * (r_j + ell * r_i) + tp * r_i)
+            if c is None:
+                undecided.append((records[i].n, records[j].n))
+            elif c <= 0:
+                audit(records[i], records[j], ell)
+    return RatioScanReport(tol, tuple(qualifying), tuple(violations),
+                           tuple(undecided), pairs,
+                           records[-1].n if records[-1].is_zero else None)

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from abset import diophantine
 from abset.diophantine import (
     DEFAULT_PREC,
     GUARD_BITS,
@@ -32,7 +33,6 @@ from abset.diophantine import (
     orbit_of_word,
     orbit_separation_check,
     parse_value,
-    primitive_decomposition,
     scan_horizon,
     _cmp_powers,
     _decide,
@@ -426,11 +426,39 @@ def test_ratio_scan_zero_termination():
     assert not rep.qualifying and not rep.violations
 
 
-def test_primitive_decomposition():
-    assert primitive_decomposition((2, 4), (3, 6)) == ((1, 2), 2, 3)
-    assert primitive_decomposition((0, 0), (3, 6)) == ((1, 2), 0, 3)
-    with pytest.raises(UsageError):
-        primitive_decomposition((1, 2), (2, 3))
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("past", [0, 1])
+def test_ratio_scan_window_keeps_the_last_undecided_offset(sign, past):
+    # base d = 1000003 within 5; j at 3 * d + sign * off within 7, the
+    # largest radius; off = 6633 is the last offset the guarded test
+    # leaves undecided at tol = 1/1000, 6634 is certified out
+    d, r_i, r_j, tol = 1000003, 5, 7, F(1, 1000)
+    off = (d + (1000 * (r_j + 3 * r_i) + r_i << GUARD_BITS)) // 1000 + past
+    fillers = [MinimaRecord(n, (n, 0), False, 1, 0, 1 << 40) for n in range(2, 12)]
+    recs = [MinimaRecord(1, (1, 0), True, d, r_i, 1 << 40)] + fillers + \
+        [MinimaRecord(12, (3, 0), False, 3 * d + sign * off, r_j, 1 << 40)]
+    rep = integer_ratio_scan(recs, tol)
+    assert ((1, 12) in rep.undecided) == (past == 0)
+    assert rep == oracle.integer_ratio_scan_pairwise(recs, tol)
+
+
+def test_ratio_scan_window_work_bound(monkeypatch):
+    # the windows over sorted values send a few thousand pairs of the
+    # 1,999,000 to the exact test
+    n = 2000
+    recs = minima_sequence(S2M1, S3M1, n, 256)
+    calls = 0
+
+    def counting(gap, rad):
+        nonlocal calls
+        calls += 1
+        return _decide(gap, rad)
+    monkeypatch.setattr(diophantine, "_decide", counting)
+    rep = integer_ratio_scan(recs)
+    assert calls <= 5 * n
+    assert rep.pairs_examined == 1_999_000
+    assert len(rep.qualifying) == 403
+    assert not rep.violations and not rep.undecided
 
 
 # -- gap dichotomy ------------------------------------------------------------
@@ -852,6 +880,29 @@ def test_sorted_minima_scan_raises_where_oracle_does(alpha, beta):
     want = scan_outcome(quadratic_minima, alpha, beta, 12, 256)
     assert want[0] == "raised"
     assert scan_outcome(minima_sequence, alpha, beta, 12, 256) == want
+
+
+ratio_pairs = st.one_of(
+    st.tuples(exact_values, exact_values),
+    st.tuples(surd_values, surd_values | exact_values),
+    st.tuples(exact_values, surd_values),
+    st.tuples(blurred_values, blurred_values | dyadic_values),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio_pairs, st.integers(min_value=1, max_value=60),
+       st.sampled_from([128, 256]),
+       st.sampled_from([F(1, 2 ** 64), F(1, 2 ** 32), F(1, 1000), F(1, 10)]))
+@example((F(1, 4), F(1, 3)), 9, 256, F(1, 2 ** 64))          # ends in a zero
+@example((S2M1, S3M1), 60, 128, F(1, 10))
+def test_ratio_scan_matches_pairwise_oracle(pair, n, prec, tol):
+    try:
+        recs = minima_sequence(*pair, n, prec)
+    except InsufficientPrecision:
+        return
+    assert integer_ratio_scan(recs, tol) == \
+        oracle.integer_ratio_scan_pairwise(recs, tol)
 
 
 def test_minima_horizon_20000_matches_linear_evaluation():
