@@ -606,13 +606,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, detail in warnings:
         print(f"WARN {name}: {detail} (recorded, not enforced)")
 
-    if not args.out:
-        sys.stdout.write(canonical_json(report))
-    elif args.command in ("dioph", "dim"):
-        print(f"table written to {args.out}")
-    else:
-        write_json(args.out, report)
-        print(f"report written to {args.out}")
+    try:
+        if not args.out:
+            sys.stdout.write(canonical_json(report))
+        elif args.command in ("dioph", "dim"):
+            print(f"table written to {args.out}")
+        else:
+            write_json(args.out, report)
+            print(f"report written to {args.out}")
+    except ValueError as exc:
+        # an integer past sys.get_int_max_str_digits() cannot be rendered
+        print(f"FAIL report-not-written: {exc}", file=sys.stderr)
+        return 2
 
     failed = [name for name, ok, _ in checks if not ok]
     if failed:

@@ -58,8 +58,11 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path: str, obj) -> None:
+    """Serialize first, so a report that cannot be rendered leaves no
+    file behind."""
+    text = canonical_json(obj)
     with open(path, "w", newline="\n") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)
 
 
 def write_csv(path: str, header, rows) -> None:

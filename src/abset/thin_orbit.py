@@ -24,11 +24,13 @@ below sqrt(eps_n) from n = 2 on.  At n0 = 1 the ladder is about 1/N_1,
 so the level-1 bounds fail by a wide, structural margin, and the
 reports say so.
 
-The survey checks the tower's word spine once per level, so each
-sample's level split gives its letter counts, and reads cells and drift
-from fixed-point values with a certified error interval: only a value
-whose interval touches a cell edge, and only drift that may hold the
-maximum, is evaluated exactly on the final pair's common denominator.
+The survey checks the tower's word spine and its deleted set once per
+level.  Each sampled time is then split into its levels once, and that
+one split decides whether the time lies outside the deleted blocks and
+gives its letter counts and its fixed-point image.  Cells and drift are
+read from fixed-point values with a certified error interval: only a
+value whose interval touches a cell edge, and only drift that may hold
+the maximum, is evaluated exactly on the final pair's common denominator.
 """
 
 import math
@@ -292,47 +294,37 @@ def covering_scale(eps: Fraction) -> Tuple[Fraction, bool]:
     return 2 * root, False
 
 
-def _covering_times(stages: Sequence[TStage], n0: int, sample_budget: int,
-                    seed: int) -> Tuple[IndexSet, List[int], List[int]]:
-    """The excluded set and the sampled times of restricted_covering:
-    the deterministic corner family (duplicates dropped) and the seeded
-    random draws, both outside every balancing block of level >= n0."""
+def _level_split(stages: Sequence[TStage], n0: int, a_fix: int, b_fix: int,
+                 mask: int) -> Tuple[List[tuple], Callable]:
+    """The levels K-1 .. n0 of restricted_covering, top down, as
+    (lev, N_lev, repetitions, k_lev, l_lev, fixed-point image of W_lev),
+    and split(j) for 1 <= j <= |W_K|.
+
+    split peels full copies of W_lev off the time j - 1, level by level:
+    c_lev, then the remainder, down to a W_n0 prefix of length p.  It
+    returns None as soon as some c_lev reaches the level's repetition
+    count, which puts j in a balancing block of level >= n0; otherwise
+    (dx, dy, img, p), with (dx, dy) = sum c_lev (k_lev, l_lev) and
+    img = sum c_lev img_lev masked by `mask`."""
     K = len(stages)
-    horizon = stages[-1].N
-    excluded = deleted_union(stages, n0)
+    levels = [(st.n, st.N, up.L, st.k, st.l, (st.k * a_fix + st.l * b_fix) & mask)
+              for st, up in zip(reversed(stages[n0 - 1:K - 1]),
+                                reversed(stages[n0:]))]
 
-    rng = random.Random(seed)
-    picked = []
-    for _ in range(50 * sample_budget + 1000):
-        if len(picked) == sample_budget:
-            break
-        j = rng.randrange(1, horizon + 1)
-        if j not in excluded:
-            picked.append(j)
+    def split(j: int) -> Optional[Tuple[int, int, int, int]]:
+        p = j
+        dx = dy = img = 0
+        for _, n_lev, reps, k_lev, l_lev, w_img in levels:
+            c, rem = divmod(p - 1, n_lev)
+            if c >= reps:
+                return None
+            dx += c * k_lev
+            dy += c * l_lev
+            img += c * w_img
+            p = rem + 1
+        return dx, dy, img & mask, p
 
-    menus = [_sample_menu(stages[lev].L) for lev in range(K - 1, n0 - 1, -1)]
-    offsets = [stages[lev - 1].N for lev in range(K - 1, n0 - 1, -1)]
-    base = stages[n0 - 1]
-    base_menu = ([r + 1 for r in _sample_menu(base.N)]
-                 if base.N > 64 else list(range(1, base.N + 1)))
-    if n0 >= 2:
-        sub = stages[n0 - 2].N
-        base_menu.extend(c * sub for c in _sample_menu(base.L or 1)
-                         if 1 <= c * sub <= base.N)
-
-    near = set()                # each corner time and its two neighbours
-
-    def walk(depth: int, offset: int):
-        if depth == len(menus):
-            for r in base_menu:
-                near.update((offset + r - 1, offset + r, offset + r + 1))
-            return
-        for c in menus[depth]:
-            walk(depth + 1, offset + c * offsets[depth])
-
-    walk(0, 0)
-    det = [j for j in near if 1 <= j <= horizon and j not in excluded]
-    return excluded, det, picked
+    return levels, split
 
 
 def restricted_covering(stages: Sequence[TStage], n0: int, *,
@@ -342,15 +334,27 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     block of level >= n0, and box-count their values at scale
     2 sqrt(eps_n0).
 
-    Each sampled time j is split into full-word multiplicities c_lev of
-    the levels K-1 .. n0 plus a W_n0 prefix of length p; a c_lev that
-    reaches the level's repetition count means j sits in a block and
-    raises `exclusion-leak`.  The split's counts, sum c_lev (k_lev, l_lev)
-    plus the W_n0 prefix counts at p, are the final word's prefix counts
-    at j when every W_(lev+1) is W_lev^L V on the stage's own W_lev, of
-    length N_lev and counts (k_lev, l_lev), as prefix_counts then takes
-    the split's divmods.  That spine is checked once per level, for every
-    time, or `split-eval-mismatch` raises naming the level.
+    The sampled times are a deterministic corner family (menus of
+    full-word multiplicities per level, each with W_n0 prefixes around
+    it and their two neighbours, duplicates dropped) and seeded random
+    draws.  Each time j is split once, into full-word multiplicities
+    c_lev of the levels K-1 .. n0 plus a W_n0 prefix of length p, and
+    that one split decides whether j is sampled, gives its letter counts
+    and its fixed-point image; samples are surveyed as they are drawn.
+    A c_lev that reaches the level's repetition count puts j in a
+    balancing block, so it is not sampled.  The split's counts,
+    sum c_lev (k_lev, l_lev) plus the W_n0 prefix counts at p, are the
+    final word's prefix counts at j when every W_(lev+1) is W_lev^L V on
+    the stage's own W_lev, of length N_lev and counts (k_lev, l_lev), as
+    prefix_counts then takes the split's divmods.  That spine is checked
+    once per level, or `split-eval-mismatch` raises naming the level.
+    The deleted set (which gives `excluded_density`) is checked once per
+    level too: its level-lev component must be the tail
+    [L N_lev, N_(lev+1)) of every W_(lev+1) unit nested in the levels
+    above, exactly the times the split refuses, or `exclusion-leak`
+    raises naming the level.  A corner time with 1 <= p <= N_n0 takes
+    its split from the walk down the menus, with no divmod; only its
+    neighbours at p = 0 and p = N_n0 + 1 are split.
 
     Values are never reduced modulo the pair's common denominator den
     unless a bound is undecided.  For the scale sn / sd let
@@ -371,7 +375,9 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     full-word part, as a distance to the nearest integer) gets the same
     interval from img; only drift count vectors whose upper bound
     reaches the running maximum of the lower bounds are kept, and those
-    are evaluated exactly, so `max_drift` is exact.
+    are evaluated exactly, so `max_drift` is exact.  The unrestricted
+    contrast draws take lo from the same split when they fall outside
+    every block, and from the final word's prefix counts otherwise.
 
     The box-count and drift bounds are recorded in the returned report,
     never enforced; the construction promises them only for n0 >= 2.
@@ -393,7 +399,6 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
                 and pw.exponent == up.L and st.W.length == st.N
                 and st.W.counts == (st.k, st.l)):
             raise InvariantViolation("split-eval-mismatch", f"level {st.n}")
-    excluded, det, picked = _covering_times(stages, n0, sample_budget, seed)
 
     scale, scale_exact = covering_scale(base.eps)
     sn, sd = scale.numerator, scale.denominator
@@ -410,10 +415,19 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     mask = one - 1
     a_fix = (a_int << prec) // den
     b_fix = (b_int << prec) // den
-    # (lev, N_lev, repetitions, k_lev, l_lev, fixed-point image), top down
-    levels = [(st.n, st.N, stages[st.n].L, st.k, st.l,
-               (st.k * a_fix + st.l * b_fix) & mask)
-              for st in reversed(stages[n0 - 1:K - 1])]
+    levels, split = _level_split(stages, n0, a_fix, b_fix, mask)
+
+    excluded = deleted_union(stages, n0)
+    comps = excluded.describe()             # ascending level
+    upper, outer = (), horizon
+    for lev, n_lev, reps, *_ in levels:
+        if comps[lev - n0] != ("nested_blocks", reps * n_lev,
+                               outer - reps * n_lev, upper):
+            raise InvariantViolation(
+                "exclusion-leak", "the deleted set differs from the level "
+                f"split inside a level-{lev} block")
+        upper += ((n_lev, reps),)
+        outer = n_lev
 
     def cell_of(lo: int, cx: int, cy: int) -> int:
         top = lo >> shift
@@ -429,29 +443,69 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     drift_counts = set()        # drift count vectors that may hold the max
     drift_floor = 0             # running max of the drift lower bounds
     base_counts: Dict[int, Tuple[int, int]] = {}    # W_n0 prefix counts by p
-    for j in det + picked:
-        p = j
-        dx = dy = img = 0
-        for lev, n_lev, reps, k_lev, l_lev, w_img in levels:
-            c, rem = divmod(p - 1, n_lev)
-            if c >= reps:
-                raise InvariantViolation("exclusion-leak",
-                                         f"time {j} sits inside a level-{lev} block")
-            dx += c * k_lev
-            dy += c * l_lev
-            img += c * w_img
-            p = rem + 1
+
+    def split_cell(dx: int, dy: int, img: int, bx: int, by: int) -> int:
+        return cell_of((img + bx * a_fix + by * b_fix) & mask, dx + bx, dy + by)
+
+    def add_cell(dx: int, dy: int, img: int, p: int) -> None:
         if p not in base_counts:
             base_counts[p] = prefix_counts(base.W, p)
-        bx, by = base_counts[p]
-        cx, cy = dx + bx, dy + by
-        img &= mask
-        cells.add(cell_of((img + bx * a_fix + by * b_fix) & mask, cx, cy))
+        cells.add(split_cell(dx, dy, img, *base_counts[p]))
+
+    def add_drift(dx: int, dy: int, img: int) -> None:
+        nonlocal drift_floor
         dist = min(img, one - img)
         err = dx + dy
         if dist + err >= drift_floor:
             drift_counts.add((dx, dy))
             drift_floor = max(drift_floor, dist - err)
+
+    def survey(dx: int, dy: int, img: int, p: int) -> None:
+        add_cell(dx, dy, img, p)
+        add_drift(dx, dy, img)
+
+    menus = [_sample_menu(reps) for _, _, reps, *_ in levels]
+    base_menu = ([r + 1 for r in _sample_menu(base.N)]
+                 if base.N > 64 else list(range(1, base.N + 1)))
+    if n0 >= 2:
+        sub = stages[n0 - 2].N
+        base_menu.extend(c * sub for c in _sample_menu(base.L or 1)
+                         if 1 <= c * sub <= base.N)
+    near = sorted({t for r in base_menu for t in (r - 1, r, r + 1)})
+    seen = set()
+    n_det = 0
+    stack = [(0, 0, 0, 0, 0)]   # (depth, offset, dx, dy, img) of a partial corner
+    while stack:
+        depth, offset, dx, dy, img = stack.pop()
+        if depth < len(levels):
+            _, n_lev, _, k_lev, l_lev, w_img = levels[depth]
+            stack.extend((depth + 1, offset + c * n_lev, dx + c * k_lev,
+                          dy + c * l_lev, img + c * w_img) for c in menus[depth])
+            continue
+        img &= mask
+        add_drift(dx, dy, img)      # shared by the corner's interior times
+        for t in near:
+            j = offset + t
+            if j in seen:
+                continue
+            seen.add(j)
+            if 1 <= t <= base.N:
+                add_cell(dx, dy, img, t)
+            elif 1 <= j <= horizon and (s := split(j)) is not None:
+                survey(*s)
+            else:
+                continue
+            n_det += 1
+
+    rng = random.Random(seed)
+    n_random = 0
+    for _ in range(50 * sample_budget + 1000):
+        if n_random == sample_budget:
+            break
+        s = split(rng.randrange(1, horizon + 1))
+        if s is not None:
+            n_random += 1
+            survey(*s)
 
     max_drift_num = 0
     for dx, dy in drift_counts:
@@ -462,17 +516,24 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
 
     rng2 = random.Random(f"{seed}-unrestricted")
     contrast_cells = set()
-    for _ in range(len(picked)):
-        cx, cy = prefix_counts(final.W, rng2.randrange(1, horizon + 1))
-        contrast_cells.add(cell_of((cx * a_fix + cy * b_fix) & mask, cx, cy))
+    for _ in range(n_random):
+        j = rng2.randrange(1, horizon + 1)
+        s = split(j)
+        if s is None:
+            cx, cy = prefix_counts(final.W, j)
+            contrast_cells.add(cell_of((cx * a_fix + cy * b_fix) & mask, cx, cy))
+        else:
+            dx, dy, img, p = s
+            contrast_cells.add(split_cell(
+                dx, dy, img, *(base_counts.get(p) or prefix_counts(base.W, p))))
 
     return {
         "n0": n0,
         "horizon": horizon,
         "scale": scale,
         "scale_exact_sqrt": scale_exact,
-        "samples_random": len(picked),
-        "samples_deterministic": len(det),
+        "samples_random": n_random,
+        "samples_deterministic": n_det,
         "cells_restricted": len(cells),
         "cell_bound_claimed": base.N,
         "cell_bound_ok": len(cells) <= base.N,

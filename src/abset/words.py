@@ -292,10 +292,6 @@ class OrbitSample:
         """(first visit time, point) pairs in circle order."""
         return zip(self.visits, self.points())
 
-    @property
-    def entries(self):
-        return tuple(self)
-
     def points(self) -> CirclePoints:
         return CirclePoints(self.numerators, self.den)
 

@@ -8,6 +8,7 @@ silent drift in either the math or the serialization.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -154,6 +155,28 @@ def test_thin_orbit_tower_leaving_its_band_is_a_usage_error(capsys):
     assert stdout == ""
     assert stderr.startswith("usage error: stage 3 leaves the 2:1 count band")
     assert "--m" in stderr and "--decay" in stderr
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_report_past_the_digit_limit_fails_in_one_line(capsys, tmp_path, to_file):
+    # eps_2 = 10^-5000 has more digits than the interpreter's default
+    # int-to-str limit: the run fails in one line, with no traceback and,
+    # for --out, no empty file left behind
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    out = tmp_path / "wide.json"
+    argv = ["thin-orbit", "--m", "1000", "--eps1", "10^-500", "--decay", "10",
+            "--stages", "2", "--samples", "50"] + (["--out", str(out)] if to_file else [])
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc, stdout, stderr = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(2_000_000)
+    assert rc == 2
+    assert stderr.startswith("FAIL report-not-written: ")
+    assert "4300" in stderr and stderr.count("\n") == 1
+    assert "{" not in stdout
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- dioph

@@ -6,12 +6,14 @@ letter-by-letter walk.  The desk configuration (m=10, eps1=2^-40, rho=4)
 freezes the grown-up numbers, including the recorded failure of the
 level-1 covering and drift bounds.  restricted_covering's fixed-point
 core is checked against `exact_covering`, the loop it replaced, which
-evaluates every sample exactly on the pair's common denominator, and
-choose_L's closed form against `bisect_choose_L`, the bisection over L
-it replaced.
+evaluates every sample exactly on the pair's common denominator and
+samples its times with `covering_times`, the IndexSet-filtered sampler
+the single level split replaced; choose_L's closed form is checked
+against `bisect_choose_L`, the bisection over L it replaced.
 """
 
 import dataclasses
+import gc
 import math
 import random
 from fractions import Fraction
@@ -27,7 +29,8 @@ from abset.thin_orbit import (
     DEFAULT_SEED,
     ThinConfig,
     TStage,
-    _covering_times,
+    _level_split,
+    _sample_menu,
     advance,
     build_stages,
     choose_L,
@@ -77,6 +80,50 @@ def bisect_choose_L(eps, N, n, buffer=3):
     return lo, T
 
 
+def covering_times(stages, n0, sample_budget, seed):
+    """restricted_covering's former sampler, kept as the oracle of its
+    single level split: the excluded set, the deterministic corner family
+    (duplicates dropped) and the seeded random draws, both filtered by
+    membership in the deleted set of every balancing block of level
+    >= n0."""
+    K = len(stages)
+    horizon = stages[-1].N
+    excluded = deleted_union(stages, n0)
+
+    rng = random.Random(seed)
+    picked = []
+    for _ in range(50 * sample_budget + 1000):
+        if len(picked) == sample_budget:
+            break
+        j = rng.randrange(1, horizon + 1)
+        if j not in excluded:
+            picked.append(j)
+
+    menus = [_sample_menu(stages[lev].L) for lev in range(K - 1, n0 - 1, -1)]
+    offsets = [stages[lev - 1].N for lev in range(K - 1, n0 - 1, -1)]
+    base = stages[n0 - 1]
+    base_menu = ([r + 1 for r in _sample_menu(base.N)]
+                 if base.N > 64 else list(range(1, base.N + 1)))
+    if n0 >= 2:
+        sub = stages[n0 - 2].N
+        base_menu.extend(c * sub for c in _sample_menu(base.L or 1)
+                         if 1 <= c * sub <= base.N)
+
+    near = set()                # each corner time and its two neighbours
+
+    def walk(depth: int, offset: int):
+        if depth == len(menus):
+            for r in base_menu:
+                near.update((offset + r - 1, offset + r, offset + r + 1))
+            return
+        for c in menus[depth]:
+            walk(depth + 1, offset + c * offsets[depth])
+
+    walk(0, 0)
+    det = [j for j in near if 1 <= j <= horizon and j not in excluded]
+    return excluded, det, picked
+
+
 def exact_covering(stages, n0, *, sample_budget=DEFAULT_SAMPLE_BUDGET,
                    seed=DEFAULT_SEED):
     """restricted_covering's former evaluation loop, kept as its oracle.
@@ -89,7 +136,7 @@ def exact_covering(stages, n0, *, sample_budget=DEFAULT_SAMPLE_BUDGET,
     final = stages[-1]
     base = stages[n0 - 1]
     horizon = final.N
-    excluded, det, picked = _covering_times(stages, n0, sample_budget, seed)
+    excluded, det, picked = covering_times(stages, n0, sample_budget, seed)
     scale, scale_exact = covering_scale(base.eps)
 
     den = (final.alpha.denominator * final.beta.denominator //
@@ -565,8 +612,9 @@ class TestCoveringOracle:
         assert err.value.name == "split-eval-mismatch"
 
     def test_no_prefix_walk_per_sample(self, desk_stages, monkeypatch):
-        # prefix_counts runs once per contrast draw and once per distinct
-        # W_1 prefix; the restricted samples read their counts off the split
+        # prefix_counts runs once per distinct W_1 prefix and once per
+        # contrast draw inside a balancing block; every other time reads
+        # its counts off its level split
         calls = []
 
         def counted(w, j):
@@ -576,9 +624,73 @@ class TestCoveringOracle:
         monkeypatch.setattr(thin_orbit, "prefix_counts", counted)
         rep = restricted_covering(desk_stages, 1)
         monkeypatch.undo()
+        excluded = deleted_union(desk_stages, 1)
+        rng2 = random.Random(f"{DEFAULT_SEED}-unrestricted")
+        in_block = sum(rng2.randrange(1, rep["horizon"] + 1) in excluded
+                       for _ in range(rep["samples_random"]))
         assert rep["samples_deterministic"] > 10000
-        assert len(calls) <= rep["samples_random"] + desk_stages[0].N + 8
+        assert len(calls) <= desk_stages[0].N + in_block
         assert rep == exact_covering(desk_stages, 1)
+
+    def test_survey_leaves_no_cycle(self, desk_stages):
+        # the corner walk is an iterative stack and the samples stream
+        # through the survey, so nothing is left for the cycle collector
+        gc.collect()
+        gc.disable()
+        try:
+            restricted_covering(desk_stages, 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 6),
+           eps1=st.one_of(st.integers(5, 24).map(lambda e: Fraction(1, 2 ** e)),
+                          st.integers(2, 8).map(lambda e: Fraction(1, 10 ** e))),
+           r=st.integers(2, 4), k=st.integers(2, 3),
+           a_fix=st.integers(0, 2 ** 96), b_fix=st.integers(0, 2 ** 96),
+           data=st.data())
+    def test_split_verdict_matches_deleted_union(self, m, eps1, r, k, a_fix,
+                                                 b_fix, data):
+        # every block's first and last index, each +-1, in the first, second,
+        # last and one drawn copy along its layer, plus drawn times: the
+        # split refuses exactly the deleted times, and otherwise gives the
+        # final word's prefix counts and the masked image of its full words
+        cfg = ThinConfig(m=m, eps1=eps1, rho=lambda n, r=r: r)
+        try:
+            stages = build_stages(cfg, k)
+        except (UsageError, InvariantViolation):
+            assume(False)
+        final = stages[-1]
+        horizon = final.N
+        mask = (1 << 90) - 1
+        sets = deleted_sets(stages)
+        edges = set()
+        for js in sets.values():
+            ((_, origin, block_len, layers),) = js.describe()
+            starts = [origin]
+            for period, count in layers:
+                drawn = data.draw(st.integers(0, count - 1))
+                starts = [s + q * period for s in starts
+                          for q in {0, min(1, count - 1), count - 1, drawn}]
+            for s in starts:
+                for end in (s + 1, s + block_len):
+                    edges.update((end - 1, end, end + 1))
+        drawn = data.draw(st.lists(st.integers(1, horizon), max_size=40))
+        times = sorted(j for j in edges.union(drawn) if 1 <= j <= horizon)
+        for n0 in range(1, k + 1):
+            excluded = deleted_union(stages, n0)
+            base = stages[n0 - 1]
+            _, split = _level_split(stages, n0, a_fix, b_fix, mask)
+            for j in times:
+                s = split(j)
+                assert (s is None) == (j in excluded), (n0, j)
+                if s is not None:
+                    dx, dy, img, p = s
+                    assert 1 <= p <= base.N
+                    bx, by = prefix_counts(base.W, p)
+                    assert (dx + bx, dy + by) == prefix_counts(final.W, j)
+                    assert img == (dx * a_fix + dy * b_fix) & mask
 
     def test_exclusion_leak_raises(self, tiny_stages):
         # V_1 shrunk to one letter: the deleted set misses the rest of the
