@@ -2,9 +2,9 @@
 circle sets.
 
 Every estimator runs on the set's sorted distinct integer circle keys, a
-`CirclePoints`; one passed in, as `katznelson.enumerate_E` makes them,
-is used as it is.  Else when every denominator divides the largest one,
-D, a point is exactly its key over D.  Otherwise keys are fixed point
+`CirclePoints`; one passed in, as `katznelson.enumerate_E` and
+`circle_points` make them, is used as it is.  Else when every
+denominator divides the largest one, D, a point is exactly its key over D.  Otherwise keys are fixed point
 over 2^K with K = 2 bits(D) + KEY_GUARD_BITS, and a point lies in
 [key, key + 1) over 2^K: one unit of radius.  Distinct points differ by
 at least 1/D^2, so such keys stay distinct and keep the circle order.
@@ -17,6 +17,7 @@ rendered once into strings so reports are byte-stable.
 """
 
 import bisect
+import operator
 from dataclasses import dataclass
 from collections.abc import Sequence
 from fractions import Fraction
@@ -60,10 +61,11 @@ class CirclePoints(Sequence):
         return NotImplemented
 
 
-def _keys(points) -> CirclePoints:
+def circle_points(points) -> CirclePoints:
     """The set as its sorted distinct circle keys over den: the largest
     denominator when every denominator divides it, else a power of two
-    with the exact points kept beside the keys."""
+    with the exact points kept beside the keys.  Key a set once to pass
+    it to several estimators."""
     if isinstance(points, CirclePoints):
         return points
     pts = [p if isinstance(p, (int, Fraction)) else Fraction(p) for p in points]
@@ -123,7 +125,7 @@ def _covering(circle: CirclePoints, rho: Fraction) -> int:
 
 def grid_covering(points, rho: Fraction) -> int:
     """Number of rho-grid cells needed for the set (grid anchored at 0)."""
-    return _covering(_keys(points), rho)
+    return _covering(circle_points(points), rho)
 
 
 def maximal_separated_subset(points, rho: Fraction) -> CirclePoints:
@@ -137,7 +139,7 @@ def maximal_separated_subset(points, rho: Fraction) -> CirclePoints:
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError("separation must be positive")
-    circle = _keys(points)
+    circle = circle_points(points)
     keys, den, exact = circle.keys, circle.den, circle.exact
     rd = rho.denominator
     reach = rho.numerator * den   # a key distance d is below rho when d * rd < reach
@@ -150,17 +152,21 @@ def maximal_separated_subset(points, rho: Fraction) -> CirclePoints:
         d = circle[bisect.bisect_left(keys, b)] - circle[bisect.bisect_left(keys, a)]
         return min(d, 1 - d) < rho
 
+    # A key distance of sure or more is at least rho.  A wrap conflict
+    # with the last pick implies one with the first, which lies before
+    # it, so the wrap check runs only for keys past wrap.
+    sure = _ceil_div(hi, rd)
     chosen: List[int] = []
     for k in keys:
         if chosen:
             gap = k - chosen[-1]
-            d = min(gap, den - gap) * rd
-            if d < hi and (d < lo or near(chosen[-1], k)):
+            if gap < sure and (min(gap, den - gap) * rd < lo or near(chosen[-1], k)):
                 continue
-            gap = k - chosen[0]   # the wrap distance to the first pick
-            d = min(gap, den - gap) * rd
-            if d < hi and (d < lo or near(chosen[0], k)):
+            gap = k - chosen[0]
+            if k > wrap and (min(gap, den - gap) * rd < lo or near(chosen[0], k)):
                 continue
+        else:
+            wrap = k + den - sure
         chosen.append(k)
     picks = None if exact is None else [exact[bisect.bisect_left(keys, k)] for k in chosen]
     return CirclePoints(chosen, den, picks)
@@ -222,7 +228,7 @@ def box_dim_series(points, scales, prec_bits: int = DEFAULT_PREC_BITS) -> Coveri
     if any(not 0 < s < 1 for s in scales):
         # log(1/scale) divides the log ratio, and it is 0 at scale 1
         raise ValueError("box-counting scales must lie in (0, 1)")
-    circle = _keys(points)
+    circle = circle_points(points)
     rows = []
     for rho in scales:
         count = _covering(circle, rho)
@@ -235,79 +241,93 @@ def box_dim_series(points, scales, prec_bits: int = DEFAULT_PREC_BITS) -> Coveri
     return CoveringReport(tuple(rows), nested, nested)
 
 
+def _window_counts(circle: CirclePoints, anchors, big_r: Fraction, delta: Fraction):
+    """For each anchor index, the delta*R-grid cells from its point p that
+    the window [p, p + R) hits, counted by runs: the circle is cut where
+    neighbours lie a cell or more apart, so a cut starts a new cell and
+    within a run the cell index rises by 0 or 1 per point.  A run from s
+    to e thus hits cell(e) - cell(s) + 1 cells."""
+    keys, den, exact = circle.keys, circle.den, circle.exact
+    n = len(keys)
+    ext = list(keys) + [k + den for k in keys]
+    # gaps[i - 1] = ext[i] - ext[i - 1] for 0 < i <= n; the second lap repeats them
+    gaps = list(map(operator.sub, keys[1:], keys)) + [keys[0] + den - keys[-1]]
+    # a key offset is within r units of the true offset (r = 0 on a
+    # lattice, else 1); the exact points decide within r units of an edge
+    r = 0 if exact is None else 1
+    cell = big_r * delta
+    cd, cn = cell.denominator, cell.numerator
+    unit = cn * den              # a cell is unit / cd keys wide
+    width = _ceil_div(big_r.numerator * den, big_r.denominator)
+    # cut before i when gaps[i - 1] is a cell or more: surely so from
+    # sure keys on, and decided on the exact points 2r keys below that
+    sure = _ceil_div(unit, cd) + r
+    cuts = [i for i, g in enumerate(gaps, 1) if g >= sure - 2 * r and (
+        g >= sure or _exact(circle, i) - _exact(circle, i - 1) >= cell)]
+    cuts += [i + n for i in cuts if i < n]
+    bounds = [0] + cuts + [2 * n]
+    # the first (even entries) and last (odd) index of each run of two or
+    # more points
+    edges = [i for s, t in zip(bounds, bounds[1:]) if t - s > 1 for i in (s, t - 1)]
+    counts = []
+    for ai in anchors:
+        k = keys[ai]
+        end = k + width
+        # of keys below end - r, all lie in the window; past end, none
+        hi = bisect.bisect_left(ext, end - r, ai)
+        if r and ext[hi] <= end:
+            x = _exact(circle, ai)
+            while ext[hi] <= end and _exact(circle, hi) - x < big_r:
+                hi += 1
+        # one cell per run meeting [ai, hi), and one per cell each run
+        # rises by: its clipped end's cell less its clipped start's, where
+        # the anchor's own cell is 0
+        lo = bisect.bisect_right(edges, ai)
+        up = bisect.bisect_left(edges, hi, lo)
+        pos = edges[lo:up] + [hi - 1] * (up & 1)
+        cells = [(ext[p] - k - r) * cd // unit for p in pos]
+        if r and cells != [(ext[p] - k + r) * cd // unit for p in pos]:
+            for t, p in enumerate(pos):    # an edge within a key's unit
+                y = _exact(circle, p) - _exact(circle, ai)
+                cells[t] = y.numerator * cd // (y.denominator * cn)
+        counts.append(bisect.bisect_left(cuts, hi) - bisect.bisect_right(cuts, ai) + 1
+                      + sum(cells[1 - lo % 2::2]) - sum(cells[lo % 2::2]))
+    return counts
+
+
 def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_BITS,
                           anchor_cap: int = 4096):
     """Localized covering probe.
 
     For each (R, delta) pair, slide a window [p, p+R) over anchors p
     drawn from the set, count delta*R-grid cells hit inside the window,
-    and report max over windows of log(count)/log(1/delta).  Anchors are
-    thinned deterministically to anchor_cap (keeping the extremes) when
-    the set is large; the reported maximum is then a lower bound for the
-    all-anchors maximum.
+    and report max over windows of log(count)/log(1/delta) with its first
+    anchor.  Anchors are thinned deterministically to anchor_cap (keeping
+    the extremes) when the set is large; the reported maximum is then a
+    lower bound for the all-anchors maximum.  Windows are counted by runs
+    of points less than a cell apart, not cell by cell (`_window_counts`).
     """
-    circle = _keys(points)
-    keys, den, exact = circle.keys, circle.den, circle.exact
-    if not keys:
+    circle = circle_points(points)
+    n = len(circle)
+    if not n:
         raise ValueError("probe needs a nonempty set")
     # the ten extremes kept at each end already take every anchor of a
     # set of at most 20 points
-    if len(keys) <= max(anchor_cap, 20):
-        anchors = list(range(len(keys)))
+    if n <= max(anchor_cap, 20):
+        anchors = list(range(n))
     else:
-        step = len(keys) / anchor_cap
+        step = n / anchor_cap
         anchors = sorted({int(i * step) for i in range(anchor_cap)}
-                         | set(range(10)) | set(range(len(keys) - 10, len(keys))))
-    ext = list(keys) + [k + den for k in keys]
-    # A key offset from an anchor is within r units of the true offset
-    # (r = 0 on a lattice, else 1).  Of an edge rounded up to a key, keys
-    # below edge - r lie before it, keys past edge lie after it, and the
-    # keys between are settled on their exact points.
-    r = 0 if exact is None else 1
-
-    def settle(a, pos, hi, edge, bound):
-        """Skip the keys from pos up to edge whose exact offset from
-        anchor a is below bound."""
-        p = _exact(circle, a)
-        while pos < hi and ext[pos] <= edge and _exact(circle, pos) - p < bound:
-            pos += 1
-        return pos
-
+                         | set(range(10)) | set(range(n - 10, n)))
     reports = []
     for big_r, delta in window_scales:
         big_r = Fraction(big_r)
         delta = Fraction(delta)
         if not (0 < big_r <= 1 and 0 < delta < 1):
             raise ValueError("need 0 < R <= 1 and 0 < delta < 1")
-        cell = big_r * delta
-        cd, cn = cell.denominator, cell.numerator
-        unit = cn * den              # a cell is unit / cd keys wide
-        width = _ceil_div(big_r.numerator * den, big_r.denominator)
-        best_count = 0
-        best_anchor = 0
-        for ai in anchors:
-            k = keys[ai]
-            end = k + width
-            hi = bisect.bisect_left(ext, end - r, ai)
-            if r and ext[hi] <= end:
-                hi = settle(ai, hi, len(ext), end, big_r)
-            count, c, pos = 0, 0, ai   # the anchor lies in cell 0
-            while pos < hi:
-                count += 1
-                # jump past the rest of cell c
-                edge = k - (-(c + 1) * unit // cd)
-                pos = bisect.bisect_left(ext, edge - r, pos + 1, hi)
-                if r and pos < hi and ext[pos] <= edge:
-                    pos = settle(ai, pos, hi, edge, (c + 1) * cell)
-                if pos < hi:
-                    d = ext[pos] - k
-                    c = (d - r) * cd // unit
-                    if r and (d + r) * cd // unit != c:
-                        y = _exact(circle, pos) - _exact(circle, ai)
-                        c = y.numerator * cd // (y.denominator * cn)
-            if count > best_count:
-                best_count = count
-                best_anchor = ai
+        counts = _window_counts(circle, anchors, big_r, delta)
+        best_count = max(counts)
+        best_anchor = anchors[counts.index(best_count)]
         with mpmath.workprec(prec_bits):
             ratio = mpmath.log(best_count) / _log_inverse(delta)
             ratio_str = mpmath.nstr(ratio, LOG_DIGITS)
@@ -320,6 +340,6 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
             "log_ratio": ratio_str,
             "log_ratio_float": ratio_val,
             "anchors_probed": len(anchors),
-            "anchors_total": len(keys),
+            "anchors_total": n,
         })
     return reports

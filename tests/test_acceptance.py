@@ -24,6 +24,7 @@ from abset.cli import main
 from abset.dimension import (
     assouad_probe_windows,
     box_dim_series,
+    circle_points,
     grid_covering,
     maximal_separated_subset,
     successive_slopes,
@@ -252,14 +253,15 @@ def test_criterion_5_surd_pair_scans():
 
 def test_criterion_6_estimator_calibration():
     t0 = time.monotonic()
-    points = [Fraction(1, k) for k in range(1, 100_001)]
+    reciprocals = [Fraction(1, k) for k in range(1, 100_001)]
+    points = circle_points(reciprocals)   # keyed once for both estimators
     report = box_dim_series(points, [Fraction(1, 4 ** j) for j in range(4, 9)])
     slopes = successive_slopes(report.rows)
     windows = assouad_probe_windows(points, [(Fraction(1, 16), Fraction(1, 256))])
     lower = dio.assouad_lower_probe(
         dio.parse_value("sqrt(2) - 1"),
         dio.parse_value("sqrt(3) - 1"),
-        points[:50],
+        reciprocals[:50],
         None,
         dio.ProbeParams(),
         [1],

@@ -24,10 +24,11 @@ from abset.dimension import (
     LOG_DIGITS,
     CirclePoints,
     _cells,
-    _keys,
     _log_inverse,
+    _window_counts,
     assouad_probe_windows,
     box_dim_series,
+    circle_points,
     grid_covering,
     maximal_separated_subset,
     successive_slopes,
@@ -100,6 +101,25 @@ def fraction_box_counts(points, scales):
     return counts, nested
 
 
+def fraction_window_counts(points, anchors, big_r, delta):
+    """The cells each anchor's window [p, p + R) hits, walked cell by cell."""
+    pts = fraction_points(points)
+    ext = pts + [p + 1 for p in pts]
+    cell = F(big_r) * F(delta)
+    counts = []
+    for ai in anchors:
+        p = pts[ai]
+        hi = bisect.bisect_left(ext, p + big_r, lo=ai)
+        count = 0
+        pos = ai
+        while pos < hi:
+            count += 1
+            c = (ext[pos] - p) // cell
+            pos = bisect.bisect_left(ext, p + (c + 1) * cell, lo=pos + 1, hi=hi)
+        counts.append(count)
+    return counts
+
+
 def fraction_probe_windows(points, window_scales, anchor_cap=4096):
     pts = fraction_points(points)
     # the ten extremes kept at each end already take every anchor of a
@@ -110,26 +130,13 @@ def fraction_probe_windows(points, window_scales, anchor_cap=4096):
         step = len(pts) / anchor_cap
         anchors = sorted({int(i * step) for i in range(anchor_cap)}
                          | set(range(10)) | set(range(len(pts) - 10, len(pts))))
-    ext = pts + [p + 1 for p in pts]
     reports = []
     for big_r, delta in window_scales:
         big_r = F(big_r)
         delta = F(delta)
-        cell = big_r * delta
-        best_count = 0
-        best_anchor = pts[0]
-        for ai in anchors:
-            p = pts[ai]
-            hi = bisect.bisect_left(ext, p + big_r, lo=ai)
-            count = 0
-            pos = ai
-            while pos < hi:
-                count += 1
-                c = (ext[pos] - p) // cell
-                pos = bisect.bisect_left(ext, p + (c + 1) * cell, lo=pos + 1, hi=hi)
-            if count > best_count:
-                best_count = count
-                best_anchor = p
+        counts = fraction_window_counts(pts, anchors, big_r, delta)
+        best_count = max(counts)
+        best_anchor = pts[anchors[counts.index(best_count)]]
         with mpmath.workprec(DEFAULT_PREC_BITS):
             ratio = mpmath.log(best_count) / _log_inverse(delta)
             ratio_str = mpmath.nstr(ratio, LOG_DIGITS)
@@ -260,7 +267,7 @@ def test_probe_reciprocal_fixture_localizes_high():
 
 def test_keys_pick_integers_exactly_when_denominators_divide_the_largest():
     def triple(points):
-        circle = _keys(points)
+        circle = circle_points(points)
         return list(circle.keys), circle.den, circle.exact
 
     assert triple([F(3, 4), F(1, 2), 2, F(-1, 4), F(7, 4)]) == ([0, 2, 3], 4, None)
@@ -275,7 +282,7 @@ def test_keys_pick_integers_exactly_when_denominators_divide_the_largest():
     assert all(type(k) is int for k in keys)
     # a set already in key form is used as it is
     circle = CirclePoints([1, 5], 8)
-    assert _keys(circle) is circle
+    assert circle_points(circle) is circle
 
 
 def test_returned_points_are_fractions():
@@ -292,7 +299,7 @@ def test_returned_points_are_fractions():
 
 def grid_cells(points, rho):
     """Sorted distinct indices of the rho-grid cells the set hits."""
-    return _cells(_keys(points), rho)
+    return _cells(circle_points(points), rho)
 
 
 def test_grid_cells_sorted_distinct():
@@ -409,17 +416,33 @@ structured_sets = st.builds(
 few_small_sets = st.lists(st.fractions(min_value=0, max_value=1, max_denominator=16),
                           min_size=3, max_size=8)
 guard_sets = st.one_of(structured_sets, few_small_sets).filter(_no_lattice)
+# Run sets: arithmetic progressions of up to 40 points with steps from
+# 1/8 down to 1/4096, so that a progression often steps below the cell
+# width of a drawn window while spanning several cells, among isolated
+# points; window ends then cut through runs.
+progressions = st.builds(
+    lambda start, step, length: [start + i * step for i in range(length)],
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+    st.integers(min_value=3, max_value=12).flatmap(
+        lambda j: st.integers(min_value=2 ** j, max_value=2 ** (j + 1)))
+    .map(lambda m: F(1, m)),
+    st.integers(min_value=2, max_value=40))
+run_sets = st.builds(
+    lambda runs, isolated: [p for run in runs for p in run] + isolated,
+    st.lists(progressions, min_size=1, max_size=3),
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), max_size=10))
 SET_FAMILIES = {
     "lattice": lattice_sets,
     "mixed": mixed_sets,
     "lattice+int": lattice_sets.map(lambda pts: pts + [int(p) for p in pts]),
     "guard": guard_sets,
+    "runs": run_sets,
 }
 # Guard 0 keys points over 2^(2 bits(D)) alone, so edges fall within a
 # key's unit often and the exact fallback runs; results must not change.
 # Lattice sets have exact keys and no guard.
 FAMILY_GUARDS = ([(f, KEY_GUARD_BITS) for f in sorted(SET_FAMILIES)]
-                 + [("guard", 0), ("mixed", 0)])
+                 + [("guard", 0), ("mixed", 0), ("runs", 0)])
 families = pytest.mark.parametrize(
     "family, guard", FAMILY_GUARDS,
     ids=[f if g else f"{f}-guard0" for f, g in FAMILY_GUARDS])
@@ -607,6 +630,55 @@ def test_probe_offset_below_a_cell_edge_with_key_offset_past_it(guard, pts, wind
         mp.setattr(dimension, "KEY_GUARD_BITS", guard)
         got = assouad_probe_windows(pts, [window])
     assert got == fraction_probe_windows(pts, [window])
+
+
+def test_probe_decides_a_gap_within_a_unit_of_the_cell_on_exact_points(monkeypatch):
+    # At guard 0 keys are over 2^8 and the cell 1/96 is 2.67 keys wide.
+    # 1/11 and 1/10 are 2 keys apart, within a unit of a cell: only the
+    # exact gap 1/110 < 1/96 keeps them in one run.  From the anchor 1/11
+    # both lie in cell 0; cut between them, they would count as 2 cells.
+    monkeypatch.setattr(dimension, "KEY_GUARD_BITS", 0)
+    pts, big_r, delta = [F(1, 11), F(1, 10), F(2, 3)], F(1, 16), F(1, 6)
+    circle = circle_points(pts)
+    assert abs(circle.keys[1] - circle.keys[0] - big_r * delta * circle.den) < 1
+    exact, calls = dimension._exact, []
+
+    def counted(c, i):
+        calls.append(i)
+        return exact(c, i)
+
+    monkeypatch.setattr(dimension, "_exact", counted)
+    _window_counts(circle, [], big_r, delta)   # no anchor: only the cuts
+    assert calls == [1, 0]
+    assert _window_counts(circle, [0, 1, 2], big_r, delta) == [1, 1, 1]
+    assert fraction_window_counts(pts, [0, 1, 2], big_r, delta) == [1, 1, 1]
+    window = [(big_r, delta)]
+    assert assouad_probe_windows(pts, window) == fraction_probe_windows(pts, window)
+
+
+@pytest.mark.parametrize("guard", [KEY_GUARD_BITS, 0])
+def test_probe_every_anchor_of_reciprocals_matches_fraction_oracle(guard, monkeypatch):
+    # the dense run from 1/500 to 1/64 crosses about 60 cells of 1/4096
+    monkeypatch.setattr(dimension, "KEY_GUARD_BITS", guard)
+    pts = [F(0)] + [F(1, k) for k in range(1, 501)]
+    big_r, delta = F(1, 16), F(1, 256)
+    circle = circle_points(pts)
+    anchors = list(range(len(circle)))
+    counts = _window_counts(circle, anchors, big_r, delta)
+    assert counts == fraction_window_counts(pts, anchors, big_r, delta)
+    assert max(counts) >= 60
+    window = [(big_r, delta)]
+    got = assouad_probe_windows(pts, window, anchor_cap=len(circle))
+    assert got[0]["anchors_probed"] == len(circle) == 500
+    assert got == fraction_probe_windows(pts, window, anchor_cap=len(circle))
+
+
+@pytest.mark.parametrize("pts", [[F(0), F(1, 2), F(99, 100)],
+                                 [F(0), F(1, 3), F(1, 2), F(99, 100)]])
+def test_separated_subset_drops_a_wrap_conflict_with_the_first_pick(pts):
+    # 99/100 lies far past the last pick 1/2 but 1/100 from 0 across the wrap
+    assert maximal_separated_subset(pts, F(1, 50)) == pts[:-1]
+    assert fraction_separated_subset(pts, F(1, 50)) == pts[:-1]
 
 
 def test_min_gap_candidates_within_two_units():
