@@ -366,18 +366,19 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     which already sums img = sum c_lev (k_lev A + l_lev B) mod 2^P, that
     is dx A + dy B for its full-word counts (dx, dy); so
     lo = (img + bx A + by B) mod 2^P with the small W_n0 prefix counts
-    (bx, by).  The cell is read from the top Q bits of lo: with
-    top = lo >> bits(horizon) the point lies in
-    [top, top + ((cx + cy) >> bits(horizon)) + 2) units of 2^-Q, so the
-    multiply by sd takes Q bits instead of P.  When both ends of that
-    interval fall in one cell and it does not pass 1, that is the cell;
-    otherwise the exact value decides it.  The drift of a sample (its
-    full-word part, as a distance to the nearest integer) gets the same
-    interval from img; only drift count vectors whose upper bound
-    reaches the running maximum of the lower bounds are kept, and those
-    are evaluated exactly, so `max_drift` is exact.  The unrestricted
-    contrast draws take lo from the same split when they fall outside
-    every block, and from the final word's prefix counts otherwise.
+    (bx, by), whose image is tabulated for the corner family's prefixes
+    only.  The cell is read from the top Q bits of lo: as
+    cx + cy = j < 2^bits(horizon), the point lies in [top, top + 2)
+    units of 2^-Q for top = lo >> bits(horizon), so the multiply by sd
+    takes Q bits instead of P.  When both ends of that interval fall in
+    one cell and it does not pass 1, that is the cell; otherwise the
+    exact value decides it.  The drift of a sample (its full-word part,
+    as a distance to the nearest integer) gets the same interval from
+    img; only drift count vectors whose upper bound reaches the running
+    maximum of the lower bounds are kept, and those are evaluated
+    exactly, so `max_drift` is exact.  The unrestricted contrast draws
+    take lo from the same split when they fall outside every block, and
+    their exact value otherwise.
 
     The box-count and drift bounds are recorded in the returned report,
     never enforced; the construction promises them only for n0 >= 2.
@@ -411,7 +412,7 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     q = sd.bit_length() + COVER_GUARD_BITS
     shift = horizon.bit_length()
     prec = shift + q
-    one, one_q = 1 << prec, 1 << q
+    one, sd_max, sd2 = 1 << prec, ((1 << q) - 2) * sd, 2 * sd
     mask = one - 1
     a_fix = (a_int << prec) // den
     b_fix = (b_int << prec) // den
@@ -429,28 +430,24 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
         upper += ((n_lev, reps),)
         outer = n_lev
 
-    def cell_of(lo: int, cx: int, cy: int) -> int:
-        top = lo >> shift
-        width = ((cx + cy) >> shift) + 2
-        if top + width <= one_q:
-            top_sd = top * sd
-            cell = (top_sd >> q) // sn
-            if cell == ((top_sd + width * sd) >> q) // sn:
-                return cell
-        return ((cx * a_int + cy * b_int) % den * sd) // cell_den
+    def exact_cell(cx: int, cy: int) -> int:
+        return (cx * a_int + cy * b_int) % den * sd // cell_den
+
+    def row_of(p: int) -> Tuple[int, int, int]:
+        bx, by = prefix_counts(base.W, p)
+        return bx * a_fix + by * b_fix, bx, by
+
+    def split_cell(dx: int, dy: int, img: int, p: int) -> int:
+        pimg, bx, by = rows.get(p) or row_of(p)
+        top_sd = (((img + pimg) & mask) >> shift) * sd
+        cell = (top_sd >> q) // sn
+        if top_sd > sd_max or cell != ((top_sd + sd2) >> q) // sn:
+            cell = exact_cell(dx + bx, dy + by)
+        return cell
 
     cells = set()
     drift_counts = set()        # drift count vectors that may hold the max
     drift_floor = 0             # running max of the drift lower bounds
-    base_counts: Dict[int, Tuple[int, int]] = {}    # W_n0 prefix counts by p
-
-    def split_cell(dx: int, dy: int, img: int, bx: int, by: int) -> int:
-        return cell_of((img + bx * a_fix + by * b_fix) & mask, dx + bx, dy + by)
-
-    def add_cell(dx: int, dy: int, img: int, p: int) -> None:
-        if p not in base_counts:
-            base_counts[p] = prefix_counts(base.W, p)
-        cells.add(split_cell(dx, dy, img, *base_counts[p]))
 
     def add_drift(dx: int, dy: int, img: int) -> None:
         nonlocal drift_floor
@@ -460,10 +457,6 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
             drift_counts.add((dx, dy))
             drift_floor = max(drift_floor, dist - err)
 
-    def survey(dx: int, dy: int, img: int, p: int) -> None:
-        add_cell(dx, dy, img, p)
-        add_drift(dx, dy, img)
-
     menus = [_sample_menu(reps) for _, _, reps, *_ in levels]
     base_menu = ([r + 1 for r in _sample_menu(base.N)]
                  if base.N > 64 else list(range(1, base.N + 1)))
@@ -472,6 +465,8 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
         base_menu.extend(c * sub for c in _sample_menu(base.L or 1)
                          if 1 <= c * sub <= base.N)
     near = sorted({t for r in base_menu for t in (r - 1, r, r + 1)})
+    rows = {t: row_of(t) for t in near if 1 <= t <= base.N}
+    near_rows = [(t, rows.get(t)) for t in near]
     seen = set()
     n_det = 0
     stack = [(0, 0, 0, 0, 0)]   # (depth, offset, dx, dy, img) of a partial corner
@@ -484,15 +479,21 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
             continue
         img &= mask
         add_drift(dx, dy, img)      # shared by the corner's interior times
-        for t in near:
+        for t, row in near_rows:
             j = offset + t
             if j in seen:
                 continue
             seen.add(j)
-            if 1 <= t <= base.N:
-                add_cell(dx, dy, img, t)
+            if row is not None:
+                pimg, bx, by = row
+                top_sd = (((img + pimg) & mask) >> shift) * sd
+                cell = (top_sd >> q) // sn
+                if top_sd > sd_max or cell != ((top_sd + sd2) >> q) // sn:
+                    cell = exact_cell(dx + bx, dy + by)
+                cells.add(cell)
             elif 1 <= j <= horizon and (s := split(j)) is not None:
-                survey(*s)
+                cells.add(split_cell(*s))
+                add_drift(*s[:3])
             else:
                 continue
             n_det += 1
@@ -505,7 +506,8 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
         s = split(rng.randrange(1, horizon + 1))
         if s is not None:
             n_random += 1
-            survey(*s)
+            cells.add(split_cell(*s))
+            add_drift(*s[:3])
 
     max_drift_num = 0
     for dx, dy in drift_counts:
@@ -517,15 +519,9 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     rng2 = random.Random(f"{seed}-unrestricted")
     contrast_cells = set()
     for _ in range(n_random):
-        j = rng2.randrange(1, horizon + 1)
-        s = split(j)
-        if s is None:
-            cx, cy = prefix_counts(final.W, j)
-            contrast_cells.add(cell_of((cx * a_fix + cy * b_fix) & mask, cx, cy))
-        else:
-            dx, dy, img, p = s
-            contrast_cells.add(split_cell(
-                dx, dy, img, *(base_counts.get(p) or prefix_counts(base.W, p))))
+        s = split(j := rng2.randrange(1, horizon + 1))
+        contrast_cells.add(exact_cell(*prefix_counts(final.W, j)) if s is None
+                           else split_cell(*s))
 
     return {
         "n0": n0,

@@ -16,6 +16,7 @@ import dataclasses
 import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,12 @@ def desk_stages():
 @pytest.fixture(scope="module")
 def mid_stages():
     return build_stages(ThinConfig(m=30, eps1=Fraction(1, 10 ** 60),
+                                   rho=lambda n: 10), 2)
+
+
+@pytest.fixture(scope="module")
+def menu_stages():
+    return build_stages(ThinConfig(m=40, eps1=Fraction(1, 10 ** 60),
                                    rho=lambda n: 10), 2)
 
 
@@ -554,6 +561,18 @@ class TestCoveringOracle:
         rep = restricted_covering(mid_stages, n0, sample_budget=1500, seed=9)
         assert rep == exact_covering(mid_stages, n0, sample_budget=1500, seed=9)
 
+    @pytest.mark.parametrize("guard", [64, 0, "starved"])
+    def test_menu_base_matches_exact(self, menu_stages, guard, monkeypatch):
+        # N_1 = 80 > 64, so at n0 = 1 the corner family takes W_1's
+        # prefixes from its menu, and random and contrast draws land on
+        # prefixes both inside and outside the corner family's table
+        assert menu_stages[0].N == 80
+        bits = guard if guard != "starved" else \
+            -covering_scale(menu_stages[0].eps)[0].denominator.bit_length()
+        monkeypatch.setattr(thin_orbit, "COVER_GUARD_BITS", bits)
+        rep = restricted_covering(menu_stages, 1, sample_budget=1500, seed=9)
+        assert rep == exact_covering(menu_stages, 1, sample_budget=1500, seed=9)
+
     def test_interval_past_one_takes_the_exact_cell(self):
         # W_1 = x^7 y^7 at alpha = 1/7, beta = 6/7 returns to 0 exactly at
         # times 7 and 14, whose truncated fixed-point images lie just
@@ -612,9 +631,12 @@ class TestCoveringOracle:
         assert err.value.name == "split-eval-mismatch"
 
     def test_no_prefix_walk_per_sample(self, desk_stages, monkeypatch):
-        # prefix_counts runs once per distinct W_1 prefix and once per
-        # contrast draw inside a balancing block; every other time reads
-        # its counts off its level split
+        # prefix_counts runs once per W_1 prefix the corner family tables,
+        # once per restricted or contrast draw whose prefix is not in that
+        # table, and once per contrast draw inside a balancing block; every
+        # other time reads its counts off its level split.  W_1 has
+        # N_1 = 20 <= 64 letters, so the table holds every prefix and the
+        # count is exact
         calls = []
 
         def counted(w, j):
@@ -629,8 +651,21 @@ class TestCoveringOracle:
         in_block = sum(rng2.randrange(1, rep["horizon"] + 1) in excluded
                        for _ in range(rep["samples_random"]))
         assert rep["samples_deterministic"] > 10000
-        assert len(calls) <= desk_stages[0].N + in_block
+        assert len(calls) == desk_stages[0].N + in_block
         assert rep == exact_covering(desk_stages, 1)
+
+    def test_prefix_table_stays_bounded(self, desk_stages):
+        # at n0 = 2 a random draw's W_2 prefix is almost never drawn twice:
+        # a memo of every drawn prefix took this call's peak to 10.4 MB;
+        # without one it is about 6.4 MB, mostly the two cell sets of
+        # about 20,000 cells each
+        tracemalloc.start()
+        try:
+            restricted_covering(desk_stages, 2, sample_budget=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10 ** 6
 
     def test_survey_leaves_no_cycle(self, desk_stages):
         # the corner walk is an iterative stack and the samples stream
