@@ -32,7 +32,8 @@ on demand, as a Fraction when the radius is zero and as an ApproxReal
 same way.  Points handed to the probe enter it on the lcm of their
 denominators (`_point_units`); the separation check and the dichotomy
 take the word and work on its letter counts, where the pairs of one gap
-and window x-count share a distance (`words.window_groups`).
+and window x-count share a distance (`words.window_groups`, one bit mask
+per group).
 
 Precision discipline: a comparison is certified only when the midpoints
 differ by more than the summed radii times 2**GUARD_BITS; anything
@@ -54,7 +55,8 @@ import mpmath
 from .errors import InsufficientPrecision, UsageError
 from .exact import ceil_root_ratio, dec_sci
 from .index_sets import IndexSet
-from .words import WordExpr, letters, parse_word, window_groups, window_pairs
+from .words import (WordExpr, letters, parse_word, window_count, window_groups,
+                    window_pairs)
 
 GUARD_BITS = 8
 MIN_INPUT_BITS = 128            # coarser input radii are a usage error
@@ -448,8 +450,8 @@ def scan_horizon(mid: int, rad: int, den: int, s: Fraction) -> int:
         raise InsufficientPrecision("scan-horizon", "minimum not certified positive")
     top = den ** p
     n_hi = ceil_root_ratio(top, (mid - rad) ** p, q)
-    n_lo = ceil_root_ratio(top, (mid + rad) ** p, q) if rad else n_hi
-    if n_lo != n_hi:
+    if rad and (n_hi - 1) ** q * (mid + rad) ** p >= top:  # N below n_hi fits too
+        n_lo = ceil_root_ratio(top, (mid + rad) ** p, q)
         raise InsufficientPrecision("scan-horizon", f"N lies in [{n_lo}, {n_hi}]")
     return n_hi
 
@@ -701,9 +703,10 @@ def orbit_separation_check(word: Union[WordExpr, str], alpha, beta,
     t_1..t_|w| that `word` visits (any form orbit_of_word takes): true for
     every genuine orbit of the pair behind `records`.
 
-    A (gap, x-count) group (`window_groups`) has one gap to delta_g, decided
-    on its leading pairs only (`_split`); its worst margin sits at its last
-    decided pair.  Units are on the lcm of the reduced denominators, so
+    A (gap, x-count) group (`window_groups`, a bit mask) has one gap to
+    delta_g, decided on its leading pairs only (`_split`); the undecided
+    rest is the mask's high bits, and its worst margin sits at its highest
+    decided bit.  Units are on the lcm of the reduced denominators, so
     margins in bits do not depend on the scale the inputs were held on.
     """
     is_x = [ch == "x" for ch in _word_letters(word)]
@@ -732,17 +735,16 @@ def orbit_separation_check(word: Union[WordExpr, str], alpha, beta,
 
     violations: List[Tuple[int, int]] = []
     undecided, margins = 0, []
-    for g, a, d, counts, radius in window_groups(is_x, vals[:4], one):
+    for g, a, d, members, radius in window_groups(is_x, vals[:4], one):
         dm, dr = deltas[g - 1]
         gap = d - dm
-        _, p = _split(lambda rad: _decide(gap, rad + dr), radius, len(counts))
-        undecided += counts[p:].count(a)
+        _, p = _split(lambda rad: _decide(gap, rad + dr), radius, n_pts - g)
+        undecided += (members >> p).bit_count()
         if gap < 0:
-            violations.extend(window_pairs(counts, a, g, 0, p))
+            violations.extend(window_pairs(members, g, 0, p))
             continue
-        try:
-            q = p - 1 - counts[:p][::-1].index(a)        # last decided pair
-        except ValueError:
+        q = (members & ((1 << p) - 1)).bit_length() - 1    # last decided pair
+        if q < 0:
             continue
         radsum = radius(q) + dr
         if radsum:                  # an exact pair carries no margin
@@ -787,7 +789,8 @@ def dichotomy_scan(word: Union[WordExpr, str], alpha, beta,
     Below the horizon each pair of the points that `word` visits (any
     form orbit_of_word takes) is separated (>= delta_n**t) or clustered
     (<= delta_m / delta_n**s), else a violation; a word too short for the
-    horizon is refused.  Comparisons are per (gap, x-count) group.
+    horizon is refused.  Comparisons are per (gap, x-count) group, and
+    each outcome's pairs are a run of bits of the group's mask.
     """
     is_x = [ch == "x" for ch in _word_letters(word)]
     one, step_x, step_y = _resolve_pair(alpha, beta, prec_bits)
@@ -810,8 +813,8 @@ def dichotomy_scan(word: Union[WordExpr, str], alpha, beta,
         (dn, rn), (dm, rm) = units[n], units[m]
         separated = clustered = 0
         violations, undecided, min_gap_bad = [], [], []
-        for g, a, d, counts, radius in window_groups(is_x[:horizon], steps, den):
-            end = len(counts)
+        for g, a, d, members, radius in window_groups(is_x[:horizon], steps, den):
+            end = horizon - g
             low, p_low = _split(lambda rad: _decide(d - dm, rad + rm), radius, end)
             s, p_sep = _split(lambda rad: _cmp_powers(
                 [(d, rad, tq)], [(dn, rn, tp)], den), radius, end)
@@ -819,16 +822,16 @@ def dichotomy_scan(word: Union[WordExpr, str], alpha, beta,
                 lambda rad: _cmp_powers([(d, rad, sq), (dn, rn, sp)],
                                         [(dm, rm, sq)], den), radius, end)
             if low == -1:
-                min_gap_bad += window_pairs(counts, a, g, 0, p_low)
+                min_gap_bad += window_pairs(members, g, 0, p_low)
             sep_ok, clu_ok = s in (0, 1), c in (-1, 0)
             # separated, clustered, violations, undecided: four runs of k
             k1 = p_sep if sep_ok else 0
             k2 = max(k1, p_clu) if clu_ok else k1
             k3 = k2 if sep_ok or clu_ok else min(p_sep, p_clu)
-            separated += counts[:k1].count(a)
-            clustered += counts[k1:k2].count(a)
-            violations += window_pairs(counts, a, g, k2, k3)
-            undecided += window_pairs(counts, a, g, k3, end)
+            separated += window_count(members, 0, k1)
+            clustered += window_count(members, k1, k2)
+            violations += window_pairs(members, g, k2, k3)
+            undecided += window_pairs(members, g, k3, end)
         return GapDichotomyReport(n, m, False, None, horizon,
                                   dec_sci(Fraction(rec_n.d_units, rec_n.den)),
                                   dec_sci(Fraction(rec_m.d_units, rec_m.den)),

@@ -8,12 +8,12 @@ construction; prefix counts descend the DAG instead of expanding it.
 Evaluating a word at a rotation pair (alpha, beta) means: each x steps
 the circle point by alpha, each y by beta.  The point reached after the
 whole word is `evaluate_end`; `window_groups` groups the pairs of
-visited points by gap and window x-count.
+visited points by gap and window x-count, each group one int bit mask.
 """
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import ge, sub
+from operator import ge
 from typing import Iterator, List, NamedTuple
 
 from .dimension import CirclePoints
@@ -173,34 +173,50 @@ def letters(w: WordExpr) -> Iterator[str]:
 
 
 def window_groups(is_x: List[bool], steps, one: int):
-    """(g, a, d, counts, radius) per group of the pairs i < j of the points
+    """(g, a, d, members, radius) per group of the pairs i < j of the points
     t_1..t_n that a word with letters `is_x` (True for x) visits, grouped
     by gap g = j - i and window x-count a = X_j - X_i.
 
     With steps = (a_mid, a_rad, b_mid, b_rad), the letters' steps and
     radii in units of 1/one, t_j - t_i = a*alpha + (g - a)*beta has circle
-    distance d units.  counts[k] is the x-count of the pair
-    (k + 1, k + 1 + g) and radius(k) its radius R_i + R_j, with
-    R_k = X_k a_rad + Y_k b_rad, which never falls as k grows.
+    distance d units.  Bit k of `members` stands for the pair
+    (k + 1, k + 1 + g) and radius(k) for its radius R_i + R_j, with
+    R_k = X_k a_rad + Y_k b_rad, which never falls as k grows.  From gap
+    g - 1 to g window k gains letter k + g: one shift of the word.
     """
     a_mid, a_rad, b_mid, b_rad = steps
     xs = list(accumulate(is_x, initial=0))               # X_0..X_n
     radii = [x * a_rad + (k - x) * b_rad for k, x in enumerate(xs)]
     n = len(is_x)
+    word = int("".join("01"[x] for x in reversed(is_x)) or "0", 2)
+    groups = {0: (1 << n) - 1}          # gap 0: every window is empty
     for g in range(1, n):
-        counts = list(map(sub, xs[g + 1:], xs[1:n - g + 1]))
+        gain = word >> g                # bit k: letter k + g is x
+        stay = ((1 << (n - g)) - 1) ^ gain
+        split = {}
+        for a, m in groups.items():
+            for b, part in ((a, m & stay), (a + 1, m & gain)):
+                if part:
+                    split[b] = split.get(b, 0) | part
+        groups = split
 
         def radius(k, g=g):
             return radii[k + 1] + radii[k + 1 + g]
-        for a in set(counts):
+        for a, m in groups.items():
             r = (a * a_mid + (g - a) * b_mid) % one
-            yield g, a, min(r, one - r), counts, radius
+            yield g, a, min(r, one - r), m, radius
 
 
-def window_pairs(counts: List[int], a: int, g: int, lo: int, hi: int):
+def window_count(members: int, lo: int, hi: int) -> int:
+    """How many pairs of a window_groups group have lo <= k < hi."""
+    return ((members & ((1 << hi) - 1)) >> lo).bit_count()
+
+
+def window_pairs(members: int, g: int, lo: int, hi: int):
     """The pairs (k + 1, k + 1 + g) of a window_groups group with
-    counts[k] == a and lo <= k < hi."""
-    return [(k + 1, k + 1 + g) for k in range(lo, hi) if counts[k] == a]
+    lo <= k < hi, in ascending k."""
+    bits = bin((members & ((1 << hi) - 1)) >> lo)[:1:-1]
+    return [(k + 1, k + 1 + g) for k, b in enumerate(bits, lo) if b == "1"]
 
 
 def format_word(w: WordExpr) -> str:

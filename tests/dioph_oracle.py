@@ -6,7 +6,9 @@ probe's case-1 separation visit every pair of points, with no budget:
 they are the references for the letter-count dichotomy and the sorted
 sweep.  `integer_ratio_scan_pairwise` is the integer-ratio scan's loop
 over every pair of minima records, with its float prefilter, the
-reference for the windowed scan over sorted values.
+reference for the windowed scan over sorted values.  `window_groups`
+and `window_pairs` are the letter-count groups as they were before each
+group became one int bit mask: a list of every window's x-count per gap.
 
 Every value here is an `Interval` of two exact Fractions, and every
 power threshold goes through `cmp_products`.  The scans read the minima
@@ -18,6 +20,8 @@ oracles.  The integer-unit scans must agree with these field for field.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
@@ -535,3 +539,34 @@ def integer_ratio_scan_pairwise(records, tol=Fraction(1, 1 << 64)) -> RatioScanR
     return RatioScanReport(tol, tuple(qualifying), tuple(violations),
                            tuple(undecided), pairs,
                            records[-1].n if records[-1].is_zero else None)
+
+
+def window_groups(is_x: List[bool], steps, one: int):
+    """(g, a, d, counts, radius) per group of the pairs i < j of the points
+    t_1..t_n that a word with letters `is_x` (True for x) visits, grouped
+    by gap g = j - i and window x-count a = X_j - X_i.
+
+    With steps = (a_mid, a_rad, b_mid, b_rad), the letters' steps and
+    radii in units of 1/one, t_j - t_i = a*alpha + (g - a)*beta has circle
+    distance d units.  counts[k] is the x-count of the pair
+    (k + 1, k + 1 + g) and radius(k) its radius R_i + R_j, with
+    R_k = X_k a_rad + Y_k b_rad, which never falls as k grows.
+    """
+    a_mid, a_rad, b_mid, b_rad = steps
+    xs = list(accumulate(is_x, initial=0))               # X_0..X_n
+    radii = [x * a_rad + (k - x) * b_rad for k, x in enumerate(xs)]
+    n = len(is_x)
+    for g in range(1, n):
+        counts = list(map(sub, xs[g + 1:], xs[1:n - g + 1]))
+
+        def radius(k, g=g):
+            return radii[k + 1] + radii[k + 1 + g]
+        for a in set(counts):
+            r = (a * a_mid + (g - a) * b_mid) % one
+            yield g, a, min(r, one - r), counts, radius
+
+
+def window_pairs(counts: List[int], a: int, g: int, lo: int, hi: int):
+    """The pairs (k + 1, k + 1 + g) of a window_groups group with
+    counts[k] == a and lo <= k < hi."""
+    return [(k + 1, k + 1 + g) for k in range(lo, hi) if counts[k] == a]

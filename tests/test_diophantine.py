@@ -39,6 +39,7 @@ from abset.diophantine import (
     _resolve_pair,
 )
 from abset.errors import InsufficientPrecision, UsageError
+from abset.exact import ceil_root_ratio
 from abset.words import EMPTY, X, Y, concat, format_word
 
 import dioph_oracle as oracle
@@ -984,6 +985,28 @@ def test_scan_horizon_matches_interval_oracle(mid, rad, den, s):
     value = oracle.Interval(F(mid, den), F(rad, den)) if rad else F(mid, den)
     assert outcome(scan_horizon, mid, rad, den, s) == \
         outcome(oracle.scan_horizon, value, s)
+
+
+@st.composite
+def horizon_boundaries(draw):
+    """(mid, rad, den, s): mid/den within a few units of the minimum whose
+    horizon (den/mid)**s is exactly an integer N, on denominators up to
+    2^400, so a radius often leaves N undecided."""
+    s = draw(st.sampled_from([F(49, 100), F(1, 2), F(1, 4), F(2, 5), F(1), F(3, 2)]))
+    p, q = s.numerator, s.denominator
+    den = draw(st.integers(min_value=1, max_value=2 ** 400))
+    n = draw(st.integers(min_value=1, max_value=10 ** 4))
+    mid = ceil_root_ratio(den ** p, n ** q, p) + draw(st.integers(-3, 3))
+    return max(mid, 0), draw(st.sampled_from([0, 0, 1, 2, 3, 2 ** 8])), den, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon_boundaries())
+@example((2 ** 130, 1, 16 * 2 ** 130, F(1, 2)))     # N lies in [4, 5]
+def test_scan_horizon_one_root_matches_two_root_oracle(case):
+    mid, rad, den, s = case
+    value = oracle.Interval(F(mid, den), F(rad, den)) if rad else F(mid, den)
+    assert outcome(scan_horizon, *case) == outcome(oracle.scan_horizon, value, s)
 
 
 # pairs near a rational resonance: their minima dip far below the generic

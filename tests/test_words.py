@@ -2,7 +2,9 @@
 
 The independent oracle is a naive letter walk: spell the word out (only
 ever for words <= 10**4 letters) and accumulate counts or orbit points
-letter by letter.  Structured results must match it exactly.
+letter by letter.  Structured results must match it exactly.  The
+window groups' bit masks are checked against the list of every window's
+x-count per gap in `dioph_oracle`.
 """
 
 from fractions import Fraction
@@ -26,7 +28,12 @@ from abset.words import (
     parse_word,
     power,
     prefix_counts,
+    window_count,
+    window_groups,
+    window_pairs,
 )
+
+import dioph_oracle as oracle
 
 
 # -- naive oracle -------------------------------------------------------------
@@ -57,6 +64,17 @@ def word_exprs(max_leaf_len=12, max_exp=6):
         ),
         max_leaves=max_leaf_len,
     ).filter(lambda w: w.length <= 10 ** 4)
+
+
+@st.composite
+def window_words(draw):
+    """0 to 200 letters as is_x flags: free letters, or blocks x^a y^b
+    whose long runs put many windows of a gap in one group."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.booleans(), max_size=200))
+    blocks = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                           max_size=10))
+    return [c for a, b in blocks for c in [True] * a + [False] * b][:200]
 
 
 # -- frozen examples ----------------------------------------------------------
@@ -216,3 +234,35 @@ def test_format_parse_roundtrip(w):
     assert back.length == w.length
     # same spelled-out letters
     assert "".join(letters(back)) == "".join(letters(w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_words(), st.integers(1, 10 ** 6), st.data())
+def test_window_masks_match_count_lists(is_x, one, data):
+    """Per gap, the masks hold the same groups {a: (d, member k's)} as the
+    x-count lists, with the same radius(k); a range count and
+    window_pairs over [lo, hi), empty and out-of-order ranges included,
+    match a filter of the list."""
+    steps = data.draw(st.tuples(st.integers(0, one - 1), st.integers(0, 5),
+                                st.integers(0, one - 1), st.integers(0, 5)))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    n = len(is_x)
+    masks, lists, counts_of = {}, {}, {}
+    for g, a, d, members, radius in window_groups(is_x, steps, one):
+        assert members >> (n - g) == 0
+        masks[g, a] = (d, [k for k in range(n - g) if members >> k & 1],
+                       list(map(radius, range(n - g))), members)
+    for g, a, d, counts, radius in oracle.window_groups(is_x, steps, one):
+        lists[g, a] = (d, [k for k in range(n - g) if counts[k] == a],
+                       list(map(radius, range(n - g))))
+        counts_of[g, a] = counts
+    assert {g for g, _ in masks} == set(range(1, n))
+    assert {key: v[:3] for key, v in masks.items()} == lists
+    for (g, a), (*_, members) in masks.items():
+        end, counts = n - g, counts_of[g, a]
+        ranges = [(0, end), (end, end), (end, 0)] + [
+            (rnd.randint(0, end), rnd.randint(0, end)) for _ in range(3)]
+        for lo, hi in ranges:
+            expected = oracle.window_pairs(counts, a, g, lo, hi)
+            assert window_count(members, lo, hi) == len(expected)
+            assert window_pairs(members, g, lo, hi) == expected
