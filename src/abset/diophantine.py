@@ -16,7 +16,8 @@ scans read them as an argument:
     at least delta_(j-i).
   * dichotomy_scan: for each qualifying (n, m), pairwise distances on an
     orbit prefix either exceed delta_n^t or fall below
-    delta_m / delta_n^s; nothing in between.
+    delta_m / delta_n^s; nothing in between.  One sorted sweep compares
+    only the pairs closer than a certified edge (`_close_pairs`).
 
 assouad_lower_probe, the localized covering case analysis behind the
 min(s/t, r/t, r) lower-bound exponent, extends its own minima up to
@@ -30,10 +31,10 @@ and the input error.  A minima record keeps its units and renders delta
 on demand, as a Fraction when the radius is zero and as an ApproxReal
 (midpoint plus radius) otherwise; orbit points leave orbit_of_word the
 same way.  Points handed to the probe enter it on the lcm of their
-denominators (`_point_units`); the separation check and the dichotomy
-take the word and work on its letter counts, where the pairs of one gap
-and window x-count share a distance (`words.window_groups`, one bit mask
-per group).
+denominators (`_point_units`).  The separation check works on the word's
+letter counts, where the pairs of one gap and window x-count share a
+distance (`words.window_groups`, one bit mask per group); the dichotomy
+builds a qualifying pair's points from the word's letter steps.
 
 Precision discipline: a comparison is certified only when the midpoints
 differ by more than the summed radii times 2**GUARD_BITS; anything
@@ -54,9 +55,7 @@ import mpmath
 
 from .errors import InsufficientPrecision, UsageError
 from .exact import ceil_root_ratio, dec_sci
-from .index_sets import IndexSet
-from .words import (WordExpr, letters, parse_word, window_count, window_groups,
-                    window_pairs)
+from .words import WordExpr, letters, parse_word, window_groups, window_pairs
 
 GUARD_BITS = 8
 MIN_INPUT_BITS = 128            # coarser input radii are a usage error
@@ -677,15 +676,27 @@ def _first(hi: int, pred) -> int:
     return lo
 
 
+def _close_pairs(circle, one: int, dn: int, rn: int, t: Fraction):
+    """The pairs (p, q), p first, of the sorted points (units, radius, ...)
+    of `circle` closer, wrap included, than the edge from which on twice
+    the largest radius still certifies a distance > ((dn +- rn)/one)**t."""
+    wide = 2 * max(p[1] for p in circle)
+    edge = _first(one // 2 + 1, lambda d: _cmp_powers(
+        [(d, wide, t.denominator)], [(dn, rn, t.numerator)], one) == 1)
+    for a, p in enumerate(circle):
+        hi = bisect_left(circle, (p[0] + edge,))
+        lo = max(bisect_left(circle, (p[0] + one - edge + 1,)), hi)
+        for q in circle[a + 1:hi] + circle[lo:]:
+            yield p, q
+
+
 def _split(cmp, radius, m):
-    """(sign, p): a comparison's sign where it is decided, and the number p
-    of leading pairs k < m at whose radius(k) it is.  A wider interval only
-    loses decisions, and keeps the sign of those it makes."""
-    sign = cmp(radius(m - 1))
-    if sign is not None:
-        return sign, m
-    sign = cmp(0)
-    return sign, 0 if sign is None else _first(m, lambda k: cmp(radius(k)) is None)
+    """The number of leading pairs k < m at whose radius(k) the comparison
+    cmp is decided.  A wider interval only loses decisions, and keeps the
+    sign of those it makes."""
+    if cmp(radius(m - 1)) is not None:
+        return m
+    return 0 if cmp(0) is None else _first(m, lambda k: cmp(radius(k)) is None)
 
 
 @dataclass(frozen=True)
@@ -738,7 +749,7 @@ def orbit_separation_check(word: Union[WordExpr, str], alpha, beta,
     for g, a, d, members, radius in window_groups(is_x, vals[:4], one):
         dm, dr = deltas[g - 1]
         gap = d - dm
-        _, p = _split(lambda rad: _decide(gap, rad + dr), radius, n_pts - g)
+        p = _split(lambda rad: _decide(gap, rad + dr), radius, n_pts - g)
         undecided += (members >> p).bit_count()
         if gap < 0:
             violations.extend(window_pairs(members, g, 0, p))
@@ -789,8 +800,8 @@ def dichotomy_scan(word: Union[WordExpr, str], alpha, beta,
     Below the horizon each pair of the points that `word` visits (any
     form orbit_of_word takes) is separated (>= delta_n**t) or clustered
     (<= delta_m / delta_n**s), else a violation; a word too short for the
-    horizon is refused.  Comparisons are per (gap, x-count) group, and
-    each outcome's pairs are a run of bits of the group's mask.
+    horizon is refused.  Only the pairs that `_close_pairs` yields are
+    compared; the rest are separated, so farther apart than delta_m.
     """
     is_x = [ch == "x" for ch in _word_letters(word)]
     one, step_x, step_y = _resolve_pair(alpha, beta, prec_bits)
@@ -811,27 +822,28 @@ def dichotomy_scan(word: Union[WordExpr, str], alpha, beta,
             return GapDichotomyReport(n, m, True, f"orbit has {len(is_x)} "
                                       f"points, horizon needs {horizon}", horizon)
         (dn, rn), (dm, rm) = units[n], units[m]
-        separated = clustered = 0
+        circle, mid, rad = [], 0, 0         # (units, radius, time k)
+        for k, x in enumerate(is_x[:horizon], start=1):
+            mid = (mid + steps[0 if x else 2]) % den
+            rad += steps[1 if x else 3]
+            circle.append((mid, rad, k))
+        circle.sort()
+        separated, clustered = horizon * (horizon - 1) // 2, 0
         violations, undecided, min_gap_bad = [], [], []
-        for g, a, d, members, radius in window_groups(is_x[:horizon], steps, den):
-            end = horizon - g
-            low, p_low = _split(lambda rad: _decide(d - dm, rad + rm), radius, end)
-            s, p_sep = _split(lambda rad: _cmp_powers(
-                [(d, rad, tq)], [(dn, rn, tp)], den), radius, end)
-            c, p_clu = (None, 0) if s in (0, 1) and p_sep == end else _split(
-                lambda rad: _cmp_powers([(d, rad, sq), (dn, rn, sp)],
-                                        [(dm, rm, sq)], den), radius, end)
-            if low == -1:
-                min_gap_bad += window_pairs(members, g, 0, p_low)
-            sep_ok, clu_ok = s in (0, 1), c in (-1, 0)
-            # separated, clustered, violations, undecided: four runs of k
-            k1 = p_sep if sep_ok else 0
-            k2 = max(k1, p_clu) if clu_ok else k1
-            k3 = k2 if sep_ok or clu_ok else min(p_sep, p_clu)
-            separated += window_count(members, 0, k1)
-            clustered += window_count(members, k1, k2)
-            violations += window_pairs(members, g, k2, k3)
-            undecided += window_pairs(members, g, k3, end)
+        for p, q in _close_pairs(circle, den, dn, rn, params.t):
+            d, r = _gap(p, q, den)
+            pair = (p[2], q[2]) if p[2] < q[2] else (q[2], p[2])
+            if _decide(d - dm, r + rm) == -1:
+                min_gap_bad.append(pair)
+            sep = _cmp_powers([(d, r, tq)], [(dn, rn, tp)], den)
+            if sep in (0, 1):
+                continue
+            separated -= 1
+            clu = _cmp_powers([(d, r, sq), (dn, rn, sp)], [(dm, rm, sq)], den)
+            if clu in (-1, 0):
+                clustered += 1
+            else:
+                (undecided if None in (sep, clu) else violations).append(pair)
         return GapDichotomyReport(n, m, False, None, horizon,
                                   dec_sci(Fraction(rec_n.d_units, rec_n.den)),
                                   dec_sci(Fraction(rec_m.d_units, rec_m.den)),
@@ -963,8 +975,6 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
                                  f"{exc.detail}", horizon)
         if indices is None:
             sel = list(range(1, horizon + 1))
-        elif isinstance(indices, IndexSet):
-            sel = [k for k in range(1, horizon + 1) if k in indices]
         else:
             sel = sorted(k for k in indices if 1 <= k <= horizon)
         if not sel:
@@ -996,21 +1006,11 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
 
         if close_m is None:
             # every index pair below the horizon keeps distance >= delta_n**t;
-            # `edge` is certified so at twice the largest point radius, hence
-            # any pair that far apart is: only closer pairs are compared.
+            # only the pairs closer than the certified edge are compared
             circle = sorted((p % one, r) for _, (p, r) in ent)
-            wide = 2 * max(r for _, r in circle)
-            edge = _first(one // 2 + 1, lambda d: _cmp_powers(
-                [(d, wide, tq)], [(dn, rn, tp)], one) == 1)
-            sep_bad = sep_und = 0
-            for i, p in enumerate(circle):
-                hi = bisect_left(circle, (p[0] + edge,))
-                lo = max(bisect_left(circle, (p[0] + one - edge + 1,)), hi)
-                for q in circle[i + 1:hi] + circle[lo:]:
-                    d, rad = _gap(q, p, one)
-                    c = _cmp_powers([(d, rad, tq)], [(dn, rn, tp)], one)
-                    sep_und += c is None
-                    sep_bad += c == -1
+            signs = [_cmp_powers([(*_gap(p, q, one), tq)], [(dn, rn, tp)], one)
+                     for p, q in _close_pairs(circle, one, dn, rn, params.t)]
+            sep_bad, sep_und = signs.count(-1), signs.count(None)
             log_scale = neg_log_dn * tp / tq             # log(1/delta_n**t)
             return ProbeCase(n, "case1", "; ".join(note_bits), horizon, rho,
                              d_n_dec, None, len(ent),

@@ -8,7 +8,8 @@ construction; prefix counts descend the DAG instead of expanding it.
 Evaluating a word at a rotation pair (alpha, beta) means: each x steps
 the circle point by alpha, each y by beta.  The point reached after the
 whole word is `evaluate_end`; `window_groups` groups the pairs of
-visited points by gap and window x-count, each group one int bit mask.
+visited points by gap and window x-count, each group one int bit mask,
+for the orbit separation check, whose threshold changes with the gap.
 """
 
 from fractions import Fraction
@@ -182,7 +183,9 @@ def window_groups(is_x: List[bool], steps, one: int):
     distance d units.  Bit k of `members` stands for the pair
     (k + 1, k + 1 + g) and radius(k) for its radius R_i + R_j, with
     R_k = X_k a_rad + Y_k b_rad, which never falls as k grows.  From gap
-    g - 1 to g window k gains letter k + g: one shift of the word.
+    g - 1 to g window k gains letter k + g: one shift of the word.  The
+    orbit separation check reads them: its threshold delta_g changes with
+    the gap, and the pairs of one group share their distance.
     """
     a_mid, a_rad, b_mid, b_rad = steps
     xs = list(accumulate(is_x, initial=0))               # X_0..X_n
@@ -205,11 +208,6 @@ def window_groups(is_x: List[bool], steps, one: int):
         for a, m in groups.items():
             r = (a * a_mid + (g - a) * b_mid) % one
             yield g, a, min(r, one - r), m, radius
-
-
-def window_count(members: int, lo: int, hi: int) -> int:
-    """How many pairs of a window_groups group have lo <= k < hi."""
-    return ((members & ((1 << hi) - 1)) >> lo).bit_count()
 
 
 def window_pairs(members: int, g: int, lo: int, hi: int):

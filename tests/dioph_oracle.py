@@ -45,7 +45,6 @@ from abset.diophantine import (
 )
 from abset.errors import InsufficientPrecision, UsageError
 from abset.exact import ceil_root_ratio, dec_sci, mod1
-from abset.index_sets import IndexSet
 
 _ZERO = Fraction(0)
 
@@ -342,8 +341,6 @@ def assouad_lower_probe(alpha, beta, points, indices, params,
                 continue
         if indices is None:
             sel = list(range(1, horizon + 1))
-        elif isinstance(indices, IndexSet):
-            sel = [k for k in range(1, horizon + 1) if k in indices]
         else:
             sel = sorted(k for k in indices if 1 <= k <= horizon)
         if not sel:

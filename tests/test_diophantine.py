@@ -34,13 +34,17 @@ from abset.diophantine import (
     orbit_separation_check,
     parse_value,
     scan_horizon,
+    _close_pairs,
     _cmp_powers,
     _decide,
+    _first,
+    _gap,
     _resolve_pair,
 )
 from abset.errors import InsufficientPrecision, UsageError
 from abset.exact import ceil_root_ratio
-from abset.words import EMPTY, X, Y, concat, format_word
+from abset.thin_orbit import ThinConfig, build_stages
+from abset.words import EMPTY, X, Y, concat, format_word, power
 
 import dioph_oracle as oracle
 
@@ -1300,6 +1304,68 @@ def test_dichotomy_separation_tie_splits_at_the_guard_edge(side, mult, certified
     else:
         assert (rep.separated, rep.clustered) == (21 + certified, 7 - certified)
         assert rep.violations == rep.undecided == ()
+
+
+def test_dichotomy_reaches_the_deletion_tower_pair():
+    # the deletion tower m = 1, eps1 = 2^-10, decay 3 at 3 stages (N = 2,
+    # 980, 27,220): (490, 27220) and (13365, 27220) qualify with horizons
+    # 37,381 and 52,499, past W_3 and within W_3^2
+    final = build_stages(ThinConfig(m=1, eps1=F(1, 2 ** 10), rho=lambda n: 3),
+                         3)[-1]
+    recs = minima_sequence(final.alpha, final.beta, 52499)
+    t0 = time.monotonic()
+    scan = dichotomy_scan(power(final.W, 2), final.alpha, final.beta, recs,
+                          ProbeParams())
+    elapsed = time.monotonic() - t0
+    assert scan.qualifying == ((1, 2), (490, 27220), (13365, 27220))
+    assert scan.refusals == () and scan.violation_total == 0
+    assert [r.horizon for r in scan.reports] == [2, 37381, 52499]
+    assert [r.clustered for r in scan.reports[1:]] == [10161, 25279]
+    for r in scan.reports:
+        assert r.violations == r.undecided == r.min_gap_violations == ()
+        assert r.separated + r.clustered == r.pairs_total
+    assert elapsed < 10, f"tower dichotomy took {elapsed:.1f} s"
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_params, st.data())
+def test_close_pairs_leave_out_only_certified_separated_pairs(params, data):
+    """The edge found at twice the largest point radius certifies every
+    distance d >= edge at every radius r <= wide past delta_n**t; so every
+    pair that `_close_pairs` leaves out is certified separated, and it
+    yields each other pair once, in circle order.  Points are drawn
+    mostly edge - 1, edge or edge + 1 from a base point, to either side
+    and across 0."""
+    one = data.draw(st.integers(min_value=2, max_value=2 ** 40))
+    dn = data.draw(st.integers(min_value=1, max_value=one // 2))
+    rn = data.draw(st.sampled_from([0, 1, dn >> 8, dn >> 1]))
+    r_max = data.draw(st.sampled_from([0, 1, one >> 16, one >> 8]))
+    radii = data.draw(st.lists(st.integers(0, r_max), min_size=1, max_size=30))
+    tp, tq = params.t.numerator, params.t.denominator
+
+    def separated(d, r):
+        return _cmp_powers([(d, r, tq)], [(dn, rn, tp)], one) == 1
+
+    wide = 2 * max(radii)
+    edge = _first(one // 2 + 1, lambda d: separated(d, wide))
+    for d in {edge, edge + 1, one // 2,
+              data.draw(st.integers(min_value=edge, max_value=max(edge, one // 2)))}:
+        if edge <= d <= one // 2:
+            for r in {0, wide, data.draw(st.integers(min_value=0, max_value=wide))}:
+                assert separated(d, r)
+    base = data.draw(st.sampled_from([0, one - 1]) | st.integers(0, one - 1))
+    units = st.integers(min_value=0, max_value=one - 1) | st.sampled_from(
+        [(base + k) % one for k in (0, edge - 1, edge, edge + 1,
+                                    1 - edge, -edge, -edge - 1)])
+    circle = sorted((data.draw(units), r, k) for k, r in enumerate(radii))
+    where = {p[2]: a for a, p in enumerate(circle)}
+    close = [(p[2], q[2]) for p, q in _close_pairs(circle, one, dn, rn, params.t)]
+    assert all(where[i] < where[j] for i, j in close)
+    assert len(set(close)) == len(close)
+    for a, p in enumerate(circle):
+        for q in circle[a + 1:]:
+            if (p[2], q[2]) not in close:
+                assert separated(*_gap(p, q, one))
 
 
 def test_separation_forged_records_match_pair_loop_oracle():
