@@ -177,7 +177,8 @@ def _thin_config(args) -> thin_orbit.ThinConfig:
                                  rho=lambda n: args.decay)
 
 
-def _run_thin_checks(stages) -> List[Check]:
+def _run_thin_checks(stages) -> Tuple[List[Check], dict]:
+    """-> (checks, deleted density from each level up at the horizon)."""
     checks: List[Check] = []
     for idx, st in enumerate(stages):
         landing = evaluate_end(st.W, st.alpha, st.beta)
@@ -195,15 +196,13 @@ def _run_thin_checks(stages) -> List[Check]:
         checks.append((f"symbol-balance-{st.n}", balanced,
                        f"x:y counts {st.k}:{st.l} inside the "
                        f"({lo}, {1 / lo}) band"))
-    dens = []
-    final_n = stages[-1].N
-    for st in stages[:-1]:
-        dens.append(thin_orbit.deleted_union(stages, st.n)
-                    .density_up_to(final_n))
-    strictly = all(a > b for a, b in zip(dens, dens[1:]))
-    checks.append(("deleted-density-decreasing", strictly or len(dens) < 2,
-                   "densities " + ", ".join(dec_sci(d) for d in dens)))
-    return checks
+    dens = {st.n: thin_orbit.deleted_union(stages, st.n)
+            .density_up_to(stages[-1].N) for st in stages[:-1]}
+    vals = list(dens.values())
+    strictly = all(a > b for a, b in zip(vals, vals[1:]))
+    checks.append(("deleted-density-decreasing", strictly or len(vals) < 2,
+                   "densities " + ", ".join(dec_sci(d) for d in vals)))
+    return checks, dens
 
 
 def _covering_warnings(covering: dict) -> List[Warn]:
@@ -232,7 +231,7 @@ def _covering_warnings(covering: dict) -> List[Warn]:
 def cmd_thin_orbit(args) -> Tuple[dict, List[Check], List[Warn]]:
     config = _thin_config(args)
     stages = thin_orbit.build_stages(config, args.stages)
-    checks = _run_thin_checks(stages)
+    checks, dens = _run_thin_checks(stages)
     covering = thin_orbit.restricted_covering(
         stages, args.n0, sample_budget=args.samples, seed=args.seed)
     report = {
@@ -242,9 +241,7 @@ def cmd_thin_orbit(args) -> Tuple[dict, List[Check], List[Warn]]:
                    "samples": args.samples, "seed": args.seed,
                    "paper_faithful": args.paper_faithful},
         "stages": stages,
-        "deleted_densities": {st.n: thin_orbit.deleted_union(stages, st.n)
-                              .density_up_to(stages[-1].N)
-                              for st in stages[:-1]},
+        "deleted_densities": dens,
         "covering": covering,
     }
     return report, checks, _covering_warnings(covering)
@@ -406,7 +403,7 @@ def cmd_verify_all(args) -> Tuple[dict, List[Check], List[Warn]]:
 
     t_config = thin_orbit.ThinConfig.desk()
     t_stages = thin_orbit.build_stages(t_config, 3)
-    checks.extend(_run_thin_checks(t_stages))
+    checks.extend(_run_thin_checks(t_stages)[0])
     covering = thin_orbit.restricted_covering(t_stages, 1, seed=args.seed)
 
     d_summary, d_checks, _ = _run_dioph_scans(

@@ -1,118 +1,62 @@
-"""Symbolic sets of positive integer time indices.
+"""The deletion tower's deleted set of time indices.
 
-Each component is a nested periodic block: one block of consecutive
-indices repeated along several layers of periods, as produced by
-recursively substituted words.  Membership and counting are exact;
-unions assume pairwise-disjoint components, which is what the
-construction-produced sets guarantee.  The sets routinely describe
-horizons around 10**24 indices, so nothing here sweeps their members.
+The final word W_K = W_(K-1)^(L_(K-1)) V_(K-1) is peeled level by level,
+top down: j - 1 divided by N_lev gives the copy of W_lev it falls in,
+and a copy count that reaches L_lev puts j in the balancing block
+V_lev.  The set holds the times 1..N_K that meet such a block at one of
+its levels.  Membership and counting follow that peel exactly; the
+horizons run to around 10**24 indices, so nothing here sweeps members.
 """
 
 from fractions import Fraction
 from typing import Sequence, Tuple
 
 
-class _NestedBlocks:
-    """One block of block_len letters sitting at 0-based offset `origin`
-    inside an innermost unit, replicated along nested layers.
-
-    layers are (period, count) pairs, outermost first: a 0-based position
-    p belongs iff at every layer p = q*period + r with q < count, and the
-    final remainder lands inside [origin, origin + block_len).
-    Index j (1-based) maps to position p = j - 1.
-    """
-
-    __slots__ = ("origin", "block_len", "layers", "_unit_counts")
-
-    def __init__(self, origin: int, block_len: int,
-                 layers: Sequence[Tuple[int, int]]):
-        if origin < 0 or block_len < 1:
-            raise ValueError("bad nested block")
-        layers = tuple((int(p), int(c)) for p, c in layers)
-        span = origin + block_len
-        for period, count in reversed(layers):
-            if period < span or count < 1:
-                raise ValueError("layer period shorter than its content")
-            span = period * count  # content that must fit in the next layer out
-        self.origin = origin
-        self.block_len = block_len
-        self.layers = layers
-        # members inside one full unit at each depth, innermost first
-        counts = [block_len]
-        for period, count in reversed(layers):
-            counts.append(counts[-1] * count)
-        self._unit_counts = counts[::-1]  # [full at depth 0, ..., block_len]
-
-    def contains(self, j: int) -> bool:
-        p = j - 1
-        if p < 0:
-            return False
-        for period, count in self.layers:
-            q, p = divmod(p, period)
-            if q >= count:
-                return False
-        return self.origin <= p < self.origin + self.block_len
-
-    def count_up_to(self, h: int) -> int:
-        return self._count_positions(h)  # positions 0..h-1 == indices 1..h
-
-    def _count_positions(self, limit: int, depth: int = 0) -> int:
-        """Members with 0-based position < limit, below layer `depth`."""
-        if limit <= 0:
-            return 0
-        if depth == len(self.layers):
-            return max(0, min(limit, self.origin + self.block_len) - self.origin)
-        period, count = self.layers[depth]
-        full = min(limit // period, count)
-        res = full * self._unit_counts[depth + 1]
-        if full < count:
-            res += self._count_positions(limit - full * period, depth + 1)
-        return res
-
-    def describe(self):
-        return ("nested_blocks", self.origin, self.block_len, self.layers)
-
-
 class IndexSet:
-    """Union of pairwise-disjoint nested-block components; `nested_blocks`
-    and `union` are the supported construction paths."""
+    """Times 1..horizon inside a balancing block of one of `levels`, the
+    (N_lev, L_lev) pairs of the peeled levels, top level first; each is
+    held with D_lev, the deleted count in one copy of W_lev."""
 
-    __slots__ = ("components",)
+    __slots__ = ("horizon", "levels")
 
-    def __init__(self, components=()):
-        self.components = tuple(components)
-
-    @classmethod
-    def nested_blocks(cls, origin: int, block_len: int,
-                      layers: Sequence[Tuple[int, int]]) -> "IndexSet":
-        return cls([_NestedBlocks(origin, block_len, layers)])
-
-    @staticmethod
-    def union(*sets: "IndexSet") -> "IndexSet":
-        """Union of sets the caller vouches are pairwise disjoint; counts
-        are additive under that assumption."""
-        comps = []
-        for s in sets:
-            comps.extend(s.components)
-        return IndexSet(comps)
+    def __init__(self, horizon: int, levels: Sequence[Tuple[int, int]]):
+        # bottom up: D_n0 = 0, D_(lev+1) = L_lev D_lev + N_(lev+1) - L_lev N_lev
+        outers = [horizon] + [n_lev for n_lev, _ in levels[:-1]]
+        full = 0
+        peel = []
+        for (n_lev, reps), outer in reversed(list(zip(levels, outers))):
+            peel.append((n_lev, reps, full))
+            full = reps * full + outer - reps * n_lev
+        self.horizon = horizon
+        self.levels = peel[::-1]
 
     def contains(self, j: int) -> bool:
-        for c in self.components:
-            if c.contains(j):
+        if not 1 <= j <= self.horizon:
+            return False
+        p = j - 1
+        for n_lev, reps, _ in self.levels:
+            c, p = divmod(p, n_lev)
+            if c >= reps:
                 return True
         return False
 
     __contains__ = contains
 
     def count_up_to(self, h: int) -> int:
-        """|set ∩ [1, h]|, exact, assuming disjoint components."""
-        return sum(c.count_up_to(h) for c in self.components)
+        """|set ∩ [1, h]|, exact: full copies of W_lev below h each hold
+        D_lev, and a peel that reaches L_lev adds the block's part."""
+        p = min(h, self.horizon)
+        if p < 1:
+            return 0
+        total = 0
+        for n_lev, reps, full in self.levels:
+            c, p = divmod(p, n_lev)
+            if c >= reps:
+                return total + reps * full + (c - reps) * n_lev + p
+            total += c * full
+        return total
 
     def density_up_to(self, h: int) -> Fraction:
         if h < 1:
             raise ValueError("density needs a horizon >= 1")
         return Fraction(self.count_up_to(h), h)
-
-    def describe(self):
-        """Stable structural description for reports."""
-        return tuple(c.describe() for c in self.components)

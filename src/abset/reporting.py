@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 
 from .exact import dec_sci
-from .index_sets import IndexSet
 from .words import WordExpr, format_word
 
 VERSION = "abset 0.1.0"
@@ -47,8 +46,6 @@ def jsonable(obj):
         return [jsonable(v) for v in seq]
     if isinstance(obj, WordExpr):
         return format_word(obj)
-    if isinstance(obj, IndexSet):
-        return jsonable(obj.describe())
     return str(obj)
 
 

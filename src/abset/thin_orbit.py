@@ -24,20 +24,23 @@ below sqrt(eps_n) from n = 2 on.  At n0 = 1 the ladder is about 1/N_1,
 so the level-1 bounds fail by a wide, structural margin, and the
 reports say so.
 
-The survey checks the tower's word spine and its deleted set once per
-level.  Each sampled time is then split into its levels once, and that
-one split decides whether the time lies outside the deleted blocks and
-gives its letter counts and its fixed-point image.  Cells and drift are
-read from fixed-point values with a certified error interval: only a
-value whose interval touches a cell edge, and only drift that may hold
-the maximum, is evaluated exactly on the final pair's common denominator.
+The deleted set is the tower's level peel itself (index_sets.IndexSet):
+a time is deleted when peeling it into copies of W_lev, top down, finds
+L_lev copies at some level.  The survey checks the tower's word spine
+and that each V_lev fills the tail of W_(lev+1) once per level.  Each
+sampled time is then split into its levels once, and that one split
+decides whether the time lies outside the deleted blocks and gives its
+letter counts and its fixed-point image.  Cells and drift are read from
+fixed-point values with a certified error interval: only a value whose
+interval touches a cell edge, and only drift that may hold the maximum,
+is evaluated exactly on the final pair's common denominator.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvariantViolation, UsageError
 from .exact import ceil_root, ceil_root_ratio, exact_sqrt, lift_half, mod1, sqrt_bracket
@@ -59,26 +62,17 @@ RhoSchedule = Union[Callable[[int], int], Sequence[int]]
 class ThinConfig:
     """m: half-length of the seed block W_1 = x^m y^m.
     eps1: the seed landing value.
-    rho: exponent schedule; eps_n = eps_(n-1) ** rho(n) for n >= 2.
-    buffer: how many ceil(sqrt(L))-sized units choose_L reserves for the
-    balancing block (3 covers |V_n| < 3 sqrt(L) N_n).
-    strict_bounds: raise instead of record when a perturbation exceeds
-    sqrt(eps)."""
+    rho: exponent schedule; eps_n = eps_(n-1) ** rho(n) for n >= 2."""
 
     m: int
     eps1: Fraction
     rho: RhoSchedule
-    buffer: int = 3
-    strict_bounds: bool = False
-    max_eps_bits: int = MAX_EPS_BITS
 
     def __post_init__(self):
         if self.m < 1:
             raise UsageError("need m >= 1")
         if not 0 < self.eps1 < 1:
             raise UsageError("need 0 < eps1 < 1")
-        if self.buffer < 1:
-            raise UsageError("need buffer >= 1")
 
     def rho_at(self, n: int) -> int:
         """Exponent applied entering stage n (n >= 2)."""
@@ -161,14 +155,14 @@ def advance(stage: TStage, config: ThinConfig) -> TStage:
     n = stage.n
     rho = config.rho_at(n + 1)
     target_bits = stage.eps.denominator.bit_length() * rho
-    if target_bits > config.max_eps_bits:
+    if target_bits > MAX_EPS_BITS:
         raise UsageError(
             f"eps_{n + 1} needs about {target_bits} bits; the schedule "
-            f"outgrows the {config.max_eps_bits}-bit working cap after "
-            f"stage {n}.  Raise max_eps_bits or shorten the tower.")
+            f"outgrows the {MAX_EPS_BITS}-bit working cap after stage {n}.  "
+            "Use fewer stages (--stages) or a smaller decay (--decay).")
     eps_next = stage.eps ** rho
 
-    L, T = choose_L(stage.eps, stage.N, n, config.buffer)
+    L, T = choose_L(stage.eps, stage.N, n)
     s = ceil_root(L, 2)
     k, l = stage.k, stage.l
     a_exp, b_exp = 2 * k - l, 2 * l + k
@@ -221,11 +215,6 @@ def advance(stage: TStage, config: ThinConfig) -> TStage:
 
     shift = abs(t) * max(k, l)
     within = shift * shift < stage.eps       # shift < sqrt(eps), exactly
-    if config.strict_bounds and not within:
-        raise InvariantViolation(
-            "perturbation-bound",
-            f"stage {n}->{n + 1} shift {float(shift):.3e} is not below "
-            f"sqrt(eps_{n}); rerun without strict bounds to record it")
     return TStage(n=n + 1, alpha=alpha, beta=beta, eps=eps_next, W=w_next,
                   N=N_next, k=k2, l=l2, L=L, s=s, V=v, t=t,
                   shift_sup=shift, shift_within_sqrt=within)
@@ -251,24 +240,10 @@ def build_stages(config: ThinConfig, n_stages: int) -> List[TStage]:
     return stages
 
 
-def deleted_sets(stages: Sequence[TStage]) -> Dict[int, IndexSet]:
-    """J_i = 1-based letter indices of the balancing block V_i, across
-    the whole final word.  Pairwise disjoint by construction."""
-    K = len(stages)
-    out = {}
-    for i in range(1, K):
-        st = stages[i]                       # stage i+1 holds L_i, V_i
-        layers = [(stages[j - 1].N, stages[j].L) for j in range(K - 1, i, -1)]
-        out[i] = IndexSet.nested_blocks(origin=st.L * stages[i - 1].N,
-                                        block_len=st.V.length,
-                                        layers=layers)
-    return out
-
-
 def deleted_union(stages: Sequence[TStage], from_level: int) -> IndexSet:
-    """Union of J_i for i >= from_level."""
-    sets = deleted_sets(stages)
-    return IndexSet.union(*(sets[i] for i in sorted(sets) if i >= from_level))
+    """Times of the final word inside a balancing block V_i, i >= from_level."""
+    levels = reversed(range(max(from_level, 1), len(stages)))
+    return IndexSet(stages[-1].N, [(stages[i - 1].N, stages[i].L) for i in levels])
 
 
 def _sample_menu(limit: int, cuts: int = 16) -> List[int]:
@@ -348,13 +323,14 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     the stage's own W_lev, of length N_lev and counts (k_lev, l_lev), as
     prefix_counts then takes the split's divmods.  That spine is checked
     once per level, or `split-eval-mismatch` raises naming the level.
-    The deleted set (which gives `excluded_density`) is checked once per
-    level too: its level-lev component must be the tail
-    [L N_lev, N_(lev+1)) of every W_(lev+1) unit nested in the levels
-    above, exactly the times the split refuses, or `exclusion-leak`
-    raises naming the level.  A corner time with 1 <= p <= N_n0 takes
-    its split from the walk down the menus, with no divmod; only its
-    neighbours at p = 0 and p = N_n0 + 1 are split.
+    The deleted set (which gives `excluded_density`) is the same peel,
+    the times the split refuses; it is the set of balancing blocks when
+    every V_lev fills the tail [L N_lev, N_(lev+1)) of W_(lev+1), that
+    is N_(lev+1) = L N_lev + |V_lev|.  That identity is checked once per
+    level too, or `exclusion-leak` raises naming the level.  A corner
+    time with 1 <= p <= N_n0 takes its split from the walk down the
+    menus, with no divmod; only its neighbours at p = 0 and
+    p = N_n0 + 1 are split.
 
     Values are never reduced modulo the pair's common denominator den
     unless a bound is undecided.  For the scale sn / sd let
@@ -400,6 +376,10 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
                 and pw.exponent == up.L and st.W.length == st.N
                 and st.W.counts == (st.k, st.l)):
             raise InvariantViolation("split-eval-mismatch", f"level {st.n}")
+        if up.N != up.L * st.N + up.V.length:
+            raise InvariantViolation(
+                "exclusion-leak", "the deleted set differs from the level "
+                f"split inside a level-{st.n} block")
 
     scale, scale_exact = covering_scale(base.eps)
     sn, sd = scale.numerator, scale.denominator
@@ -417,18 +397,6 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     a_fix = (a_int << prec) // den
     b_fix = (b_int << prec) // den
     levels, split = _level_split(stages, n0, a_fix, b_fix, mask)
-
-    excluded = deleted_union(stages, n0)
-    comps = excluded.describe()             # ascending level
-    upper, outer = (), horizon
-    for lev, n_lev, reps, *_ in levels:
-        if comps[lev - n0] != ("nested_blocks", reps * n_lev,
-                               outer - reps * n_lev, upper):
-            raise InvariantViolation(
-                "exclusion-leak", "the deleted set differs from the level "
-                f"split inside a level-{lev} block")
-        upper += ((n_lev, reps),)
-        outer = n_lev
 
     def exact_cell(cx: int, cy: int) -> int:
         return (cx * a_int + cy * b_int) % den * sd // cell_den
@@ -536,6 +504,6 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
         "max_drift": max_drift,
         "drift_bound_ok": drift_ok,
         "cells_unrestricted": len(contrast_cells),
-        "excluded_density": excluded.density_up_to(horizon),
+        "excluded_density": deleted_union(stages, n0).density_up_to(horizon),
         "seed": seed,
     }

@@ -8,7 +8,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from abset.index_sets import IndexSet
 from abset.reporting import (
     VERSION,
     canonical_json,
@@ -71,13 +70,6 @@ def test_jsonable_dataclass():
 
 def test_jsonable_word_uses_compact_form():
     assert jsonable(parse_word("( ( x y ) ^ 3 )")) == "((x y) ^ 3)"
-
-
-def test_jsonable_index_set_describes_components():
-    s = IndexSet.union(IndexSet.nested_blocks(2, 7, []),
-                       IndexSet.nested_blocks(11, 1, [(20, 3)]))
-    assert jsonable(s) == [["nested_blocks", 2, 7, []],
-                           ["nested_blocks", 11, 1, [[20, 3]]]]
 
 
 def test_canonical_json_sorted_and_terminated():

@@ -7,9 +7,10 @@ freezes the grown-up numbers, including the recorded failure of the
 level-1 covering and drift bounds.  restricted_covering's fixed-point
 core is checked against `exact_covering`, the loop it replaced, which
 evaluates every sample exactly on the pair's common denominator and
-samples its times with `covering_times`, the IndexSet-filtered sampler
-the single level split replaced; choose_L's closed form is checked
-against `bisect_choose_L`, the bisection over L it replaced.
+samples its times with `covering_times`, the sampler the single level
+split replaced, filtered by membership in `index_oracle`'s nested-block
+union of the balancing blocks; choose_L's closed form is checked against
+`bisect_choose_L`, the bisection over L it replaced.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import index_oracle as oracle
 from abset import thin_orbit
 from abset.errors import InvariantViolation, UsageError
 from abset.exact import ceil_root, ceil_root_ratio, lift_half, mod1, sqrt_bracket
@@ -36,7 +38,6 @@ from abset.thin_orbit import (
     build_stages,
     choose_L,
     covering_scale,
-    deleted_sets,
     deleted_union,
     init_stage,
     restricted_covering,
@@ -89,7 +90,7 @@ def covering_times(stages, n0, sample_budget, seed):
     >= n0."""
     K = len(stages)
     horizon = stages[-1].N
-    excluded = deleted_union(stages, n0)
+    excluded = oracle.deleted_union(stages, n0)
 
     rng = random.Random(seed)
     picked = []
@@ -234,8 +235,6 @@ class TestSeed:
             ThinConfig(m=0, eps1=Fraction(1, 4), rho=lambda n: 2)
         with pytest.raises(UsageError):
             ThinConfig(m=3, eps1=Fraction(3, 2), rho=lambda n: 2)
-        with pytest.raises(UsageError):
-            ThinConfig(m=3, eps1=Fraction(1, 8), rho=lambda n: 2, buffer=0)
 
     def test_rho_schedules(self):
         seq = ThinConfig(m=3, eps1=Fraction(1, 2 ** 12), rho=(2, 3))
@@ -390,21 +389,14 @@ class TestDeskTower:
         # the middle word is fixed exactly by the last repair
         assert mod1(s2.k * s3.alpha + s2.l * s3.beta) == s2.eps
 
-    def test_strict_bounds_raises(self):
-        strict = ThinConfig(m=10, eps1=Fraction(1, 2 ** 40), rho=lambda n: 4,
-                            strict_bounds=True)
-        assert len(build_stages(strict, 2)) == 2
-        with pytest.raises(InvariantViolation, match="perturbation-bound"):
-            build_stages(strict, 3)
-
-    def test_growth_refusal(self):
-        capped = ThinConfig(m=3, eps1=Fraction(1, 2 ** 12), rho=lambda n: 4,
-                            max_eps_bits=24)
-        with pytest.raises(UsageError, match="outgrows"):
+    def test_growth_refusal(self, monkeypatch):
+        monkeypatch.setattr(thin_orbit, "MAX_EPS_BITS", 24)
+        capped = ThinConfig(m=3, eps1=Fraction(1, 2 ** 12), rho=lambda n: 4)
+        with pytest.raises(UsageError, match="outgrows") as err:
             build_stages(capped, 2)
-        faithful = ThinConfig(m=1000, eps1=Fraction(1, 10 ** 1000),
-                              rho=lambda n: 1000 * n ** 3,
-                              max_eps_bits=10 ** 6)
+        assert "--stages" in str(err.value)
+        monkeypatch.setattr(thin_orbit, "MAX_EPS_BITS", 10 ** 6)
+        faithful = ThinConfig.faithful()
         with pytest.raises(UsageError, match="outgrows"):
             advance(init_stage(faithful), faithful)
 
@@ -417,25 +409,26 @@ class TestDeskTower:
 class TestDeletedSets:
     def test_counts(self, desk_stages):
         s1, s2, s3 = desk_stages
-        js = deleted_sets(desk_stages)
+        from1, from2 = deleted_union(desk_stages, 1), deleted_union(desk_stages, 2)
         n3 = s3.N
-        assert js[1].count_up_to(n3) == s3.L * s2.V.length
-        assert js[2].count_up_to(n3) == s3.V.length == 2305830456738272880
+        assert from2.count_up_to(n3) == s3.V.length == 2305830456738272880
+        assert from1.count_up_to(n3) == s3.L * s2.V.length + s3.V.length
+        assert from1.count_up_to(10 * n3) == from1.count_up_to(n3)
 
     def test_membership_boundaries(self, desk_stages):
         s1, s2, s3 = desk_stages
-        js = deleted_sets(desk_stages)
+        from1, from2 = deleted_union(desk_stages, 1), deleted_union(desk_stages, 2)
         first_v1 = s2.L * s1.N + 1          # first letter of the first V_1
-        assert first_v1 in js[1] and first_v1 - 1 not in js[1]
-        assert (first_v1 + s2.V.length - 1) in js[1]
-        assert (first_v1 + s2.V.length) not in js[1]
+        assert first_v1 in from1 and first_v1 - 1 not in from1
+        assert (first_v1 + s2.V.length - 1) in from1
+        assert (first_v1 + s2.V.length) not in from1
         first_v2 = s3.L * s2.N + 1
-        assert first_v2 in js[2] and first_v2 - 1 not in js[2]
-        assert s3.N in js[2] and s3.N + s2.N not in js[2]
-        # levels are disjoint
-        assert first_v1 not in js[2] and first_v2 not in js[1]
+        assert first_v2 in from2 and first_v2 - 1 not in from2
+        assert s3.N in from2 and s3.N + 1 not in from1
+        # V_1 is not a level-2 block, and V_2 is deleted from level 1 up
+        assert first_v1 not in from2 and first_v2 in from1
         # second-copy replica of V_1
-        assert s2.N + first_v1 in js[1]
+        assert s2.N + first_v1 in from1
 
     def test_union_density_decreases(self, desk_stages):
         n3 = desk_stages[-1].N
@@ -444,9 +437,10 @@ class TestDeletedSets:
         assert d[0] > d[1] > d[2] == 0
 
     def test_tiny_tail_block(self, tiny_stages):
-        js = deleted_sets(tiny_stages)
-        members = {j for j in range(1, 3943) if j in js[1]}
+        excluded = deleted_union(tiny_stages, 1)
+        members = {j for j in range(0, 3945) if j in excluded}
         assert members == set(range(3643, 3943))
+        assert excluded.count_up_to(3942) == 300
 
 
 class TestRestrictedCovering:
@@ -699,7 +693,7 @@ class TestCoveringOracle:
         final = stages[-1]
         horizon = final.N
         mask = (1 << 90) - 1
-        sets = deleted_sets(stages)
+        sets = oracle.deleted_sets(stages)
         edges = set()
         for js in sets.values():
             ((_, origin, block_len, layers),) = js.describe()
@@ -715,11 +709,12 @@ class TestCoveringOracle:
         times = sorted(j for j in edges.union(drawn) if 1 <= j <= horizon)
         for n0 in range(1, k + 1):
             excluded = deleted_union(stages, n0)
+            nested = oracle.deleted_union(stages, n0)
             base = stages[n0 - 1]
             _, split = _level_split(stages, n0, a_fix, b_fix, mask)
             for j in times:
                 s = split(j)
-                assert (s is None) == (j in excluded), (n0, j)
+                assert (s is None) == (j in excluded) == (j in nested), (n0, j)
                 if s is not None:
                     dx, dy, img, p = s
                     assert 1 <= p <= base.N
@@ -728,8 +723,9 @@ class TestCoveringOracle:
                     assert img == (dx * a_fix + dy * b_fix) & mask
 
     def test_exclusion_leak_raises(self, tiny_stages):
-        # V_1 shrunk to one letter: the deleted set misses the rest of the
-        # block, so sampled times land where the split finds L_2 copies
+        # V_1 shrunk to one letter: the blocks' nested union misses the
+        # rest of the block, so its sampled times land where the split
+        # finds L_2 copies, and N_2 = L_2 N_1 + |V_1| no longer holds
         s1, s2 = tiny_stages
         forged = [s1, dataclasses.replace(s2, V=X)]
         for run in (restricted_covering, exact_covering):
@@ -737,6 +733,16 @@ class TestCoveringOracle:
                 run(forged, 1, sample_budget=200)
             assert err.value.name == "exclusion-leak"
             assert "inside a level-1 block" in err.value.detail
+
+    def test_exclusion_leak_at_level_two(self, desk_stages):
+        # the same forgery one level up, reached from either n0
+        s1, s2, s3 = desk_stages
+        forged = [s1, s2, dataclasses.replace(s3, V=X)]
+        for n0 in (1, 2):
+            with pytest.raises(InvariantViolation) as err:
+                restricted_covering(forged, n0, sample_budget=200)
+            assert err.value.name == "exclusion-leak"
+            assert "inside a level-2 block" in err.value.detail
 
 
 @settings(max_examples=25, deadline=None)
