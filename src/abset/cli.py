@@ -516,9 +516,11 @@ def _extract_config_flag(argv: List[str]) -> Tuple[Optional[str], List[str]]:
 
 
 def _apply_config_file(path: str, argv: List[str], subs: dict) -> List[str]:
-    """Load flag values from a JSON file onto the chosen subparser as
-    defaults.  Flags given on the command line still win; a subcommand
-    named in both places must agree."""
+    """Load flag values from a JSON file as --flag=value tokens placed
+    between the subcommand and the command line's own flags: the parser
+    checks them as it checks typed flags, is left as it was, and a flag
+    given on the command line still wins.  A null value leaves the flag
+    at its default; a subcommand named in both places must agree."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -544,38 +546,32 @@ def _apply_config_file(path: str, argv: List[str], subs: dict) -> List[str]:
                          f"'{path}'")
 
     actions = {a.dest: a for a in subs[command]._actions if a.option_strings}
+    tokens = []
     for key, value in data.items():
-        dest = str(key).replace("-", "_")
-        action = actions.get(dest)
-        if action is None or dest == "help":
+        action = actions.get(str(key).replace("-", "_"))
+        if action is None or action.dest == "help":
             raise UsageError(f"config file key '{key}' is not a flag of "
                              f"{command}")
-        if isinstance(value, str) and action.type is not None:
-            try:
-                value = action.type(value)
-            except UsageError:
-                raise
-            except (TypeError, ValueError):
-                raise UsageError(f"config file key '{key}': bad value "
-                                 f"{value!r}") from None
-        elif action.type is int and not isinstance(value, int):
-            raise UsageError(f"config file key '{key}' must be an integer")
-        elif (action.type is None and value is not None
-              and not isinstance(value, str)
-              and not isinstance(action.default, bool)):
-            value = str(value)
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(f"config file key '{key}': bad value {value!r} "
-                             f"(choose from {sorted(action.choices)})")
-        action.default = value
-        action.required = False
-    if argv_cmd is None:
-        argv = [command] + argv
-    return argv
+        if action.nargs == 0:           # a switch such as --paper-faithful
+            if not isinstance(value, bool):
+                raise UsageError(f"config file key '{key}' must be true or "
+                                 "false")
+            if value:
+                tokens.append(action.option_strings[0])
+        elif value is not None:
+            tokens.append(f"{action.option_strings[0]}={value}")
+    rest = argv[1:] if argv_cmd is not None else argv
+    return [command] + tokens + rest
+
+
+_PARSER: Optional[Tuple[_Parser, dict]] = None     # built on first use
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser, subs = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    parser, subs = _PARSER
     if argv is None:
         argv = sys.argv[1:]
     try:

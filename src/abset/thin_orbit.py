@@ -27,13 +27,13 @@ reports say so.
 The deleted set is the tower's level peel itself (index_sets.IndexSet):
 a time is deleted when peeling it into copies of W_lev, top down, finds
 L_lev copies at some level.  The survey checks the tower's word spine
-and that each V_lev fills the tail of W_(lev+1) once per level.  Each
-sampled time is then split into its levels once, and that one split
-decides whether the time lies outside the deleted blocks and gives its
-letter counts and its fixed-point image.  Cells and drift are read from
-fixed-point values with a certified error interval: only a value whose
-interval touches a cell edge, and only drift that may hold the maximum,
-is evaluated exactly on the final pair's common denominator.
+and that each V_lev fills the tail of W_(lev+1) once per level.  Its
+corner family is one table of bottom-level (copy, W_n0 prefix) pairs
+under each upper corner; a random draw is peeled inline, which tells
+whether it is deleted and gives its fixed-point image.  Cells are read
+from those images with a certified error interval, the scale's power
+of two as a shift; only a value whose interval touches a cell edge,
+and only drift that may hold the final maximum, is evaluated exactly.
 """
 
 import math
@@ -272,24 +272,22 @@ def covering_scale(eps: Fraction) -> Tuple[Fraction, bool]:
 def _level_split(stages: Sequence[TStage], n0: int, a_fix: int, b_fix: int,
                  mask: int) -> Tuple[List[tuple], Callable]:
     """The levels K-1 .. n0 of restricted_covering, top down, as
-    (lev, N_lev, repetitions, k_lev, l_lev, fixed-point image of W_lev),
-    and split(j) for 1 <= j <= |W_K|.
-
-    split peels full copies of W_lev off the time j - 1, level by level:
-    c_lev, then the remainder, down to a W_n0 prefix of length p.  It
-    returns None as soon as some c_lev reaches the level's repetition
-    count, which puts j in a balancing block of level >= n0; otherwise
+    (N_lev, repetitions, k_lev, l_lev, fixed-point image of W_lev), and
+    split(j), 1 <= j <= |W_K|, which peels c_lev full copies of W_lev
+    off j - 1, level by level, down to a W_n0 prefix of length p.  It
+    returns None once some c_lev reaches the level's repetition count,
+    which puts j in a balancing block of level >= n0; otherwise
     (dx, dy, img, p), with (dx, dy) = sum c_lev (k_lev, l_lev) and
     img = sum c_lev img_lev masked by `mask`."""
     K = len(stages)
-    levels = [(st.n, st.N, up.L, st.k, st.l, (st.k * a_fix + st.l * b_fix) & mask)
+    levels = [(st.N, up.L, st.k, st.l, (st.k * a_fix + st.l * b_fix) & mask)
               for st, up in zip(reversed(stages[n0 - 1:K - 1]),
                                 reversed(stages[n0:]))]
 
     def split(j: int) -> Optional[Tuple[int, int, int, int]]:
         p = j
         dx = dy = img = 0
-        for _, n_lev, reps, k_lev, l_lev, w_img in levels:
+        for n_lev, reps, k_lev, l_lev, w_img in levels:
             c, rem = divmod(p - 1, n_lev)
             if c >= reps:
                 return None
@@ -302,6 +300,13 @@ def _level_split(stages: Sequence[TStage], n0: int, a_fix: int, b_fix: int,
     return levels, split
 
 
+def _factor_scale(sd: int, q: int) -> Tuple[int, int]:
+    """(odd, q - e) for sd = odd 2^e, e capped at q >= 0: then
+    (top sd) >> q == (top odd) >> (q - e) for every top >= 0."""
+    e = min((sd & -sd).bit_length() - 1, q)
+    return sd >> e, q - e
+
+
 def restricted_covering(stages: Sequence[TStage], n0: int, *,
                         sample_budget: int = DEFAULT_SAMPLE_BUDGET,
                         seed: int = DEFAULT_SEED) -> dict:
@@ -309,58 +314,51 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     block of level >= n0, and box-count their values at scale
     2 sqrt(eps_n0).
 
-    The sampled times are a deterministic corner family (menus of
-    full-word multiplicities per level, each with W_n0 prefixes around
-    it and their two neighbours, duplicates dropped) and seeded random
-    draws.  Each time j is split once, into full-word multiplicities
-    c_lev of the levels K-1 .. n0 plus a W_n0 prefix of length p, and
-    that one split decides whether j is sampled, gives its letter counts
-    and its fixed-point image; samples are surveyed as they are drawn.
-    A c_lev that reaches the level's repetition count puts j in a
-    balancing block, so it is not sampled.  The split's counts,
-    sum c_lev (k_lev, l_lev) plus the W_n0 prefix counts at p, are the
-    final word's prefix counts at j when every W_(lev+1) is W_lev^L V on
-    the stage's own W_lev, of length N_lev and counts (k_lev, l_lev), as
-    prefix_counts then takes the split's divmods.  That spine is checked
-    once per level, or `split-eval-mismatch` raises naming the level.
-    The deleted set (which gives `excluded_density`) is the same peel,
-    the times the split refuses; it is the set of balancing blocks when
-    every V_lev fills the tail [L N_lev, N_(lev+1)) of W_(lev+1), that
-    is N_(lev+1) = L N_lev + |V_lev|.  That identity is checked once per
-    level too, or `exclusion-leak` raises naming the level.  A corner
-    time with 1 <= p <= N_n0 takes its split from the walk down the
-    menus, with no divmod; only its neighbours at p = 0 and
-    p = N_n0 + 1 are split.
+    A time j splits into full-word multiplicities c_lev of the levels
+    K-1 .. n0 and a W_n0 prefix of length p; a c_lev that reaches the
+    level's repetition count puts j in a balancing block, unsampled.
+    The split's counts, sum c_lev (k_lev, l_lev) plus the prefix counts
+    at p, are the final word's prefix counts at j when every W_(lev+1)
+    is W_lev^L V on the stage's own W_lev, of length N_lev and counts
+    (k_lev, l_lev); the refused times are the balancing blocks (the
+    deleted set of `excluded_density`) when N_(lev+1) = L N_lev + |V_lev|.
+    Both are checked once per level, or `split-eval-mismatch` or
+    `exclusion-leak` raises naming the level.
 
-    Values are never reduced modulo the pair's common denominator den
-    unless a bound is undecided.  For the scale sn / sd let
-    Q = bits(sd) + COVER_GUARD_BITS and P = bits(horizon) + Q; with
-    A = floor(a 2^P / den) and B likewise, a point with counts (cx, cy)
-    lies in [lo, lo + cx + cy] units of 2^-P, where
-    lo = (cx A + cy B) mod 2^P: each multiplier adds less than one unit
-    of truncation.  A restricted sample takes lo from its level split,
-    which already sums img = sum c_lev (k_lev A + l_lev B) mod 2^P, that
-    is dx A + dy B for its full-word counts (dx, dy); so
-    lo = (img + bx A + by B) mod 2^P with the small W_n0 prefix counts
-    (bx, by), whose image is tabulated for the corner family's prefixes
-    only.  The cell is read from the top Q bits of lo: as
-    cx + cy = j < 2^bits(horizon), the point lies in [top, top + 2)
-    units of 2^-Q for top = lo >> bits(horizon), so the multiply by sd
-    takes Q bits instead of P.  When both ends of that interval fall in
-    one cell and it does not pass 1, that is the cell; otherwise the
-    exact value decides it.  The drift of a sample (its full-word part,
-    as a distance to the nearest integer) gets the same interval from
-    img; only drift count vectors whose upper bound reaches the running
-    maximum of the lower bounds are kept, and those are evaluated
-    exactly, so `max_drift` is exact.  The unrestricted contrast draws
-    take lo from the same split when they fall outside every block, and
-    their exact value otherwise.
+    The samples, surveyed one at a time, are a corner family and seeded
+    random draws.  The corner family is each upper corner (a menu value
+    of c_lev per level above n0) times one table of bottom-level pairs
+    (copy c, prefix t), 1 <= t <= N_n0: each menu copy with the prefixes
+    around the base menu, and its outside neighbours, prefix N_n0 of
+    copy c - 1 and prefix 1 of copy c + 1, where that copy exists (else
+    they lie in a balancing block).  So `samples_deterministic` is
+    (upper corners) x (table size); with no levels (n0 = K) the table
+    is W_K's own near prefixes.  A draw is peeled inline to its
+    full-word image and p, and calls `split` for its letter counts only
+    at a cell edge or a drift candidate.
 
-    The box-count and drift bounds are recorded in the returned report,
-    never enforced; the construction promises them only for n0 >= 2.
-    The cell count is taken over the sampled times, so cells <= N_n0
-    is a test only when the sample (random plus deterministic)
-    outnumbers N_n0.
+    For the scale sn / sd let Q = bits(sd) + COVER_GUARD_BITS and
+    P = bits(horizon) + Q; with A = floor(a 2^P / den) and B likewise,
+    den the pair's common denominator, a point with counts (cx, cy) lies
+    in [lo, lo + cx + cy] units of 2^-P for lo = (cx A + cy B) mod 2^P.
+    A sample's lo is its full-word image img = sum c_lev (k_lev A +
+    l_lev B) mod 2^P plus its prefix image, tabulated for the corner
+    family's prefixes.  As cx + cy = j < 2^bits(horizon), the point lies
+    in [top, top + 2) units of 2^-Q for top = lo >> bits(horizon); with
+    sd = odd 2^e (e capped at Q) the cell of top is
+    ((top odd) >> (Q - e)) // sn, so a dyadic scale multiplies by 1.
+    When both ends fall in one cell that does not pass 1, that is the
+    cell; otherwise the exact value mod den decides it.  A sample's
+    drift (its full-word part, as a distance to the nearest integer) is
+    within its count error dx + dy = j - p of img; count vectors whose
+    upper bound reaches the running maximum of the lower bounds are
+    kept, and those reaching the final one are evaluated exactly, so
+    `max_drift` is exact.  Contrast draws are read like random draws
+    outside every block, and exactly inside one.
+
+    The bounds are recorded, never enforced; the construction promises
+    them only for n0 >= 2.  cells <= N_n0 is a test only when the
+    sample (random plus deterministic) outnumbers N_n0.
     """
     K = len(stages)
     if not 1 <= n0 <= K:
@@ -387,34 +385,27 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     den = math.lcm(final.alpha.denominator, final.beta.denominator)
     a_int = final.alpha.numerator * (den // final.alpha.denominator)
     b_int = final.beta.numerator * (den // final.beta.denominator)
-    cell_den = den * sn
 
     q = sd.bit_length() + COVER_GUARD_BITS
     shift = horizon.bit_length()
     prec = shift + q
-    one, sd_max, sd2 = 1 << prec, ((1 << q) - 2) * sd, 2 * sd
+    one = 1 << prec
     mask = one - 1
+    odd, qe = _factor_scale(sd, q)
+    odd2, top_max = 2 * odd, (1 << q) - 2
     a_fix = (a_int << prec) // den
     b_fix = (b_int << prec) // den
     levels, split = _level_split(stages, n0, a_fix, b_fix, mask)
 
     def exact_cell(cx: int, cy: int) -> int:
-        return (cx * a_int + cy * b_int) % den * sd // cell_den
+        return (cx * a_int + cy * b_int) % den * sd // (den * sn)
 
     def row_of(p: int) -> Tuple[int, int, int]:
         bx, by = prefix_counts(base.W, p)
         return bx * a_fix + by * b_fix, bx, by
 
-    def split_cell(dx: int, dy: int, img: int, p: int) -> int:
-        pimg, bx, by = rows.get(p) or row_of(p)
-        top_sd = (((img + pimg) & mask) >> shift) * sd
-        cell = (top_sd >> q) // sn
-        if top_sd > sd_max or cell != ((top_sd + sd2) >> q) // sn:
-            cell = exact_cell(dx + bx, dy + by)
-        return cell
-
-    cells = set()
-    drift_counts = set()        # drift count vectors that may hold the max
+    cells, contrast_cells = set(), set()
+    drift = []                  # (upper bound, dx, dy) that may hold the max
     drift_floor = 0             # running max of the drift lower bounds
 
     def add_drift(dx: int, dy: int, img: int) -> None:
@@ -422,74 +413,82 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
         dist = min(img, one - img)
         err = dx + dy
         if dist + err >= drift_floor:
-            drift_counts.add((dx, dy))
+            drift.append((dist + err, dx, dy))
             drift_floor = max(drift_floor, dist - err)
 
-    menus = [_sample_menu(reps) for _, _, reps, *_ in levels]
+    menus = [_sample_menu(reps) for _, reps, *_ in levels[:-1]]
     base_menu = ([r + 1 for r in _sample_menu(base.N)]
                  if base.N > 64 else list(range(1, base.N + 1)))
     if n0 >= 2:
         sub = stages[n0 - 2].N
         base_menu.extend(c * sub for c in _sample_menu(base.L or 1)
                          if 1 <= c * sub <= base.N)
-    near = sorted({t for r in base_menu for t in (r - 1, r, r + 1)})
+    near = {r + d for r in base_menu for d in (-1, 0, 1)}
     rows = {t: row_of(t) for t in near if 1 <= t <= base.N}
-    near_rows = [(t, rows.get(t)) for t in near]
-    seen = set()
-    n_det = 0
-    stack = [(0, 0, 0, 0, 0)]   # (depth, offset, dx, dy, img) of a partial corner
-    while stack:
-        depth, offset, dx, dy, img = stack.pop()
-        if depth < len(levels):
-            _, n_lev, _, k_lev, l_lev, w_img = levels[depth]
-            stack.extend((depth + 1, offset + c * n_lev, dx + c * k_lev,
-                          dy + c * l_lev, img + c * w_img) for c in menus[depth])
-            continue
-        img &= mask
-        add_drift(dx, dy, img)      # shared by the corner's interior times
-        for t, row in near_rows:
-            j = offset + t
-            if j in seen:
-                continue
-            seen.add(j)
-            if row is not None:
-                pimg, bx, by = row
-                top_sd = (((img + pimg) & mask) >> shift) * sd
-                cell = (top_sd >> q) // sn
-                if top_sd > sd_max or cell != ((top_sd + sd2) >> q) // sn:
+    _, copies, k_c, l_c, img_c = levels[-1] if levels else (0, 1, 0, 0, 0)
+    menu = set(_sample_menu(copies))
+    table = []                  # (c k, c l, c img, rows) of each copy c
+    for c in sorted(menu.union({c - 1 for c in menu if c},
+                               {c + 1 for c in menu if c + 1 < copies})):
+        crows = rows.values() if c in menu else [
+            rows[t] for t, nb in ((base.N, c + 1), (1, c - 1)) if nb in menu]
+        table.append((c * k_c, c * l_c, c * img_c, crows))
+    table_size = sum(len(crows) for *_, crows in table)
+
+    upper = [(0, 0, 0)]         # (dx, dy, img) of each upper corner
+    for (_, _, k_lev, l_lev, w_img), menu_lev in zip(levels, menus):
+        upper = [(ux + c * k_lev, uy + c * l_lev, uimg + c * w_img)
+                 for ux, uy, uimg in upper for c in menu_lev]
+    for ux, uy, uimg in upper:
+        for cx, cy, cimg, crows in table:
+            dx, dy, img = ux + cx, uy + cy, (uimg + cimg) & mask
+            add_drift(dx, dy, img)
+            for pimg, bx, by in crows:
+                top = ((img + pimg) & mask) >> shift
+                v = top * odd
+                cell = (v >> qe) // sn
+                if top > top_max or cell != ((v + odd2) >> qe) // sn:
                     cell = exact_cell(dx + bx, dy + by)
                 cells.add(cell)
-            elif 1 <= j <= horizon and (s := split(j)) is not None:
-                cells.add(split_cell(*s))
-                add_drift(*s[:3])
-            else:
-                continue
-            n_det += 1
 
-    rng = random.Random(seed)
+    # seeded draws outside every block, then as many unrestricted ones
+    peel = [(n_lev, reps, w_img) for n_lev, reps, _, _, w_img in levels]
     n_random = 0
-    for _ in range(50 * sample_budget + 1000):
-        if n_random == sample_budget:
-            break
-        s = split(rng.randrange(1, horizon + 1))
-        if s is not None:
-            n_random += 1
-            cells.add(split_cell(*s))
-            add_drift(*s[:3])
+    for restricted, out, key in ((True, cells, seed),
+                                 (False, contrast_cells, f"{seed}-unrestricted")):
+        draw = random.Random(key).randrange
+        for _ in range(50 * sample_budget + 1000 if restricted else n_random):
+            if restricted and n_random == sample_budget:
+                break
+            p = j = draw(1, horizon + 1)
+            img = 0
+            for n_lev, reps, w_img in peel:
+                c, rem = divmod(p - 1, n_lev)
+                if c >= reps:
+                    if not restricted:
+                        out.add(exact_cell(*prefix_counts(final.W, j)))
+                    break
+                img += c * w_img
+                p = rem + 1
+            else:
+                img &= mask
+                pimg, bx, by = rows.get(p) or row_of(p)
+                top = ((img + pimg) & mask) >> shift
+                v = top * odd
+                cell = (v >> qe) // sn
+                if top > top_max or cell != ((v + odd2) >> qe) // sn:
+                    dx, dy, _, _ = split(j)
+                    cell = exact_cell(dx + bx, dy + by)
+                out.add(cell)
+                if restricted:
+                    n_random += 1
+                    low = drift_floor - (j - p)
+                    if low <= img <= one - low:
+                        add_drift(*split(j)[:3])
 
-    max_drift_num = 0
-    for dx, dy in drift_counts:
-        acc = (dx * a_int + dy * b_int) % den
-        max_drift_num = max(max_drift_num, min(acc, den - acc))
-    max_drift = Fraction(max_drift_num, den)
-    drift_ok = max_drift * max_drift < base.eps     # drift < sqrt(eps_n0)
-
-    rng2 = random.Random(f"{seed}-unrestricted")
-    contrast_cells = set()
-    for _ in range(n_random):
-        s = split(j := rng2.randrange(1, horizon + 1))
-        contrast_cells.add(exact_cell(*prefix_counts(final.W, j)) if s is None
-                           else split_cell(*s))
+    accs = [(dx * a_int + dy * b_int) % den
+            for bound, dx, dy in drift if bound >= drift_floor]
+    max_drift = Fraction(max((min(a, den - a) for a in accs), default=0), den)
 
     return {
         "n0": n0,
@@ -497,12 +496,12 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
         "scale": scale,
         "scale_exact_sqrt": scale_exact,
         "samples_random": n_random,
-        "samples_deterministic": n_det,
+        "samples_deterministic": len(upper) * table_size,
         "cells_restricted": len(cells),
         "cell_bound_claimed": base.N,
         "cell_bound_ok": len(cells) <= base.N,
         "max_drift": max_drift,
-        "drift_bound_ok": drift_ok,
+        "drift_bound_ok": max_drift * max_drift < base.eps,  # < sqrt(eps_n0)
         "cells_unrestricted": len(contrast_cells),
         "excluded_density": deleted_union(stages, n0).density_up_to(horizon),
         "seed": seed,

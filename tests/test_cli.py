@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from abset import diophantine, katznelson
+from abset import cli, diophantine, katznelson
 from abset.cli import main
 from abset.reporting import VERSION
 
@@ -557,6 +557,8 @@ def test_config_file_accepts_string_values_for_typed_flags(capsys, tmp_path):
         ({"subcommand": "dioph", "scan": "everything"}, [], "everything"),
         ({"subcommand": "thin-orbit", "stages": 2.5}, [], "stages"),
         ({"subcommand": "frobnicate"}, [], "frobnicate"),
+        ({"subcommand": "thin-orbit", "paper-faithful": "yes"}, [],
+         "true or false"),
     ],
 )
 def test_config_file_errors_exit_1(capsys, tmp_path, payload, extra_argv, fragment):
@@ -566,6 +568,29 @@ def test_config_file_errors_exit_1(capsys, tmp_path, payload, extra_argv, fragme
     assert rc == 1
     assert captured.err.startswith("usage error:")
     assert fragment in captured.err
+
+
+def test_config_file_leaves_the_parser_as_it_was(capsys, tmp_path):
+    # the parser is built once per process; a config file's values must
+    # not stay on it as defaults for later calls
+    cfg = _write_config(
+        tmp_path, {"subcommand": "katznelson", "schedule": DS, "stages": 1}
+    )
+    assert run(capsys, "--config", cfg, "--out", str(tmp_path / "r.json"))[0] == 0
+    rc, _, stderr = run(capsys, "katznelson", "--stages", "1")
+    assert rc == 1
+    assert "--schedule" in stderr
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    calls = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: calls.append(1) or build())
+    assert run(capsys, "katznelson", "--stages", "1")[0] == 1
+    assert run(capsys, "dioph", "--alpha", "1/3")[0] == 1
+    assert len(calls) == 1
 
 
 def test_config_file_missing_exits_1(capsys, tmp_path):

@@ -32,6 +32,7 @@ from abset.thin_orbit import (
     DEFAULT_SEED,
     ThinConfig,
     TStage,
+    _factor_scale,
     _level_split,
     _sample_menu,
     advance,
@@ -213,6 +214,12 @@ def desk_stages():
 @pytest.fixture(scope="module")
 def mid_stages():
     return build_stages(ThinConfig(m=30, eps1=Fraction(1, 10 ** 60),
+                                   rho=lambda n: 10), 2)
+
+
+@pytest.fixture(scope="module")
+def wide_stages():
+    return build_stages(ThinConfig(m=1000, eps1=Fraction(1, 10 ** 500),
                                    rho=lambda n: 10), 2)
 
 
@@ -661,9 +668,57 @@ class TestCoveringOracle:
             tracemalloc.stop()
         assert peak < 8 * 10 ** 6
 
+    @pytest.mark.parametrize("tower, n0, budget, bound_mb", [
+        ("desk_stages", 1, DEFAULT_SAMPLE_BUDGET, 0.8),
+        ("wide_stages", 1, 1000, 1.0),
+    ])
+    def test_survey_streams_its_samples(self, tower, n0, budget, bound_mb,
+                                        request):
+        # the corner family is read off one table of (copy, prefix) pairs
+        # and every time is surveyed as it is made: a set of every corner
+        # time took the desk n0 = 1 peak to 1.35 MB, where it is now about
+        # 0.45 MB; the wide tower (m = 1000, eps1 = 10^-500) peaks near
+        # 0.5 MB, most of it its two sets of about 1,000 830-bit cells
+        stages = request.getfixturevalue(tower)
+        tracemalloc.start()
+        try:
+            restricted_covering(stages, n0, sample_budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 10 ** 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(odd=st.integers(0, 2 ** 70).map(lambda v: 2 * v + 1),
+           e=st.integers(0, 90), sn=st.integers(1, 2 ** 40),
+           q=st.integers(0, 160), data=st.data())
+    def test_factored_scale_reads_the_same_cell(self, odd, e, sn, q, data):
+        # the cell of top and its edge test, with sd = odd 2^e factored
+        # into a multiply and a shift, against the unfactored read; q < e
+        # happens under the starved guard, where q is about 0
+        sd = odd << e
+        top = data.draw(st.one_of(st.integers(0, (1 << q) - 1),
+                                  st.integers(max(0, (1 << q) - 3),
+                                              (1 << q) - 1)))
+        f_odd, qe = _factor_scale(sd, q)
+        v = top * f_odd
+        cell = (v >> qe) // sn
+        edge = top > (1 << q) - 2 or cell != ((v + 2 * f_odd) >> qe) // sn
+        top_sd = top * sd
+        ref = (top_sd >> q) // sn
+        ref_edge = (top_sd > ((1 << q) - 2) * sd
+                    or ref != ((top_sd + 2 * sd) >> q) // sn)
+        assert (cell, edge) == (ref, ref_edge)
+
+    def test_dyadic_scale_multiplies_by_one(self):
+        # desk n0 = 1: the scale 2^-19 read from Q = 19 + 1 + 64 bits
+        assert _factor_scale(1 << 19, 84) == (1, 65)
+        assert _factor_scale(5 << 30, 3) == (5 << 27, 0)
+        assert _factor_scale(7, 0) == (7, 0)
+
     def test_survey_leaves_no_cycle(self, desk_stages):
-        # the corner walk is an iterative stack and the samples stream
-        # through the survey, so nothing is left for the cycle collector
+        # the corner family is one table and the samples stream through
+        # the survey, so nothing is left for the cycle collector
         gc.collect()
         gc.disable()
         try:
