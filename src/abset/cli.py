@@ -32,8 +32,7 @@ from typing import List, Optional, Tuple
 from . import dimension, diophantine, katznelson, thin_orbit
 from .errors import InsufficientPrecision, InvariantViolation, UsageError
 from .exact import dec_sci
-from .reporting import (DEFAULT_SEED, VERSION, canonical_json, cell,
-                        write_csv, write_json)
+from .reporting import VERSION, canonical_json, cell, write_csv, write_json
 from .words import evaluate_end
 
 Check = Tuple[str, bool, str]
@@ -452,7 +451,7 @@ def _build_parser() -> Tuple[_Parser, dict]:
     p.add_argument("--stages", type=int, default=3)
     p.add_argument("--n0", type=int, default=1)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=thin_orbit.DEFAULT_SEED)
     p.add_argument("--paper-faithful", action="store_true",
                    help="m=1000, eps1=10^-1000, decay 1000 n^3; slow, and "
                         "the working cap ends the tower after 2 stages")
@@ -482,7 +481,7 @@ def _build_parser() -> Tuple[_Parser, dict]:
     p = subs["verify-all"] = sub.add_parser(
         "verify-all", help="desk-scale check composition")
     p.add_argument("--profile", default="desk", choices=["desk"])
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=thin_orbit.DEFAULT_SEED)
     p.add_argument("--out", help="JSON report path")
     p.set_defaults(handler=cmd_verify_all)
 

@@ -198,16 +198,16 @@ def _log_inverse(q: Fraction):
     return mpmath.log(q.denominator) - mpmath.log(q.numerator)
 
 
-def _log_ratio(count: int, scale: Fraction, prec_bits: int) -> str:
-    with mpmath.workprec(prec_bits):
+def _log_ratio(count: int, scale: Fraction) -> str:
+    with mpmath.workprec(DEFAULT_PREC_BITS):
         return mpmath.nstr(mpmath.log(count) / _log_inverse(scale), LOG_DIGITS)
 
 
-def successive_slopes(rows: Sequence[CoveringRow], prec_bits: int = DEFAULT_PREC_BITS):
+def successive_slopes(rows: Sequence[CoveringRow]):
     """Slopes log(N_{i+1}/N_i) / log(scale_i/scale_{i+1}) between
     consecutive rows, as floats (diagnostic values, not report fields)."""
     out = []
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(DEFAULT_PREC_BITS):
         for a, b in zip(rows, rows[1:]):
             num = mpmath.log(b.count) - mpmath.log(a.count)
             den = mpmath.log(a.scale / b.scale)
@@ -215,7 +215,7 @@ def successive_slopes(rows: Sequence[CoveringRow], prec_bits: int = DEFAULT_PREC
     return out
 
 
-def box_dim_series(points, scales, prec_bits: int = DEFAULT_PREC_BITS) -> CoveringReport:
+def box_dim_series(points, scales) -> CoveringReport:
     """Covering counts across a strictly decreasing list of scales in (0, 1).
 
     Count monotonicity is a theorem only when each scale divides its
@@ -232,7 +232,7 @@ def box_dim_series(points, scales, prec_bits: int = DEFAULT_PREC_BITS) -> Coveri
     rows = []
     for rho in scales:
         count = _covering(circle, rho)
-        rows.append(CoveringRow(rho, count, _log_ratio(count, rho, prec_bits)))
+        rows.append(CoveringRow(rho, count, _log_ratio(count, rho)))
     nested = all((a / b).denominator == 1 for a, b in zip(scales, scales[1:]))
     if nested:
         for a, b in zip(rows, rows[1:]):
@@ -295,8 +295,7 @@ def _window_counts(circle: CirclePoints, anchors, big_r: Fraction, delta: Fracti
     return counts
 
 
-def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_BITS,
-                          anchor_cap: int = 4096):
+def assouad_probe_windows(points, window_scales, anchor_cap: int = 4096):
     """Localized covering probe.
 
     For each (R, delta) pair, slide a window [p, p+R) over anchors p
@@ -328,7 +327,7 @@ def assouad_probe_windows(points, window_scales, prec_bits: int = DEFAULT_PREC_B
         counts = _window_counts(circle, anchors, big_r, delta)
         best_count = max(counts)
         best_anchor = anchors[counts.index(best_count)]
-        with mpmath.workprec(prec_bits):
+        with mpmath.workprec(DEFAULT_PREC_BITS):
             ratio = mpmath.log(best_count) / _log_inverse(delta)
             ratio_str = mpmath.nstr(ratio, LOG_DIGITS)
             ratio_val = float(ratio)

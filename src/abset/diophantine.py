@@ -610,7 +610,7 @@ def integer_ratio_scan(records: Sequence[MinimaRecord],
                 audit(records[i], records[j], ell)
     return RatioScanReport(tol, tuple(qualifying), tuple(violations),
                            tuple(undecided), pairs,
-                           records[-1].n if records[-1].is_zero else None)
+                           records[-1].n if records and records[-1].is_zero else None)
 
 
 # ---------------------------------------------------------------------------

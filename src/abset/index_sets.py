@@ -4,12 +4,14 @@ The final word W_K = W_(K-1)^(L_(K-1)) V_(K-1) is peeled level by level,
 top down: j - 1 divided by N_lev gives the copy of W_lev it falls in,
 and a copy count that reaches L_lev puts j in the balancing block
 V_lev.  The set holds the times 1..N_K that meet such a block at one of
-its levels.  Membership and counting follow that peel exactly; the
-horizons run to around 10**24 indices, so nothing here sweeps members.
+its levels.  `peel` hands a kept time's copy counts and W_n0 prefix to
+the thin-orbit survey, which reads its letter counts off them;
+membership and counting follow the same peel exactly.  The horizons
+run to around 10**24 indices, so nothing here sweeps members.
 """
 
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 class IndexSet:
@@ -30,15 +32,21 @@ class IndexSet:
         self.horizon = horizon
         self.levels = peel[::-1]
 
-    def contains(self, j: int) -> bool:
-        if not 1 <= j <= self.horizon:
-            return False
+    def peel(self, j: int) -> Optional[Tuple[List[int], int]]:
+        """None when j, 1 <= j <= horizon, is deleted; otherwise its copy
+        counts c_lev of W_lev, top level first, and the length p of the
+        W_n0 prefix left under them, 1 <= p <= N_n0."""
         p = j - 1
+        copies = []
         for n_lev, reps, _ in self.levels:
             c, p = divmod(p, n_lev)
             if c >= reps:
-                return True
-        return False
+                return None
+            copies.append(c)
+        return copies, p + 1
+
+    def contains(self, j: int) -> bool:
+        return 1 <= j <= self.horizon and self.peel(j) is None
 
     __contains__ = contains
 

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
+from .dimension import DEFAULT_PREC_BITS, LOG_DIGITS
 from .errors import InvariantViolation, UsageError
 from .exact import mod1
 from .words import (
@@ -37,8 +38,6 @@ from .words import (
     power,
     OrbitSample,
 )
-
-LOG_DIGITS = 12
 
 
 @dataclass(frozen=True)
@@ -380,13 +379,12 @@ class DimensionBracket:
     eps: Fraction
 
 
-def dimension_bracket(stages: Sequence[KStage],
-                      prec_bits: int = 128) -> DimensionBracket:
+def dimension_bracket(stages: Sequence[KStage]) -> DimensionBracket:
     """[log prod N, log prod (M+N+2)] / log(1/eps_n) for the last stage."""
     last = stages[-1]
     sep = last.stats.sep_count_lower
     pts = last.stats.point_count_upper
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(DEFAULT_PREC_BITS):
         log_inv_eps = (mpmath.log(last.eps.denominator)
                        - mpmath.log(last.eps.numerator))
         lo = mpmath.log(sep) / log_inv_eps

@@ -17,7 +17,6 @@ from .exact import dec_sci
 from .words import WordExpr, format_word
 
 VERSION = "abset 0.1.0"
-DEFAULT_SEED = 20260823
 
 # stage rationals overflow the default int-to-str guard
 if hasattr(sys, "set_int_max_str_digits"):

@@ -26,21 +26,23 @@ reports say so.
 
 The deleted set is the tower's level peel itself (index_sets.IndexSet):
 a time is deleted when peeling it into copies of W_lev, top down, finds
-L_lev copies at some level.  The survey checks the tower's word spine
-and that each V_lev fills the tail of W_(lev+1) once per level.  Its
-corner family is one table of bottom-level (copy, W_n0 prefix) pairs
-under each upper corner; a random draw is peeled inline, which tells
-whether it is deleted and gives its fixed-point image.  Cells are read
-from those images with a certified error interval, the scale's power
-of two as a shift; only a value whose interval touches a cell edge,
-and only drift that may hold the final maximum, is evaluated exactly.
+L_lev copies at some level.  The survey takes its levels, its letter
+counts of a kept time and its excluded density from that one set, and
+checks the tower's word spine and that each V_lev fills the tail of
+W_(lev+1) once per level.  Its corner family is one table of
+bottom-level (copy, W_n0 prefix) pairs under each upper corner; a
+random draw is peeled inline, which tells whether it is deleted and
+gives its fixed-point image.  Cells are read from those images with a
+certified error interval, the scale's power of two as a shift; only a
+value whose interval touches a cell edge, and only drift that may hold
+the final maximum, is evaluated exactly.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, UsageError
 from .exact import ceil_root, ceil_root_ratio, exact_sqrt, lift_half, mod1, sqrt_bracket
@@ -55,9 +57,6 @@ MAX_EPS_BITS = 1 << 26          # refuse targets whose denominator outgrows this
 COVER_GUARD_BITS = 64
 
 
-RhoSchedule = Union[Callable[[int], int], Sequence[int]]
-
-
 @dataclass(frozen=True)
 class ThinConfig:
     """m: half-length of the seed block W_1 = x^m y^m.
@@ -66,7 +65,7 @@ class ThinConfig:
 
     m: int
     eps1: Fraction
-    rho: RhoSchedule
+    rho: Callable[[int], int]
 
     def __post_init__(self):
         if self.m < 1:
@@ -76,12 +75,7 @@ class ThinConfig:
 
     def rho_at(self, n: int) -> int:
         """Exponent applied entering stage n (n >= 2)."""
-        if callable(self.rho):
-            r = self.rho(n)
-        else:
-            if n - 2 >= len(self.rho):
-                raise UsageError(f"rho schedule ends before stage {n}")
-            r = self.rho[n - 2]
+        r = self.rho(n)
         if r < 2:
             raise UsageError(f"rho must be >= 2, got {r} at stage {n}")
         return int(r)
@@ -246,12 +240,12 @@ def deleted_union(stages: Sequence[TStage], from_level: int) -> IndexSet:
     return IndexSet(stages[-1].N, [(stages[i - 1].N, stages[i].L) for i in levels])
 
 
-def _sample_menu(limit: int, cuts: int = 16) -> List[int]:
+def _sample_menu(limit: int) -> List[int]:
     """Small deterministic family of 0-based indices below limit:
-    both edges plus evenly placed interior cuts."""
+    both edges plus the 15 interior cuts at sixteenths."""
     vals = set(range(0, min(4, limit)))
     vals.update(range(max(0, limit - 3), limit))
-    vals.update((limit * j) // cuts for j in range(1, cuts))
+    vals.update((limit * j) // 16 for j in range(1, 16))
     return sorted(v for v in vals if 0 <= v < limit)
 
 
@@ -269,37 +263,6 @@ def covering_scale(eps: Fraction) -> Tuple[Fraction, bool]:
     return 2 * root, False
 
 
-def _level_split(stages: Sequence[TStage], n0: int, a_fix: int, b_fix: int,
-                 mask: int) -> Tuple[List[tuple], Callable]:
-    """The levels K-1 .. n0 of restricted_covering, top down, as
-    (N_lev, repetitions, k_lev, l_lev, fixed-point image of W_lev), and
-    split(j), 1 <= j <= |W_K|, which peels c_lev full copies of W_lev
-    off j - 1, level by level, down to a W_n0 prefix of length p.  It
-    returns None once some c_lev reaches the level's repetition count,
-    which puts j in a balancing block of level >= n0; otherwise
-    (dx, dy, img, p), with (dx, dy) = sum c_lev (k_lev, l_lev) and
-    img = sum c_lev img_lev masked by `mask`."""
-    K = len(stages)
-    levels = [(st.N, up.L, st.k, st.l, (st.k * a_fix + st.l * b_fix) & mask)
-              for st, up in zip(reversed(stages[n0 - 1:K - 1]),
-                                reversed(stages[n0:]))]
-
-    def split(j: int) -> Optional[Tuple[int, int, int, int]]:
-        p = j
-        dx = dy = img = 0
-        for n_lev, reps, k_lev, l_lev, w_img in levels:
-            c, rem = divmod(p - 1, n_lev)
-            if c >= reps:
-                return None
-            dx += c * k_lev
-            dy += c * l_lev
-            img += c * w_img
-            p = rem + 1
-        return dx, dy, img & mask, p
-
-    return levels, split
-
-
 def _factor_scale(sd: int, q: int) -> Tuple[int, int]:
     """(odd, q - e) for sd = odd 2^e, e capped at q >= 0: then
     (top sd) >> q == (top odd) >> (q - e) for every top >= 0."""
@@ -314,16 +277,17 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     block of level >= n0, and box-count their values at scale
     2 sqrt(eps_n0).
 
-    A time j splits into full-word multiplicities c_lev of the levels
-    K-1 .. n0 and a W_n0 prefix of length p; a c_lev that reaches the
-    level's repetition count puts j in a balancing block, unsampled.
-    The split's counts, sum c_lev (k_lev, l_lev) plus the prefix counts
-    at p, are the final word's prefix counts at j when every W_(lev+1)
-    is W_lev^L V on the stage's own W_lev, of length N_lev and counts
-    (k_lev, l_lev); the refused times are the balancing blocks (the
-    deleted set of `excluded_density`) when N_(lev+1) = L N_lev + |V_lev|.
-    Both are checked once per level, or `split-eval-mismatch` or
-    `exclusion-leak` raises naming the level.
+    The levels K-1 .. n0 are those of the deleted set
+    deleted_union(stages, n0), whose peel splits a time j into full-word
+    multiplicities c_lev and a W_n0 prefix of length p; a c_lev that
+    reaches the level's repetition count puts j in a balancing block,
+    unsampled.  The split's counts, sum c_lev (k_lev, l_lev) plus the
+    prefix counts at p, are the final word's prefix counts at j when
+    every W_(lev+1) is W_lev^L V on the stage's own W_lev, of length
+    N_lev and counts (k_lev, l_lev); the refused times are the balancing
+    blocks, whose density is `excluded_density`, when
+    N_(lev+1) = L N_lev + |V_lev|.  Both are checked once per level, or
+    `split-eval-mismatch` or `exclusion-leak` raises naming the level.
 
     The samples, surveyed one at a time, are a corner family and seeded
     random draws.  The corner family is each upper corner (a menu value
@@ -334,8 +298,8 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     they lie in a balancing block).  So `samples_deterministic` is
     (upper corners) x (table size); with no levels (n0 = K) the table
     is W_K's own near prefixes.  A draw is peeled inline to its
-    full-word image and p, and calls `split` for its letter counts only
-    at a cell edge or a drift candidate.
+    full-word image and p, and reads its letter counts off the deleted
+    set's peel only at a cell edge or a drift candidate.
 
     For the scale sn / sd let Q = bits(sd) + COVER_GUARD_BITS and
     P = bits(horizon) + Q; with A = floor(a 2^P / den) and B likewise,
@@ -377,7 +341,7 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
         if up.N != up.L * st.N + up.V.length:
             raise InvariantViolation(
                 "exclusion-leak", "the deleted set differs from the level "
-                f"split inside a level-{st.n} block")
+                f"peel inside a level-{st.n} block")
 
     scale, scale_exact = covering_scale(base.eps)
     sn, sd = scale.numerator, scale.denominator
@@ -395,7 +359,19 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     odd2, top_max = 2 * odd, (1 << q) - 2
     a_fix = (a_int << prec) // den
     b_fix = (b_int << prec) // den
-    levels, split = _level_split(stages, n0, a_fix, b_fix, mask)
+    deleted = deleted_union(stages, n0)
+    # levels K-1 .. n0, top down: (N_lev, L_lev, k_lev, l_lev, image of W_lev)
+    levels = [(n_lev, reps, st.k, st.l, (st.k * a_fix + st.l * b_fix) & mask)
+              for (n_lev, reps, _), st in zip(deleted.levels,
+                                              reversed(stages[n0 - 1:K - 1]))]
+
+    def full_counts(j: int) -> Tuple[int, int]:
+        """sum c_lev (k_lev, l_lev) over the copy counts of a kept time."""
+        dx = dy = 0
+        for c, (_, _, k_lev, l_lev, _) in zip(deleted.peel(j)[0], levels):
+            dx += c * k_lev
+            dy += c * l_lev
+        return dx, dy
 
     def exact_cell(cx: int, cy: int) -> int:
         return (cx * a_int + cy * b_int) % den * sd // (den * sn)
@@ -477,14 +453,14 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
                 v = top * odd
                 cell = (v >> qe) // sn
                 if top > top_max or cell != ((v + odd2) >> qe) // sn:
-                    dx, dy, _, _ = split(j)
+                    dx, dy = full_counts(j)
                     cell = exact_cell(dx + bx, dy + by)
                 out.add(cell)
                 if restricted:
                     n_random += 1
                     low = drift_floor - (j - p)
                     if low <= img <= one - low:
-                        add_drift(*split(j)[:3])
+                        add_drift(*full_counts(j), img)
 
     accs = [(dx * a_int + dy * b_int) % den
             for bound, dx, dy in drift if bound >= drift_floor]
@@ -503,6 +479,6 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
         "max_drift": max_drift,
         "drift_bound_ok": max_drift * max_drift < base.eps,  # < sqrt(eps_n0)
         "cells_unrestricted": len(contrast_cells),
-        "excluded_density": deleted_union(stages, n0).density_up_to(horizon),
+        "excluded_density": deleted.density_up_to(horizon),
         "seed": seed,
     }

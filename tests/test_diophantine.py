@@ -429,6 +429,9 @@ def test_ratio_scan_zero_termination():
     rep = integer_ratio_scan(recs)
     assert rep.zero_at == 3 == len(recs)
     assert not rep.qualifying and not rep.violations
+    empty = integer_ratio_scan([])
+    assert (empty.pairs_examined, empty.zero_at) == (0, None)
+    assert not empty.qualifying and not empty.violations and not empty.undecided
 
 
 @pytest.mark.parametrize("sign", [-1, 1])

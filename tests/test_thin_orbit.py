@@ -33,7 +33,6 @@ from abset.thin_orbit import (
     ThinConfig,
     TStage,
     _factor_scale,
-    _level_split,
     _sample_menu,
     advance,
     build_stages,
@@ -244,10 +243,6 @@ class TestSeed:
             ThinConfig(m=3, eps1=Fraction(3, 2), rho=lambda n: 2)
 
     def test_rho_schedules(self):
-        seq = ThinConfig(m=3, eps1=Fraction(1, 2 ** 12), rho=(2, 3))
-        assert seq.rho_at(2) == 2 and seq.rho_at(3) == 3
-        with pytest.raises(UsageError):
-            seq.rho_at(4)
         with pytest.raises(UsageError):
             ThinConfig(m=3, eps1=Fraction(1, 2 ** 12), rho=lambda n: 1).rho_at(2)
         assert ThinConfig.faithful().rho_at(2) == 8000
@@ -731,15 +726,13 @@ class TestCoveringOracle:
     @given(m=st.integers(1, 6),
            eps1=st.one_of(st.integers(5, 24).map(lambda e: Fraction(1, 2 ** e)),
                           st.integers(2, 8).map(lambda e: Fraction(1, 10 ** e))),
-           r=st.integers(2, 4), k=st.integers(2, 3),
-           a_fix=st.integers(0, 2 ** 96), b_fix=st.integers(0, 2 ** 96),
-           data=st.data())
-    def test_split_verdict_matches_deleted_union(self, m, eps1, r, k, a_fix,
-                                                 b_fix, data):
+           r=st.integers(2, 4), k=st.integers(2, 3), data=st.data())
+    def test_split_verdict_matches_deleted_union(self, m, eps1, r, k, data):
         # every block's first and last index, each +-1, in the first, second,
         # last and one drawn copy along its layer, plus drawn times: the
-        # split refuses exactly the deleted times, and otherwise gives the
-        # final word's prefix counts and the masked image of its full words
+        # deleted set's peel refuses exactly the nested blocks' times, and
+        # otherwise its copy counts and prefix give the final word's
+        # prefix counts
         cfg = ThinConfig(m=m, eps1=eps1, rho=lambda n, r=r: r)
         try:
             stages = build_stages(cfg, k)
@@ -747,7 +740,6 @@ class TestCoveringOracle:
             assume(False)
         final = stages[-1]
         horizon = final.N
-        mask = (1 << 90) - 1
         sets = oracle.deleted_sets(stages)
         edges = set()
         for js in sets.values():
@@ -766,16 +758,17 @@ class TestCoveringOracle:
             excluded = deleted_union(stages, n0)
             nested = oracle.deleted_union(stages, n0)
             base = stages[n0 - 1]
-            _, split = _level_split(stages, n0, a_fix, b_fix, mask)
+            words = stages[n0 - 1:k - 1][::-1]     # W_lev, levels k-1 .. n0
             for j in times:
-                s = split(j)
+                s = excluded.peel(j)
                 assert (s is None) == (j in excluded) == (j in nested), (n0, j)
                 if s is not None:
-                    dx, dy, img, p = s
-                    assert 1 <= p <= base.N
+                    copies, p = s
+                    assert len(copies) == len(words) and 1 <= p <= base.N
                     bx, by = prefix_counts(base.W, p)
-                    assert (dx + bx, dy + by) == prefix_counts(final.W, j)
-                    assert img == (dx * a_fix + dy * b_fix) & mask
+                    for c, w in zip(copies, words):
+                        bx, by = bx + c * w.k, by + c * w.l
+                    assert (bx, by) == prefix_counts(final.W, j)
 
     def test_exclusion_leak_raises(self, tiny_stages):
         # V_1 shrunk to one letter: the blocks' nested union misses the
