@@ -229,6 +229,8 @@ def box_dim_series(points, scales) -> CoveringReport:
         # log(1/scale) divides the log ratio, and it is 0 at scale 1
         raise ValueError("box-counting scales must lie in (0, 1)")
     circle = circle_points(points)
+    if not len(circle):
+        raise ValueError("box-counting needs a nonempty set")
     rows = []
     for rho in scales:
         count = _covering(circle, rho)
@@ -306,6 +308,8 @@ def assouad_probe_windows(points, window_scales, anchor_cap: int = 4096):
     lower bound for the all-anchors maximum.  Windows are counted by runs
     of points less than a cell apart, not cell by cell (`_window_counts`).
     """
+    if anchor_cap < 1:
+        raise ValueError("need anchor_cap >= 1")
     circle = circle_points(points)
     n = len(circle)
     if not n:

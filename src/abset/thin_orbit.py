@@ -30,12 +30,13 @@ L_lev copies at some level.  The survey takes its levels, its letter
 counts of a kept time and its excluded density from that one set, and
 checks the tower's word spine and that each V_lev fills the tail of
 W_(lev+1) once per level.  Its corner family is one table of
-bottom-level (copy, W_n0 prefix) pairs under each upper corner; a
-random draw is peeled inline, which tells whether it is deleted and
-gives its fixed-point image.  Cells are read from those images with a
-certified error interval, the scale's power of two as a shift; only a
-value whose interval touches a cell edge, and only drift that may hold
-the final maximum, is evaluated exactly.
+bottom-level (copy, W_n0 prefix) pairs under each upper corner; an
+entry is read once for all upper corners where none of them can move it
+across a cell edge.  A random draw is peeled inline, which tells
+whether it is deleted and gives its fixed-point image.  Cells are read
+from those images with a certified error interval, the scale's power of
+two as a shift; only a value whose interval touches a cell edge, and
+only drift that may hold the final maximum, is evaluated exactly.
 """
 
 import math
@@ -289,9 +290,9 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     N_(lev+1) = L N_lev + |V_lev|.  Both are checked once per level, or
     `split-eval-mismatch` or `exclusion-leak` raises naming the level.
 
-    The samples, surveyed one at a time, are a corner family and seeded
-    random draws.  The corner family is each upper corner (a menu value
-    of c_lev per level above n0) times one table of bottom-level pairs
+    The samples are a corner family and seeded random draws.  The
+    corner family is each upper corner (a menu value of c_lev per level
+    above n0) times one table of bottom-level pairs
     (copy c, prefix t), 1 <= t <= N_n0: each menu copy with the prefixes
     around the base menu, and its outside neighbours, prefix N_n0 of
     copy c - 1 and prefix 1 of copy c + 1, where that copy exists (else
@@ -312,13 +313,20 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     sd = odd 2^e (e capped at Q) the cell of top is
     ((top odd) >> (Q - e)) // sn, so a dyadic scale multiplies by 1.
     When both ends fall in one cell that does not pass 1, that is the
-    cell; otherwise the exact value mod den decides it.  A sample's
-    drift (its full-word part, as a distance to the nearest integer) is
-    within its count error dx + dy = j - p of img; count vectors whose
-    upper bound reaches the running maximum of the lower bounds are
-    kept, and those reaching the final one are evaluated exactly, so
-    `max_drift` is exact.  Contrast draws are read like random draws
-    outside every block, and exactly inside one.
+    cell; otherwise the exact value mod den decides it.  Every upper
+    corner's image lies within spread units of 2^-Q of 0, so it moves a
+    table entry's top by at most reach = spread + 1 (0 when every corner
+    image is 0): an entry whose band [top - reach, top + reach + 2) lies
+    in one cell below 1 is read once, and every other entry under each
+    upper corner as above.  A sample's drift (its full-word part, as a
+    distance to the nearest integer) is within its count error
+    dx + dy = j - p of img; count vectors whose upper bound reaches the
+    running maximum of the lower bounds are kept, and those reaching the
+    final one are evaluated exactly, so `max_drift` is exact.  Copies
+    are taken farthest image first, and one whose bound under every
+    upper corner (by the triangle inequality) is below that maximum is
+    passed over.  Contrast draws are read like random draws outside
+    every block, and exactly inside one.
 
     The bounds are recorded, never enforced; the construction promises
     them only for n0 >= 2.  cells <= N_n0 is a test only when the
@@ -408,24 +416,42 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
                                {c + 1 for c in menu if c + 1 < copies})):
         crows = rows.values() if c in menu else [
             rows[t] for t, nb in ((base.N, c + 1), (1, c - 1)) if nb in menu]
-        table.append((c * k_c, c * l_c, c * img_c, crows))
+        table.append((c * k_c, c * l_c, c * img_c & mask, crows))
     table_size = sum(len(crows) for *_, crows in table)
 
     upper = [(0, 0, 0)]         # (dx, dy, img) of each upper corner
     for (_, _, k_lev, l_lev, w_img), menu_lev in zip(levels, menus):
-        upper = [(ux + c * k_lev, uy + c * l_lev, uimg + c * w_img)
+        upper = [(ux + c * k_lev, uy + c * l_lev, (uimg + c * w_img) & mask)
                  for ux, uy, uimg in upper for c in menu_lev]
-    for ux, uy, uimg in upper:
-        for cx, cy, cimg, crows in table:
-            dx, dy, img = ux + cx, uy + cy, (uimg + cimg) & mask
-            add_drift(dx, dy, img)
-            for pimg, bx, by in crows:
-                top = ((img + pimg) & mask) >> shift
-                v = top * odd
-                cell = (v >> qe) // sn
-                if top > top_max or cell != ((v + odd2) >> qe) // sn:
-                    cell = exact_cell(dx + bx, dy + by)
+    # an upper corner moves an entry's top by at most reach units, so an
+    # entry whose cell holds over that band is read once for all of them
+    u_dist = max(min(u, one - u) for *_, u in upper)
+    u_err = max(ux + uy for ux, uy, _ in upper)
+    reach = (u_dist >> shift) + 1 if u_dist else 0
+    band, top_hi = (2 * reach + 2) * odd, top_max - reach
+    edge = []                   # (img, cx, cy) read under each upper corner
+    table.sort(key=lambda e: -min(e[2], one - e[2]))
+    for cx, cy, cimg, crows in table:
+        if min(cimg, one - cimg) + u_dist + u_err + cx + cy >= drift_floor:
+            for ux, uy, uimg in upper:
+                add_drift(ux + cx, uy + cy, (uimg + cimg) & mask)
+        for pimg, bx, by in crows:
+            img = (cimg + pimg) & mask
+            top = img >> shift
+            v = (top - reach) * odd
+            cell = (v >> qe) // sn
+            if reach <= top <= top_hi and cell == ((v + band) >> qe) // sn:
                 cells.add(cell)
+            else:
+                edge.append((img, cx + bx, cy + by))
+    for ux, uy, uimg in upper:
+        for img, cx, cy in edge:
+            top = ((uimg + img) & mask) >> shift
+            v = top * odd
+            cell = (v >> qe) // sn
+            if top > top_max or cell != ((v + odd2) >> qe) // sn:
+                cell = exact_cell(ux + cx, uy + cy)
+            cells.add(cell)
 
     # seeded draws outside every block, then as many unrestricted ones
     peel = [(n_lev, reps, w_img) for n_lev, reps, _, _, w_img in levels]

@@ -220,6 +220,12 @@ def test_box_dim_series_rejects_unit_scale(scales):
         box_dim_series([F(0)], scales)
 
 
+def test_box_dim_series_refuses_an_empty_set():
+    # an empty set once counted 0 cells with a log ratio of '-inf'
+    with pytest.raises(ValueError, match="nonempty set"):
+        box_dim_series([], [F(1, 4)])
+
+
 @pytest.mark.parametrize("gap_bits", [65, 128, 140, 400])
 def test_log_inverse_next_to_one_matches_high_precision(gap_bits):
     # log(den) - log(num) at 128 bits cancels to 0 within 2^-128 of 1
@@ -311,6 +317,15 @@ def test_probe_small_set_under_tiny_cap_takes_every_anchor():
     # a cap below the set size used to add anchor indices past its end
     rep = assouad_probe_windows([F(0), F(1, 3)], [(F(1, 2), F(1, 4))], anchor_cap=1)
     assert rep[0]["anchors_probed"] == rep[0]["anchors_total"] == 2
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_probe_refuses_a_cap_below_one(cap):
+    # on more than 20 points a cap of 0 once divided by zero, and a
+    # negative cap probed only the 20 extremes
+    pts = [F(k, 50) for k in range(50)]
+    with pytest.raises(ValueError, match="anchor_cap"):
+        assouad_probe_windows(pts, [(F(1, 2), F(1, 4))], anchor_cap=cap)
 
 
 def test_optimal_covering_examples():
@@ -525,15 +540,17 @@ def test_lattice_points_match_fraction_path(circle, rho, scales, window_scales, 
     assert circle == pts and list(circle) == pts and len(circle) == len(pts)
     assert grid_covering(circle, rho) == grid_covering(pts, rho)
     assert grid_cells(circle, rho) == grid_cells(pts, rho)
-    assert box_dim_series(circle, scales) == box_dim_series(pts, scales)
     chosen = maximal_separated_subset(circle, rho)
     assert type(chosen) is CirclePoints and chosen.den == circle.den
     assert list(chosen) == list(maximal_separated_subset(pts, rho))
     if pts:
+        assert box_dim_series(circle, scales) == box_dim_series(pts, scales)
         got = assouad_probe_windows(circle, window_scales, anchor_cap=cap)
         assert got == assouad_probe_windows(pts, window_scales, anchor_cap=cap)
     else:
         for points in (circle, pts):
+            with pytest.raises(ValueError):
+                box_dim_series(points, scales)
             with pytest.raises(ValueError):
                 assouad_probe_windows(points, window_scales)
 

@@ -545,6 +545,42 @@ class TestCoveringOracle:
                 assert rep == exact_covering(stages, n0, sample_budget=budget,
                                              seed=seed)
 
+    @settings(max_examples=12, deadline=None)
+    @given(m=st.integers(1, 4),
+           eps1=st.one_of(st.integers(5, 16).map(lambda e: Fraction(1, 2 ** e)),
+                          st.integers(2, 5).map(lambda e: Fraction(1, 10 ** e))),
+           r=st.integers(3, 4), k=st.integers(3, 4),
+           budget=st.sampled_from([1, 7, 60]),
+           seed=st.integers(0, 2 ** 32),
+           guard=st.sampled_from([64, 0, "starved"]),
+           nudge=st.integers(0, 256))
+    def test_upper_corners_match_exact(self, m, eps1, r, k, budget, seed, guard,
+                                       nudge):
+        # with two or more levels below the top, the corner family has
+        # several upper corners: guard 64 reads nearly every table entry
+        # once for all of them, "starved" sends every entry through the
+        # read under each upper corner.  The tower's own corner images are
+        # far below a cell; nudging the final alpha by nudge / 256 of a
+        # cell over N_K letters spreads them over up to half a cell, so
+        # entries near an edge must take the read under each corner
+        cfg = ThinConfig(m=m, eps1=eps1, rho=lambda n, r=r: r)
+        try:
+            stages = build_stages(cfg, k)
+        except (UsageError, InvariantViolation):
+            assume(False)
+        final = stages[-1]
+        for n0 in range(1, k - 1):
+            scale = covering_scale(stages[n0 - 1].eps)[0]
+            nudged = stages[:-1] + [dataclasses.replace(
+                final, alpha=final.alpha + scale * nudge / (256 * final.N))]
+            bits = guard if guard != "starved" else -scale.denominator.bit_length()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(thin_orbit, "COVER_GUARD_BITS", bits)
+                rep = restricted_covering(nudged, n0, sample_budget=budget,
+                                          seed=seed)
+                assert rep == exact_covering(nudged, n0, sample_budget=budget,
+                                             seed=seed)
+
     @pytest.mark.parametrize("guard", [64, 0, "starved"])
     @pytest.mark.parametrize("n0", [1, 2])
     def test_mid_tower_matches_exact(self, mid_stages, n0, guard, monkeypatch):
