@@ -176,8 +176,9 @@ def _thin_config(args) -> thin_orbit.ThinConfig:
                                  rho=lambda n: args.decay)
 
 
-def _run_thin_checks(stages) -> Tuple[List[Check], dict]:
-    """-> (checks, deleted density from each level up at the horizon)."""
+def _run_thin_checks(stages) -> Tuple[List[Check], dict, List[Warn]]:
+    """-> (checks, deleted density from each level up at the horizon,
+    warnings)."""
     checks: List[Check] = []
     for idx, st in enumerate(stages):
         landing = evaluate_end(st.W, st.alpha, st.beta)
@@ -201,7 +202,12 @@ def _run_thin_checks(stages) -> Tuple[List[Check], dict]:
     strictly = all(a > b for a, b in zip(vals, vals[1:]))
     checks.append(("deleted-density-decreasing", strictly or len(vals) < 2,
                    "densities " + ", ".join(dec_sci(d) for d in vals)))
-    return checks, dens
+    warns: List[Warn] = []
+    if len(vals) < 2:
+        warns.append(("density_trend_vacuous",
+                      f"deleted-density-decreasing has {len(vals)} of the "
+                      "2 densities a trend needs, so it cannot fail"))
+    return checks, dens, warns
 
 
 def _covering_warnings(covering: dict) -> List[Warn]:
@@ -230,7 +236,7 @@ def _covering_warnings(covering: dict) -> List[Warn]:
 def cmd_thin_orbit(args) -> Tuple[dict, List[Check], List[Warn]]:
     config = _thin_config(args)
     stages = thin_orbit.build_stages(config, args.stages)
-    checks, dens = _run_thin_checks(stages)
+    checks, dens, warns = _run_thin_checks(stages)
     covering = thin_orbit.restricted_covering(
         stages, args.n0, sample_budget=args.samples, seed=args.seed)
     report = {
@@ -243,7 +249,7 @@ def cmd_thin_orbit(args) -> Tuple[dict, List[Check], List[Warn]]:
         "deleted_densities": dens,
         "covering": covering,
     }
-    return report, checks, _covering_warnings(covering)
+    return report, checks, warns + _covering_warnings(covering)
 
 
 _DIOPH_HEADER = ["scan", "n", "m", "a", "b", "ell", "ok", "value", "detail"]
@@ -402,7 +408,8 @@ def cmd_verify_all(args) -> Tuple[dict, List[Check], List[Warn]]:
 
     t_config = thin_orbit.ThinConfig.desk()
     t_stages = thin_orbit.build_stages(t_config, 3)
-    checks.extend(_run_thin_checks(t_stages)[0])
+    t_checks, _, warns = _run_thin_checks(t_stages)
+    checks.extend(t_checks)
     covering = thin_orbit.restricted_covering(t_stages, 1, seed=args.seed)
 
     d_summary, d_checks, _ = _run_dioph_scans(
@@ -417,7 +424,7 @@ def cmd_verify_all(args) -> Tuple[dict, List[Check], List[Warn]]:
         "thin_orbit": {"stages": t_stages, "covering": covering},
         "dioph": d_summary,
     }
-    return report, checks, _covering_warnings(covering)
+    return report, checks, warns + _covering_warnings(covering)
 
 
 # ---------------------------------------------------------------------------

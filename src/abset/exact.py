@@ -9,9 +9,6 @@ threshold has to be exact.
 import math
 from fractions import Fraction
 
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
-
 # log10(2) lower bound used to seed decimal digit counts.
 _LOG10_2_NUM = 30102
 _LOG10_2_DEN = 100000
@@ -99,10 +96,12 @@ def mod1(fr) -> Fraction:
     return Fraction(fr.numerator % fr.denominator, fr.denominator)
 
 
-def lift_half(fr) -> Fraction:
-    """Representative of fr mod 1 in (-1/2, 1/2]."""
-    m = mod1(fr)
-    return m if m <= HALF else m - 1
+def common_units(alpha, beta):
+    """(den, a, b) with alpha = a / den and beta = b / den, den the lcm
+    of their denominators."""
+    da, db = alpha.denominator, beta.denominator
+    g = math.gcd(da, db)
+    return da // g * db, alpha.numerator * (db // g), beta.numerator * (da // g)
 
 
 def round_half_even_div(a: int, b: int) -> int:

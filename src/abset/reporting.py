@@ -23,29 +23,36 @@ if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 
 
-def fraction_payload(fr: Fraction) -> dict:
-    """num/den as decimal strings, plus a fixed-width decimal rendering."""
-    return {"num": str(fr.numerator), "den": str(fr.denominator),
-            "dec": dec_sci(fr)}
-
-
 def jsonable(obj):
-    """Recursively convert report objects to JSON-serializable values."""
-    if isinstance(obj, Fraction):
-        return fraction_payload(obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str, float)):
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [jsonable(v) for v in seq]
-    if isinstance(obj, WordExpr):
-        return format_word(obj)
-    return str(obj)
+    """Recursively convert report objects to JSON-serializable values; a
+    rational becomes num/den as decimal strings plus a fixed-width decimal
+    rendering.  A stage's big denominator recurs across its rationals and
+    str() of an int is quadratic in its length, so each distinct integer
+    is made decimal once per call; the memo does not outlive the call."""
+    digits = {}
+
+    def convert(obj):
+        if isinstance(obj, Fraction):
+            for n in (obj.numerator, obj.denominator):
+                if n not in digits:
+                    digits[n] = str(n)
+            return {"num": digits[obj.numerator], "den": digits[obj.denominator],
+                    "dec": dec_sci(obj)}
+        if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str, float)):
+            return obj
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            return {f.name: convert(getattr(obj, f.name))
+                    for f in dataclasses.fields(obj)}
+        if isinstance(obj, dict):
+            return {str(k): convert(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple, set, frozenset)):
+            seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+            return [convert(v) for v in seq]
+        if isinstance(obj, WordExpr):
+            return format_word(obj)
+        return str(obj)
+
+    return convert(obj)
 
 
 def canonical_json(obj) -> str:

@@ -24,6 +24,10 @@ below sqrt(eps_n) from n = 2 on.  At n0 = 1 the ladder is about 1/N_1,
 so the level-1 bounds fail by a wide, structural margin, and the
 reports say so.
 
+advance and build_stages' drift budget decide their checks as integer
+identities over one denominator, D' = D E s (k^2 + l^2) for the pair on
+D and eps_(n+1) on E; only the stored rationals are reduced.
+
 The deleted set is the tower's level peel itself (index_sets.IndexSet):
 a time is deleted when peeling it into copies of W_lev, top down, finds
 L_lev copies at some level.  The survey takes its levels, its letter
@@ -46,7 +50,8 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, UsageError
-from .exact import ceil_root, ceil_root_ratio, exact_sqrt, lift_half, mod1, sqrt_bracket
+from .exact import (ceil_root, ceil_root_ratio, common_units, exact_sqrt, mod1,
+                    sqrt_bracket)
 from .index_sets import IndexSet
 from .words import WordExpr, X, Y, block, concat, power, prefix_counts
 
@@ -187,32 +192,40 @@ def advance(stage: TStage, config: ThinConfig) -> TStage:
             f"eps_{n} holds only L = {L} copies of W_{n} (m = {config.m}).  "
             f"Choose a smaller {smaller}.")
 
-    cur = mod1(k2 * stage.alpha + l2 * stage.beta)
-    delta_val = lift_half(cur - eps_next)
-    t = delta_val / (s * (k * k + l * l))
-    alpha = stage.alpha + t * l
-    beta = stage.beta - t * k
-    if not (0 < alpha < 1 and 0 < beta < 1):
+    # on the units of the pair: alpha = A / D, beta = B / D, eps_next = e / E
+    D, A, B = common_units(stage.alpha, stage.beta)
+    e, E = eps_next.numerator, eps_next.denominator
+    DE = D * E
+    m = ((k2 * A + l2 * B) * E - e * D) % DE
+    delta = m if 2 * m <= DE else m - DE     # lifted to (-DE/2, DE/2]
+    # the repair t = delta / (DE S) along (l, -k) puts the pair on D' = DE S
+    S = s * (k * k + l * l)
+    ES, DS, D2 = E * S, D * S, D * E * S
+    A2 = A * ES + delta * l
+    B2 = B * ES - delta * k
+    if not (0 < A2 < D2 and 0 < B2 < D2):
         raise InvariantViolation("rotation-range")
 
-    if mod1(k2 * alpha + l2 * beta) != eps_next:
+    if (k2 * A2 + l2 * B2) % D2 != e * DS:
         raise InvariantViolation("landing", f"stage {n + 1} missed eps target")
-    if mod1(k * alpha + l * beta) != mod1(k * stage.alpha + l * stage.beta):
+    if (k * A2 + l * B2 - (k * A + l * B) * ES) % D2:
         raise InvariantViolation("previous-word-moved",
                                  "the (l, -k) repair must fix W_n exactly")
     if prefix_counts(w_next, stage.N) != stage.W.counts:
         raise InvariantViolation("prefix-structure")
     # imbalance propagation is a count identity; check it at the new pair
-    g_prev = k * beta - l * alpha
-    w_prev = k * alpha + l * beta
-    if k2 * beta - l2 * alpha != (L + 2 * s) * g_prev - s * w_prev:
+    g_prev = k * B2 - l * A2
+    w_prev = k * A2 + l * B2
+    if k2 * B2 - l2 * A2 != (L + 2 * s) * g_prev - s * w_prev:
         raise InvariantViolation("imbalance-recursion")
 
-    shift = abs(t) * max(k, l)
-    within = shift * shift < stage.eps       # shift < sqrt(eps), exactly
-    return TStage(n=n + 1, alpha=alpha, beta=beta, eps=eps_next, W=w_next,
-                  N=N_next, k=k2, l=l2, L=L, s=s, V=v, t=t,
-                  shift_sup=shift, shift_within_sqrt=within)
+    sh = abs(delta) * max(k, l)     # shift_sup = sh / D' < sqrt(eps_n)?
+    within = sh * sh * stage.eps.denominator < stage.eps.numerator * D2 * D2
+    t = Fraction(delta, D2)
+    return TStage(n=n + 1, alpha=Fraction(A2, D2), beta=Fraction(B2, D2),
+                  eps=eps_next, W=w_next, N=N_next, k=k2, l=l2, L=L, s=s,
+                  V=v, t=t, shift_sup=abs(t) * max(k, l),
+                  shift_within_sqrt=within)
 
 
 def build_stages(config: ThinConfig, n_stages: int) -> List[TStage]:
@@ -224,11 +237,14 @@ def build_stages(config: ThinConfig, n_stages: int) -> List[TStage]:
     for _ in range(n_stages - 1):
         stages.append(advance(stages[-1], config))
     final = stages[-1]
+    D, A, B = common_units(final.alpha, final.beta)
     for st in stages[:-1]:
-        val = mod1(st.k * final.alpha + st.l * final.beta)
+        e, E = st.eps.numerator, st.eps.denominator
+        DE = D * E
+        m = ((st.k * A + st.l * B) * E - e * D) % DE    # W_n - eps_n over DE
         allowed = st.N * sum((s.shift_sup for s in stages[st.n + 1:]),
                              Fraction(0))
-        if abs(lift_half(val - st.eps)) > allowed:
+        if min(m, DE - m) * allowed.denominator > allowed.numerator * DE:
             raise InvariantViolation(
                 "drift-budget",
                 f"W_{st.n} moved beyond the triangle-inequality budget")
@@ -298,9 +314,12 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     copy c - 1 and prefix 1 of copy c + 1, where that copy exists (else
     they lie in a balancing block).  So `samples_deterministic` is
     (upper corners) x (table size); with no levels (n0 = K) the table
-    is W_K's own near prefixes.  A draw is peeled inline to its
-    full-word image and p, and reads its letter counts off the deleted
-    set's peel only at a cell edge or a drift candidate.
+    is W_K's own near prefixes.  A draw is randrange(1, horizon + 1)
+    inlined (getrandbits(bits(horizon)) until below the horizon, plus 1)
+    and peeled inline to its full-word image and p, and reads its letter
+    counts off the deleted set's peel only at a cell edge or a drift
+    candidate.  Prefix rows are walked with prefix_counts, or read as
+    (min(p, m), p - min(p, m)) when W_n0 = x^m y^(N_n0 - m), as W_1 is.
 
     For the scale sn / sd let Q = bits(sd) + COVER_GUARD_BITS and
     P = bits(horizon) + Q; with A = floor(a 2^P / den) and B likewise,
@@ -354,9 +373,7 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     scale, scale_exact = covering_scale(base.eps)
     sn, sd = scale.numerator, scale.denominator
 
-    den = math.lcm(final.alpha.denominator, final.beta.denominator)
-    a_int = final.alpha.numerator * (den // final.alpha.denominator)
-    b_int = final.beta.numerator * (den // final.beta.denominator)
+    den, a_int, b_int = common_units(final.alpha, final.beta)
 
     q = sd.bit_length() + COVER_GUARD_BITS
     shift = horizon.bit_length()
@@ -384,8 +401,11 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     def exact_cell(cx: int, cy: int) -> int:
         return (cx * a_int + cy * b_int) % den * sd // (den * sn)
 
+    m = base.W.counts.x
+    runs = prefix_counts(base.W, m) == (m, 0)      # W_n0 = x^m y^(N - m)
+
     def row_of(p: int) -> Tuple[int, int, int]:
-        bx, by = prefix_counts(base.W, p)
+        bx, by = (min(p, m), p - min(p, m)) if runs else prefix_counts(base.W, p)
         return bx * a_fix + by * b_fix, bx, by
 
     cells, contrast_cells = set(), set()
@@ -458,11 +478,14 @@ def restricted_covering(stages: Sequence[TStage], n0: int, *,
     n_random = 0
     for restricted, out, key in ((True, cells, seed),
                                  (False, contrast_cells, f"{seed}-unrestricted")):
-        draw = random.Random(key).randrange
+        bits = random.Random(key).getrandbits
         for _ in range(50 * sample_budget + 1000 if restricted else n_random):
             if restricted and n_random == sample_budget:
                 break
-            p = j = draw(1, horizon + 1)
+            j = bits(shift)     # randrange(1, horizon + 1), without its frames
+            while j >= horizon:
+                j = bits(shift)
+            p = j = j + 1
             img = 0
             for n_lev, reps, w_img in peel:
                 c, rem = divmod(p - 1, n_lev)

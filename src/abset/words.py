@@ -18,7 +18,7 @@ from operator import ge
 from typing import Iterator, List, NamedTuple
 
 from .dimension import CirclePoints
-from .exact import mod1
+from .exact import common_units
 
 
 class CountVector(NamedTuple):
@@ -33,10 +33,6 @@ class CountVector(NamedTuple):
 
     def scaled(self, k: int) -> "CountVector":
         return CountVector(self.x * k, self.y * k)
-
-    def dot(self, alpha: Fraction, beta: Fraction) -> Fraction:
-        """Un-reduced end value x*alpha + y*beta."""
-        return self.x * alpha + self.y * beta
 
     def total(self) -> int:
         return self.x + self.y
@@ -276,7 +272,8 @@ def parse_word(text: str) -> WordExpr:
 
 def evaluate_end(w: WordExpr, alpha: Fraction, beta: Fraction) -> Fraction:
     """Point of the circle reached after the whole word, in [0, 1)."""
-    return mod1(w.counts.dot(Fraction(alpha), Fraction(beta)))
+    den, a, b = common_units(alpha, beta)
+    return Fraction((w.counts.x * a + w.counts.y * b) % den, den)
 
 
 class OrbitSample:

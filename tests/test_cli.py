@@ -126,6 +126,27 @@ def test_thin_orbit_level2_bounds_hold_vacuously_with_a_warning(capsys, tmp_path
     ]
 
 
+@pytest.mark.parametrize("stages, densities", [("1", 0), ("2", 1)])
+def test_thin_orbit_vacuous_density_trend_warns(capsys, tmp_path, stages,
+                                                densities):
+    # with fewer than two deleted densities the trend check passes on
+    # nothing; its name, verdict and detail stay as the report has them,
+    # and the console names it vacuous
+    out = tmp_path / "t.json"
+    rc, stdout, _ = run(capsys, "thin-orbit", "--stages", stages,
+                        "--samples", "50", "--out", str(out))
+    assert rc == 0
+    check, = [c for c in json.loads(out.read_text())["checks"]
+              if c["name"] == "deleted-density-decreasing"]
+    assert check["ok"] is True
+    assert len(check["detail"].split(",")) == max(densities, 1)
+    assert (f"WARN density_trend_vacuous: deleted-density-decreasing has "
+            f"{densities} of the 2 densities a trend needs, so it cannot fail "
+            "(recorded, not enforced)") in stdout.splitlines()
+    rc, stdout, _ = run(capsys, "thin-orbit", "--samples", "50")
+    assert rc == 0 and "density_trend_vacuous" not in stdout
+
+
 def test_thin_orbit_deterministic_covering(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -16,12 +16,12 @@ from abset.exact import (
     digit_len,
     exact_sqrt,
     iroot,
-    lift_half,
     mod1,
     pow_bracket,
     round_half_even_div,
     sqrt_bracket,
 )
+from tower_oracle import lift_half
 
 
 @given(st.integers(min_value=0, max_value=10 ** 40), st.integers(min_value=1, max_value=17))

@@ -12,7 +12,6 @@ from abset.reporting import (
     VERSION,
     canonical_json,
     cell,
-    fraction_payload,
     jsonable,
     write_csv,
     write_json,
@@ -25,12 +24,12 @@ def test_version_string():
 
 
 def test_fraction_payload_fields():
-    assert fraction_payload(Fraction(1, 3)) == {
+    assert jsonable(Fraction(1, 3)) == {
         "num": "1",
         "den": "3",
         "dec": "3.33333333333e-01",
     }
-    assert fraction_payload(Fraction(-22, 7)) == {
+    assert jsonable(Fraction(-22, 7)) == {
         "num": "-22",
         "den": "7",
         "dec": "-3.14285714286e+00",
@@ -38,8 +37,17 @@ def test_fraction_payload_fields():
 
 
 def test_fraction_payload_zero():
-    assert fraction_payload(Fraction(0))["dec"] == "0"
-    assert fraction_payload(Fraction(0))["num"] == "0"
+    assert jsonable(Fraction(0))["dec"] == "0"
+    assert jsonable(Fraction(0))["num"] == "0"
+
+
+def test_jsonable_renders_each_integer_once_per_call():
+    # a shared big denominator is made decimal once in a call, and the
+    # memo does not outlive the call
+    big = 3 ** 5000
+    first = jsonable([Fraction(1, big), Fraction(2, big)])
+    assert first[0]["den"] is first[1]["den"] and first[0]["den"] == str(big)
+    assert jsonable([Fraction(1, big)])[0]["den"] is not first[0]["den"]
 
 
 def test_jsonable_passthrough():

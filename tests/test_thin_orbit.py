@@ -10,7 +10,11 @@ evaluates every sample exactly on the pair's common denominator and
 samples its times with `covering_times`, the sampler the single level
 split replaced, filtered by membership in `index_oracle`'s nested-block
 union of the balancing blocks; choose_L's closed form is checked against
-`bisect_choose_L`, the bisection over L it replaced.
+`bisect_choose_L`, the bisection over L it replaced.  advance and
+build_stages' drift-budget check, which decide their identities on
+integers over one denominator, are checked against `tower_oracle`'s
+reduced-`Fraction` versions, and the covering survey's getrandbits draw
+against `randrange`, whose times it reproduces.
 """
 
 import dataclasses
@@ -24,9 +28,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import index_oracle as oracle
+import tower_oracle
+from tower_oracle import lift_half
 from abset import thin_orbit
 from abset.errors import InvariantViolation, UsageError
-from abset.exact import ceil_root, ceil_root_ratio, lift_half, mod1, sqrt_bracket
+from abset.exact import ceil_root, ceil_root_ratio, mod1, sqrt_bracket
 from abset.thin_orbit import (
     DEFAULT_SAMPLE_BUDGET,
     DEFAULT_SEED,
@@ -42,7 +48,7 @@ from abset.thin_orbit import (
     init_stage,
     restricted_covering,
 )
-from abset.words import X, Y, concat, letters, power, prefix_counts
+from abset.words import WordExpr, X, Y, concat, format_word, letters, power, prefix_counts
 
 
 def spell(w) -> str:
@@ -408,6 +414,124 @@ class TestDeskTower:
         assert s1.N == 2000
 
 
+def outcome(run, *args):
+    """The stages a run builds, field by field with words formatted, or
+    the kind and name of what it raised."""
+    try:
+        got = run(*args)
+    except (InvariantViolation, UsageError) as exc:
+        return type(exc).__name__, getattr(exc, "name", None)
+    return [{f.name: format_word(v) if isinstance(v, WordExpr) else v
+             for f in dataclasses.fields(st) for v in [getattr(st, f.name)]}
+            for st in (got if isinstance(got, list) else [got])]
+
+
+def draw_times(key, horizon, count):
+    """restricted_covering's draw: bits(horizon) random bits, redrawn
+    while they reach the horizon, plus 1."""
+    bits = random.Random(key).getrandbits
+    width = horizon.bit_length()
+    out = []
+    for _ in range(count):
+        j = bits(width)
+        while j >= horizon:
+            j = bits(width)
+        out.append(j + 1)
+    return out
+
+
+class TestIntegerStep:
+    """advance and the drift-budget check on integer units against the
+    reduced-Fraction step they replaced."""
+
+    @pytest.mark.parametrize("tower, k", [("desk", 3), ("desk", 4), ("wide", 2)])
+    def test_paper_towers_match_oracle(self, tower, k):
+        cfg = ThinConfig.desk() if tower == "desk" else ThinConfig(
+            m=1000, eps1=Fraction(1, 10 ** 500), rho=lambda n: 10)
+        got = outcome(build_stages, cfg, k)
+        assert got == outcome(tower_oracle.build_stages, cfg, k)
+        assert len(got) == k
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 8), b=st.integers(5, 40), r=st.integers(2, 4),
+           k=st.integers(2, 4))
+    def test_small_towers_match_oracle(self, m, b, r, k):
+        # equal stages, or the same refusal where the band or cap is left
+        cfg = ThinConfig(m=m, eps1=Fraction(1, 2 ** b), rho=lambda n, r=r: r)
+        assert outcome(build_stages, cfg, k) == \
+            outcome(tower_oracle.build_stages, cfg, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 6), b=st.integers(5, 24), r=st.integers(2, 3),
+           level=st.integers(0, 1),
+           forge=st.sampled_from(["alpha", "beta", "counts", "length"]),
+           value=st.one_of(
+               st.fractions(min_value=-1, max_value=2, max_denominator=10 ** 6),
+               st.sampled_from([Fraction(1, 2 ** 80), 1 - Fraction(1, 2 ** 80),
+                                Fraction(0), Fraction(1)])),
+           d=st.integers(-3, 3))
+    def test_forged_stages_raise_as_oracle(self, m, b, r, level, forge, value, d):
+        # a pair moved anywhere, counts that disagree with W, or a length
+        # that does: the same stage, or the same InvariantViolation name
+        cfg = ThinConfig(m=m, eps1=Fraction(1, 2 ** b), rho=lambda n, r=r: r)
+        try:
+            stage = build_stages(cfg, 2)[level]
+        except (UsageError, InvariantViolation):
+            assume(False)
+        forged = dataclasses.replace(stage, **{
+            "alpha": {"alpha": value}, "beta": {"beta": value},
+            "counts": {"k": stage.k + d, "l": stage.l - d},
+            "length": {"N": stage.N + d * d}}[forge])
+        assert outcome(advance, forged, cfg) == \
+            outcome(tower_oracle.advance, forged, cfg)
+
+    def test_forged_pair_leaves_the_range(self):
+        # alpha 2^-80 from 0: the repair moves it below 0 in both steps
+        s1 = init_stage(TINY)
+        forged = dataclasses.replace(s1, alpha=Fraction(1, 2 ** 80),
+                                     beta=Fraction(1, 3))
+        for run in (advance, tower_oracle.advance):
+            with pytest.raises(InvariantViolation) as err:
+                run(forged, TINY)
+            assert err.value.name == "rotation-range"
+
+    @pytest.mark.parametrize("slack", [0, 1])
+    def test_drift_budget_decided_at_its_edge(self, desk_stages, slack,
+                                              monkeypatch):
+        # stage 3's recorded shift cut to exactly the distance W_1 moved
+        # over N_1: the budget holds with equality; one unit of its
+        # denominator less and both checks refuse
+        s1, _, s3 = desk_stages
+        moved = abs(lift_half(mod1(s1.k * s3.alpha + s1.l * s3.beta) - s1.eps))
+        cut = moved / s1.N
+        cut -= Fraction(slack, cut.denominator)
+        real = thin_orbit.advance
+
+        def forged(stage, config):
+            nxt = real(stage, config)
+            return dataclasses.replace(nxt, shift_sup=cut) if nxt.n == 3 else nxt
+
+        monkeypatch.setattr(thin_orbit, "advance", forged)
+        monkeypatch.setattr(tower_oracle, "advance", forged)
+        want = outcome(tower_oracle.build_stages, ThinConfig.desk(), 3)
+        assert outcome(build_stages, ThinConfig.desk(), 3) == want
+        assert (want == ("InvariantViolation", "drift-budget")) == bool(slack)
+
+    @pytest.mark.parametrize("key", [DEFAULT_SEED, f"{DEFAULT_SEED}-unrestricted"])
+    @pytest.mark.parametrize("horizon", [1, 2, 2 ** 7 - 1, 2 ** 7, 2 ** 7 + 1,
+                                         2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1,
+                                         "desk_stages", "wide_stages"])
+    def test_draw_matches_randrange(self, key, horizon, request):
+        # randrange(1, h + 1) is 1 + _randbelow(h), which redraws
+        # getrandbits(bits(h)) while it reaches h: the same times, on
+        # every interpreter the tests run on
+        if isinstance(horizon, str):
+            horizon = request.getfixturevalue(horizon)[-1].N
+        rng = random.Random(key)
+        want = [rng.randrange(1, horizon + 1) for _ in range(1000)]
+        assert draw_times(key, horizon, 1000) == want
+
+
 class TestDeletedSets:
     def test_counts(self, desk_stages):
         s1, s2, s3 = desk_stages
@@ -662,29 +786,44 @@ class TestCoveringOracle:
             exact_covering(forged, 1, sample_budget=200)
         assert err.value.name == "split-eval-mismatch"
 
-    def test_no_prefix_walk_per_sample(self, desk_stages, monkeypatch):
-        # prefix_counts runs once per W_1 prefix the corner family tables,
-        # once per restricted or contrast draw whose prefix is not in that
-        # table, and once per contrast draw inside a balancing block; every
-        # other time reads its counts off its level split.  W_1 has
-        # N_1 = 20 <= 64 letters, so the table holds every prefix and the
-        # count is exact
+    @staticmethod
+    def assert_no_prefix_walk_per_sample(stages, monkeypatch):
+        # W_1 = x^m y^m is one x-run then one y-run, which one walk to
+        # prefix m confirms; its rows are then read in closed form, so
+        # prefix_counts runs once more only for each contrast draw inside
+        # a balancing block, whose counts no level split gives.  Every
+        # other time reads its counts off its level split
         calls = []
 
         def counted(w, j):
-            calls.append(j)
+            calls.append((w, j))
             return prefix_counts(w, j)
 
         monkeypatch.setattr(thin_orbit, "prefix_counts", counted)
-        rep = restricted_covering(desk_stages, 1)
+        rep = restricted_covering(stages, 1)
         monkeypatch.undo()
-        excluded = deleted_union(desk_stages, 1)
+        excluded = deleted_union(stages, 1)
         rng2 = random.Random(f"{DEFAULT_SEED}-unrestricted")
-        in_block = sum(rng2.randrange(1, rep["horizon"] + 1) in excluded
-                       for _ in range(rep["samples_random"]))
+        in_block = [j for j in (rng2.randrange(1, rep["horizon"] + 1)
+                                for _ in range(rep["samples_random"]))
+                    if j in excluded]
+        s1 = stages[0]
+        assert calls == [(s1.W, s1.k)] + [(stages[-1].W, j) for j in in_block]
+        assert rep == exact_covering(stages, 1)
+        return rep
+
+    def test_no_prefix_walk_per_sample(self, desk_stages, monkeypatch):
+        # the desk W_1 (N_1 = 20) has every prefix in the corner family's
+        # table, which walked each of them before W_1's rows had a closed
+        # form: the count was N_1 + in_block, and is now 1 + in_block
+        rep = self.assert_no_prefix_walk_per_sample(desk_stages, monkeypatch)
         assert rep["samples_deterministic"] > 10000
-        assert len(calls) == desk_stages[0].N + in_block
-        assert rep == exact_covering(desk_stages, 1)
+
+    def test_no_prefix_walk_past_the_menu(self, menu_stages, monkeypatch):
+        # N_1 = 80 > 64, so the table holds W_1's menu prefixes only, and
+        # restricted and contrast draws land on prefixes outside it, which
+        # each took a walk before
+        self.assert_no_prefix_walk_per_sample(menu_stages, monkeypatch)
 
     def test_prefix_table_stays_bounded(self, desk_stages):
         # at n0 = 2 a random draw's W_2 prefix is almost never drawn twice:

@@ -123,7 +123,8 @@ def test_evaluate_end_examples():
 
 def orbit(w, alpha, beta):
     """The points of w's trajectory at times 0..|w|, from prefix counts."""
-    return [mod1(prefix_counts(w, j).dot(alpha, beta)) for j in range(w.length + 1)]
+    return [mod1(c.x * alpha + c.y * beta)
+            for c in (prefix_counts(w, j) for j in range(w.length + 1))]
 
 
 def test_orbit_example():
