@@ -18,10 +18,8 @@ scans read them as an argument:
     orbit prefix either exceed delta_n^t or fall below
     delta_m / delta_n^s; nothing in between.  One sorted sweep compares
     only the pairs closer than a certified edge (`_close_pairs`).
-
-assouad_lower_probe, the localized covering case analysis behind the
-min(s/t, r/t, r) lower-bound exponent, extends its own minima up to
-each horizon.
+  * assouad_lower_probe: the localized covering case analysis behind the
+    min(s/t, r/t, r) lower-bound exponent, on given points.
 
 Representation: every circle value is an integer midpoint and an integer
 radius over one common denominator.  An exact rational pair sits on the
@@ -30,11 +28,12 @@ onto the dyadic grid 2**-(prec+16), and its radius covers the rounding
 and the input error.  A minima record keeps its units and renders delta
 on demand, as a Fraction when the radius is zero and as an ApproxReal
 (midpoint plus radius) otherwise; orbit points leave orbit_of_word the
-same way.  Points handed to the probe enter it on the lcm of their
-denominators (`_point_units`).  The separation check works on the word's
-letter counts, where the pairs of one gap and window x-count share a
-distance (`words.window_groups`, one bit mask per group); the dichotomy
-builds a qualifying pair's points from the word's letter steps.
+same way.  The probe puts its points on the lcm of the records'
+denominator and their own, once per call.  The separation check works
+on the word's letter counts, where the pairs of one gap and window
+x-count share a distance (`words.window_groups`, one bit mask per
+group); the dichotomy builds a qualifying pair's points from the word's
+letter steps.  Logs render at `dimension`'s pinned precision.
 
 Precision discipline: a comparison is certified only when the midpoints
 differ by more than the summed radii times 2**GUARD_BITS; anything
@@ -53,6 +52,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
+from .dimension import DEFAULT_PREC_BITS as DEC_PREC_BITS, LOG_DIGITS
 from .errors import InsufficientPrecision, UsageError
 from .exact import ceil_root_ratio, dec_sci
 from .words import WordExpr, letters, parse_word, window_groups, window_pairs
@@ -60,8 +60,6 @@ from .words import WordExpr, letters, parse_word, window_groups, window_pairs
 GUARD_BITS = 8
 MIN_INPUT_BITS = 128            # coarser input radii are a usage error
 DEFAULT_PREC = 256
-LOG_DIGITS = 12
-DEC_PREC_BITS = 128
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -649,15 +647,6 @@ def orbit_of_word(word: Union[WordExpr, str], alpha, beta,
     return out
 
 
-def _point_units(values) -> Tuple[int, List[Tuple[int, int]]]:
-    """(den, [(mid_units, rad_units)]) on the lcm of all denominators."""
-    vals = [(v.mid, v.rad) if isinstance(v, ApproxReal) else (Fraction(v), _ZERO)
-            for v in values]
-    den = math.lcm(*(x.denominator for v in vals for x in v))
-    return den, [(m.numerator * (den // m.denominator),
-                  r.numerator * (den // r.denominator)) for m, r in vals]
-
-
 def _gap(p: Tuple[int, int], q: Tuple[int, int], one: int) -> Tuple[int, int]:
     """Circle distance of two points in units, and its radius."""
     r = (p[0] - q[0]) % one
@@ -928,30 +917,41 @@ def _probe_exponent(count: int, neg_log_scale) -> str:
         return mpmath.nstr(mpmath.log(count) / neg_log_scale, LOG_DIGITS)
 
 
-def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
-                        n_list: Sequence[int],
-                        prec_bits: int = DEFAULT_PREC) -> AssouadProbeReport:
-    """Case analysis behind the localized lower bound.
+def assouad_lower_probe(points, indices, records: Sequence[MinimaRecord],
+                        params: ProbeParams,
+                        n_list: Sequence[int]) -> AssouadProbeReport:
+    """Case analysis behind the localized lower bound, on the minima
+    `records` (n = 1, 2, ... in order) of the pair behind `points`.
 
     For each minimal n: either no k <= N carries a value below
     delta_n**t (case 1: the whole index window is delta_n**t-separated),
     or the greedy delta_n**t/2-net is already large (case 2a), or
     pigeonholing concentrates points in a window of radius
     delta_m / delta_n**s (case 2b, reported with the witness window).
-    Purely diagnostic: precondition failures skip the entry, never raise.
+    The points go onto the lcm of the records' denominator and their own
+    once.  Purely diagnostic: precondition failures, a horizon past the
+    records among them, skip the entry, never raise.
     """
     if not n_list:
         raise UsageError("probe needs a nonempty n_list")
-    recs = minima_sequence(alpha, beta, max(n_list), prec_bits)
+    if any(r.n != g for g, r in enumerate(records, start=1)):
+        raise UsageError("minima records must run n = 1, 2, ... in order")
     tp, tq = params.t.numerator, params.t.denominator
     sp, sq = params.s.numerator, params.s.denominator
     rp, rq = params.r.numerator, params.r.denominator
+    vals = [(v.mid, v.rad) if isinstance(v, ApproxReal) else (Fraction(v), _ZERO)
+            for v in points]
+    one = math.lcm(*{r.den for r in records}, *(x.denominator for v in vals for x in v))
+    pts = [(m.numerator * (one // m.denominator), r.numerator * (one // r.denominator))
+           for m, r in vals]
+
+    def units(rec: MinimaRecord) -> Tuple[int, int]:
+        return rec.d_units * (one // rec.den), rec.rad_units * (one // rec.den)
 
     def case_at(n: int) -> ProbeCase:
-        nonlocal recs
-        if n < 1 or n > len(recs):
+        if n < 1 or n > len(records):
             return ProbeCase(n, "skipped", "outside the computed minima range")
-        rec = recs[n - 1]
+        rec = records[n - 1]
         if not rec.minimal:
             return ProbeCase(n, "skipped", "not a minimal index")
         if rec.is_zero:
@@ -960,19 +960,12 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
             horizon = scan_horizon(rec.d_units, rec.rad_units, rec.den, params.s)
         except InsufficientPrecision as exc:
             return ProbeCase(n, "skipped", f"horizon undecidable: {exc.detail}")
-        # before the minima extension, which would otherwise run to a
-        # horizon no orbit prefix reaches (about 10**14 for a delta_n
-        # near 10**-29)
         if len(points) < horizon:
             return ProbeCase(n, "skipped", f"orbit has {len(points)} points, "
                              f"horizon needs {horizon}", horizon)
-        if horizon > len(recs) and not recs[-1].is_zero:
-            # companion minima up to the horizon, not just up to max(n_list)
-            try:
-                recs = minima_sequence(alpha, beta, horizon, prec_bits)
-            except InsufficientPrecision as exc:
-                return ProbeCase(n, "skipped", f"minima extension undecidable: "
-                                 f"{exc.detail}", horizon)
+        if horizon > len(records) and not records[-1].is_zero:
+            return ProbeCase(n, "skipped", f"minima end at n={len(records)}, "
+                             f"horizon needs {horizon}", horizon)
         if indices is None:
             sel = list(range(1, horizon + 1))
         else:
@@ -986,7 +979,7 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
 
         # nearest qualifying companion below the horizon
         close_m = None
-        for other in recs[:horizon]:
+        for other in records[:horizon]:
             if other.n == n or not other.minimal:
                 continue
             c = _cmp_close(other, rec, params.t)
@@ -996,12 +989,7 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
                 close_m = other.n
                 break
         neg_log_dn = -_log_of(rec.d_units, rec.den)
-
-        # delta_n, then delta_m when there is a companion, then the points
-        deltas = [rec] if close_m is None else [rec, recs[close_m - 1]]
-        one, units = _point_units([r.delta for r in deltas] + list(points))
-        dn, rn = units[0]
-        pts = units[len(deltas):]
+        dn, rn = units(rec)
         ent = [(k, pts[k - 1]) for k in sel]
 
         if close_m is None:
@@ -1051,7 +1039,7 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
         # pigeonhole: densest ball of the net, then the cluster-radius window
         best_k, best_v = max(net, key=lambda kf: sum(below_net_scale(v, kf[1]) == -1
                                                      for _, v in ent))
-        dm, rm = units[1]
+        dm, rm = units(records[close_m - 1])
 
         def in_window(p) -> bool:
             """Certified d(p, best)**sq * delta_n**sp <= delta_m**sq."""
@@ -1061,7 +1049,9 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
 
         in_window_orbit = sum(in_window(v) for _, v in ent)
         # bulk count: float screen against the window radius, exact powers
-        # only for points within a 1e-9 relative band of the boundary
+        # only for points within a 1e-9 relative band of the boundary; the
+        # inside shortcut needs every radius zero, as in_window counts no
+        # undecided point
         neg_log_w = -_log_of(dm, one) - neg_log_dn * sp / sq
         w_mp = mpmath.e ** (-neg_log_w)
         w_f = float(w_mp)
@@ -1069,7 +1059,7 @@ def assouad_lower_probe(alpha, beta, points, indices, params: ProbeParams,
         for p in pts:
             if w_f > 0.0:
                 d, rad = _gap(p, best_v, one)
-                if (d + rad) / one < w_f * (1.0 - 1e-9):
+                if not (rad or rn or rm) and d / one < w_f * (1.0 - 1e-9):
                     in_window_full += 1
                     continue
                 if (d - rad) / one > w_f * (1.0 + 1e-9):

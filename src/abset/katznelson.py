@@ -18,7 +18,6 @@ All stage arithmetic is Fraction-exact; only dimension_bracket logs go
 through mpmath at a pinned precision.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -27,7 +26,7 @@ import mpmath
 
 from .dimension import DEFAULT_PREC_BITS, LOG_DIGITS
 from .errors import InvariantViolation, UsageError
-from .exact import mod1
+from .exact import common_units, mod1
 from .words import (
     WordExpr,
     Y,
@@ -350,10 +349,7 @@ def enumerate_E(stage: KStage, cap: int = 200_000) -> OrbitSample:
     if length > cap:
         raise UsageError(f"enumeration capped at {cap} letters; |U| = {length}")
     # integer accumulation over the common denominator
-    den_a, den_b = stage.alpha.denominator, stage.beta.denominator
-    common = math.lcm(den_a, den_b)
-    step_x = stage.alpha.numerator * (common // den_a)
-    step_y = stage.beta.numerator * (common // den_b)
+    common, step_x, step_y = common_units(stage.alpha, stage.beta)
     first = {0: 0}
     acc = 0
     for idx, ch in enumerate(letters(stage.U), start=1):

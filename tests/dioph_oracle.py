@@ -28,7 +28,6 @@ import mpmath
 
 from abset.diophantine import (
     DEC_PREC_BITS,
-    DEFAULT_PREC,
     GUARD_BITS,
     LOG_DIGITS,
     ApproxReal,
@@ -41,7 +40,6 @@ from abset.diophantine import (
     RatioViolation,
     SeparationReport,
     WindowWitness,
-    minima_sequence,
 )
 from abset.errors import InsufficientPrecision, UsageError
 from abset.exact import ceil_root_ratio, dec_sci, mod1
@@ -300,11 +298,12 @@ def _probe_exponent(count: int, neg_log_scale) -> str:
         return mpmath.nstr(mpmath.log(count) / neg_log_scale, LOG_DIGITS)
 
 
-def assouad_lower_probe(alpha, beta, points, indices, params,
-                        n_list: Sequence[int], prec_bits=DEFAULT_PREC) -> AssouadProbeReport:
+def assouad_lower_probe(points, indices, recs, params,
+                        n_list: Sequence[int]) -> AssouadProbeReport:
     if not n_list:
         raise UsageError("probe needs a nonempty n_list")
-    recs = minima_sequence(alpha, beta, max(n_list), prec_bits)
+    if any(r.n != g for g, r in enumerate(recs, start=1)):
+        raise UsageError("minima records must run n = 1, 2, ... in order")
     tp, tq = params.t.numerator, params.t.denominator
     sp, sq = params.s.numerator, params.s.denominator
     rp, rq = params.r.numerator, params.r.denominator
@@ -332,13 +331,9 @@ def assouad_lower_probe(alpha, beta, points, indices, params,
                                    f"needs {horizon}", horizon))
             continue
         if horizon > len(recs) and not is_zero(recs[-1].delta):
-            try:
-                recs = minima_sequence(alpha, beta, horizon, prec_bits)
-            except InsufficientPrecision as exc:
-                cases.append(ProbeCase(n, "skipped",
-                                       f"minima extension undecidable: "
-                                       f"{exc.detail}", horizon))
-                continue
+            cases.append(ProbeCase(n, "skipped", f"minima end at n={len(recs)}, "
+                                   f"horizon needs {horizon}", horizon))
+            continue
         if indices is None:
             sel = list(range(1, horizon + 1))
         else:
@@ -354,7 +349,7 @@ def assouad_lower_probe(alpha, beta, points, indices, params,
         note_bits: List[str] = []
 
         close_m = None
-        for other in recs[:min(horizon, len(recs))]:
+        for other in recs[:horizon]:
             if other.n == n or not other.minimal:
                 continue
             c = cmp_products([(other.delta, tq)], [(d_n, tp)])
@@ -437,11 +432,12 @@ def assouad_lower_probe(alpha, beta, points, indices, params,
         with mpmath.workprec(DEC_PREC_BITS):
             w_mp = mpmath.e ** (_log_of(d_m) + neg_log_dn * sp / sq)
         w_f = float(w_mp)
+        exact = not (as_interval(d_n).rad or as_interval(d_m).rad)
         in_window_full = 0
         for pt in points:
             d = (as_interval(pt) - best_v).dist_to_nearest_int()
             if w_f > 0.0:
-                if float(d.hi) < w_f * (1.0 - 1e-9):
+                if exact and not d.rad and float(d.hi) < w_f * (1.0 - 1e-9):
                     in_window_full += 1
                     continue
                 if float(d.lo) > w_f * (1.0 + 1e-9):

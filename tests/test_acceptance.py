@@ -258,31 +258,43 @@ def test_criterion_6_estimator_calibration():
     report = box_dim_series(points, [Fraction(1, 4 ** j) for j in range(4, 9)])
     slopes = successive_slopes(report.rows)
     windows = assouad_probe_windows(points, [(Fraction(1, 16), Fraction(1, 256))])
+    # claim 3's probe on the desk pair's own orbit, at every minimal n
+    alpha = dio.parse_value("sqrt(2) - 1")
+    beta = dio.parse_value("sqrt(3) - 1")
+    records = dio.minima_sequence(alpha, beta, 500, 256)
     lower = dio.assouad_lower_probe(
-        dio.parse_value("sqrt(2) - 1"),
-        dio.parse_value("sqrt(3) - 1"),
-        reciprocals[:50],
+        dio.orbit_of_word("xy" * 250, alpha, beta, 256),
         None,
+        records,
         dio.ProbeParams(),
-        [1],
+        [r.n for r in records if r.minimal],
     )
     elapsed = time.monotonic() - t0
 
     slopes_ok = all(0.45 <= s <= 0.55 for s in slopes)
     window_ok = windows[0]["log_ratio_float"] >= 0.8
-    probe_ok = lower.implied_exponent_limit == Fraction(1, 4)
+    probed = [c for c in lower.cases if c.outcome != "skipped"]
+    sep_bad = sum(c.sep_violations for c in lower.cases)
+    sep_und = sum(c.sep_undecided for c in lower.cases)
+    probe_ok = (lower.implied_exponent_limit == Fraction(1, 4)
+                and bool(probed) and sep_bad == sep_und == 0)
     _line(
         "criterion 6",
         slopes_ok and window_ok and probe_ok,
         elapsed,
         f"slopes {[f'{s:.4f}' for s in slopes]}, "
         f"window ratio {windows[0]['log_ratio_float']:.4f}, "
-        f"probe limit {lower.implied_exponent_limit}",
+        f"probe limit {lower.implied_exponent_limit}, "
+        f"{len(probed)} of {len(lower.cases)} minimal n probed, "
+        f"{sep_bad} violations, {sep_und} undecided, exponents "
+        f"{[f'{c.outcome} {float(c.exponent_dec):.4f}' for c in probed]}",
     )
     assert report.counts() == [31, 63, 127, 255, 511]
     assert slopes_ok, slopes
     assert window_ok, windows[0]
     assert lower.exponent_at_params == Fraction(49, 200)
+    assert probed, lower.cases
+    assert sep_bad == 0 and sep_und == 0, (sep_bad, sep_und)
     assert probe_ok
     assert elapsed < 5.0, f"budget 5 s exceeded: {elapsed:.2f} s"
 

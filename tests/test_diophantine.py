@@ -634,7 +634,8 @@ def test_probe_params_validation(s, t, r):
 
 def test_probe_case1_surd():
     pts = orbit_of_word("xx", S2M1, S3M1)
-    rep = assouad_lower_probe(S2M1, S3M1, pts, None, ProbeParams(), [1])
+    rep = assouad_lower_probe(pts, None, minima_sequence(S2M1, S3M1, 2),
+                              ProbeParams(), [1])
     c = rep.cases[0]
     assert c.outcome == "case1"
     assert (c.horizon, c.sep_count, c.sep_violations, c.sep_undecided) == \
@@ -651,8 +652,9 @@ def test_probe_real_orbit_checks_every_case1_pair():
     # million in all, 835,278 at n = 700)
     t0 = time.monotonic()
     points = orbit_of_word("xy" * 1000, S2M1, S3M1)
-    n_list = [r.n for r in minima_sequence(S2M1, S3M1, 2000) if r.minimal]
-    rep = assouad_lower_probe(S2M1, S3M1, points, None, ProbeParams(), n_list)
+    recs = minima_sequence(S2M1, S3M1, 2000)
+    n_list = [r.n for r in recs if r.minimal]
+    rep = assouad_lower_probe(points, None, recs, ProbeParams(), n_list)
     elapsed = time.monotonic() - t0
     assert n_list == [1, 2, 3, 4, 5, 9, 37, 46, 76, 122, 129, 339, 468, 700]
     assert [c.horizon for c in rep.cases][-4:] == [361, 488, 528, 1293]
@@ -668,14 +670,14 @@ def test_probe_case1_sweep_wraps_and_ties():
     # radii of 2^-200, among the orbit's 35 points below the horizon of
     # n = 9: the sweep's band is set at twice the largest point radius
     points = orbit_of_word("xy" * 20, S2M1, S3M1)
-    d_9 = minima_sequence(S2M1, S3M1, 9)[8].delta.mid
+    recs = minima_sequence(S2M1, S3M1, 40)
+    d_9 = recs[8].delta.mid
     points[:6] = [F(1, 10 ** 14), 1 - F(1, 10 ** 14),
                   ApproxReal(F(1, 3), F(1, 2 ** 200)),
                   ApproxReal(F(1, 3) + d_9 ** 2 + F(1, 2 ** 192), F(1, 2 ** 200)),
                   points[5], points[5]]
-    rep = assouad_lower_probe(S2M1, S3M1, points, None, ProbeParams(), [9])
-    assert rep == oracle.assouad_lower_probe(S2M1, S3M1, points, None,
-                                             ProbeParams(), [9])
+    rep = assouad_lower_probe(points, None, recs, ProbeParams(), [9])
+    assert rep == oracle.assouad_lower_probe(points, None, recs, ProbeParams(), [9])
     c, = rep.cases
     assert (c.outcome, c.horizon, c.sep_violations, c.sep_undecided) == \
         ("case1", 35, 2, 1)
@@ -683,7 +685,8 @@ def test_probe_case1_sweep_wraps_and_ties():
 
 def test_probe_case2a_spread_net():
     spread = [F(1, 2), F(1, 3), F(1, 5), F(1, 7)]
-    rep = assouad_lower_probe(EA, EB, spread, None, ProbeParams(), [1])
+    rep = assouad_lower_probe(spread, None, minima_sequence(EA, EB, 4),
+                              ProbeParams(), [1])
     c = rep.cases[0]
     assert c.outcome == "case2a"
     assert (c.horizon, c.close_m, c.sep_count) == (4, 4, 4)
@@ -695,7 +698,8 @@ def test_probe_case2b_window_counts():
     # pigeonhole window; the window then captures 1/k for all k >= 101
     # plus the wraparound point 1/1 = 0 on the circle: 9901 points
     fixture = [F(1, k) for k in range(10**4, 0, -1)]
-    rep = assouad_lower_probe(EA, EB, fixture, None, ProbeParams(), [1])
+    rep = assouad_lower_probe(fixture, None, minima_sequence(EA, EB, 4),
+                              ProbeParams(), [1])
     c = rep.cases[0]
     assert c.outcome == "case2b"
     assert c.close_m == 4
@@ -709,7 +713,8 @@ def test_probe_case2b_window_counts():
 
 def test_probe_index_subset():
     fixture = [F(1, k) for k in range(10**4, 0, -1)]
-    rep = assouad_lower_probe(EA, EB, fixture, [2, 1], ProbeParams(), [1])
+    rep = assouad_lower_probe(fixture, [2, 1], minima_sequence(EA, EB, 4),
+                              ProbeParams(), [1])
     c = rep.cases[0]
     assert c.outcome == "case2b"
     assert c.rho_n == F(1, 2)
@@ -718,26 +723,71 @@ def test_probe_index_subset():
     assert c.window.count_full == 9901
 
 
+def test_probe_window_count_leaves_an_undecided_point_out():
+    # a point whose interval ends 10^-3 of the radius inside the case-2b
+    # window: the float screen puts it inside, the certified test leaves
+    # it undecided, so it is not counted
+    fixture = [F(1, k) for k in range(10**4, 0, -1)]
+    recs = minima_sequence(EA, EB, 4)
+    w = F("0.00988894533559")           # the window radius, as rendered
+    r = w / 10**5
+    points = fixture + [ApproxReal(fixture[0] + w * (1 - F(1, 1000)) - r, r)]
+    d = (oracle.as_interval(points[-1]) - fixture[0]).dist_to_nearest_int()
+    s = ProbeParams().s
+    assert oracle.cmp_products([(d, s.denominator), (recs[0].delta, s.numerator)],
+                               [(recs[3].delta, s.denominator)]) is None
+    rep = assouad_lower_probe(points, None, recs, ProbeParams(), [1])
+    assert rep == oracle.assouad_lower_probe(points, None, recs, ProbeParams(), [1])
+    window = rep.cases[0].window
+    assert (window.center_index, window.radius_dec, window.count_full) == \
+        (1, "0.00988894533559", 9901)
+
+
 def test_probe_skips_never_raise():
     fixture = [F(1, k) for k in range(100, 0, -1)]
-    rep = assouad_lower_probe(EA, EB, fixture, None, ProbeParams(), [2, 99])
+    recs = minima_sequence(EA, EB, 99)
+    rep = assouad_lower_probe(fixture, None, recs, ProbeParams(), [2, 99])
     assert [c.outcome for c in rep.cases] == ["skipped", "skipped"]
     assert all("not a minimal index" in c.note for c in rep.cases)
-    rep = assouad_lower_probe(F(2, 7), F(3, 7), fixture, None, ProbeParams(),
-                              [99])
+    rep = assouad_lower_probe(fixture, None, minima_sequence(F(2, 7), F(3, 7), 99),
+                              ProbeParams(), [99])
     assert rep.cases[0].outcome == "skipped"
     assert "outside the computed minima range" in rep.cases[0].note
+    # an n_list below 1 reads no minima
+    rep = assouad_lower_probe(fixture, None, [], ProbeParams(), [0, -1])
+    assert [c.note for c in rep.cases] == ["outside the computed minima range"] * 2
     with pytest.raises(UsageError):
-        assouad_lower_probe(EA, EB, fixture, None, ProbeParams(), [])
+        assouad_lower_probe(fixture, None, recs, ProbeParams(), [])
+    with pytest.raises(UsageError, match="must run n = 1, 2"):
+        assouad_lower_probe(fixture, None, recs[1:], ProbeParams(), [4])
 
 
-def test_probe_skips_a_horizon_past_the_orbit_before_extending_minima():
+def test_probe_skips_a_horizon_past_the_records_without_a_minima_pass(monkeypatch):
+    # n = 1 of the engineered pair has horizon 4: records that end at
+    # n = 3 skip it, and the probe runs no minima of its own
+    recs = minima_sequence(EA, EB, 4)
+
+    def no_minima(*args, **kw):
+        raise AssertionError("the probe ran a minima pass")
+
+    monkeypatch.setattr(diophantine, "minima_sequence", no_minima)
+    fixture = [F(1, k) for k in range(100, 0, -1)]
+    for probe in (assouad_lower_probe, oracle.assouad_lower_probe):
+        c, = probe(fixture, None, recs[:3], ProbeParams(), [1]).cases
+        assert (c.outcome, c.horizon) == ("skipped", 4)
+        assert c.note == "minima end at n=3, horizon needs 4"
+    c, = assouad_lower_probe(fixture, None, recs, ProbeParams(), [1]).cases
+    assert (c.outcome, c.close_m) == ("case2b", 4)
+
+
+def test_probe_skips_a_horizon_past_the_orbit_before_the_records():
     # delta_10 is about 1.4e-29, so the horizon is about 1.4e14 and no
     # exact zero ends the minima: the case is skipped on the orbit's
-    # length, before any minima run that far
+    # length, which comes before the records' length
     alpha = RealValue.from_fraction(F(1, 10)) + RealValue.sqrt(2, F(1, 10 ** 30))
     points = orbit_of_word("x" * 12, alpha, S3M1)
-    c, = assouad_lower_probe(alpha, S3M1, points, None, ProbeParams(), [10]).cases
+    c, = assouad_lower_probe(points, None, minima_sequence(alpha, S3M1, 10),
+                             ProbeParams(), [10]).cases
     assert (c.outcome, c.horizon) == ("skipped", 136850897847463)
     assert c.note == "orbit has 12 points, horizon needs 136850897847463"
 
@@ -1099,16 +1149,27 @@ def pair_and_points(draw):
     return alpha, beta, prec, points, indices
 
 
+def probe_records(alpha, beta, points, n_list, prec=DEFAULT_PREC):
+    """Minima up to every n asked for and every horizon the points reach;
+    where that run is undecidable, up to max(n_list), whose cases then
+    skip a horizon past the records, or none."""
+    for n_max in (max(*n_list, len(points)), max(n_list)):
+        try:
+            return minima_sequence(alpha, beta, n_max, prec)
+        except (InsufficientPrecision, UsageError):
+            pass
+    return []
+
+
 @settings(max_examples=200, deadline=None)
 @given(pair_and_points(), probe_params, st.data(),
        st.one_of(st.none(), st.lists(st.integers(min_value=-2, max_value=40))))
 def test_probe_matches_interval_oracle(case, params, data, indices):
     alpha, beta, prec, points, n_indices = case
     n_list = data.draw(st.lists(n_indices, min_size=1, max_size=4))
-    assert outcome(assouad_lower_probe, alpha, beta, points, indices, params,
-                   n_list, prec) == \
-        outcome(oracle.assouad_lower_probe, alpha, beta, points, indices, params,
-                n_list, prec)
+    recs = probe_records(alpha, beta, points, n_list, prec)
+    assert outcome(assouad_lower_probe, points, indices, recs, params, n_list) == \
+        outcome(oracle.assouad_lower_probe, points, indices, recs, params, n_list)
 
 
 @pytest.mark.parametrize("blurred", [False, True], ids=["exact", "radius"])
@@ -1136,8 +1197,9 @@ def test_engineered_ties_match_interval_oracle(blurred, t):
     # at t = 3 only delta_10 lies below delta_4**t
     assert scan.qualifying == (((1, 4), (4, 10), (7, 10)) if t == 2
                                else ((4, 10),))
-    probe = assouad_lower_probe(alpha, EB, points, None, params, [1, 4, 7, 10])
-    assert probe == oracle.assouad_lower_probe(alpha, EB, points, None, params,
+    recs = probe_records(alpha, EB, points, [1, 4, 7, 10])
+    probe = assouad_lower_probe(points, None, recs, params, [1, 4, 7, 10])
+    assert probe == oracle.assouad_lower_probe(points, None, recs, params,
                                                [1, 4, 7, 10])
     assert all(r.min_gap_violations for r in scan.reports)
     assert any(r.undecided for r in scan.reports) == (blurred and t == 2)
