@@ -38,9 +38,10 @@ letter steps.  Logs render at `dimension`'s pinned precision.
 Precision discipline: a comparison is certified only when the midpoints
 differ by more than the summed radii times 2**GUARD_BITS; anything
 closer is "unknown", which scans report and never resolve silently.
-A power threshold d < delta**(p/q) is tested as d**q against delta**p
-on the corner powers of each value's interval (`_cmp_powers`).  With
-radius zero every comparison is decided, ties included.
+A power threshold d < delta**(p/q) is tested as d**q against delta**p:
+a d of radius zero against the least d of sign >= 0 and of sign 1, found
+once per scale of radius zero from one integer root (`_power_sign`), ties
+included; anything else on its intervals' corner powers (`_cmp_powers`).
 """
 
 import math
@@ -134,6 +135,22 @@ def _cmp_powers(left, right, den: int) -> Optional[int]:
     ls, rs = den ** max(r_k - l_k, 0), den ** max(l_k - r_k, 0)
     return _decide((l_lo + l_hi) * ls - (r_lo + r_hi) * rs,
                    (l_hi - l_lo) * ls + (r_hi - r_lo) * rs)
+
+
+def _power_sign(k: int, left, right, den: int):
+    """sign(d, r): the certified sign of _cmp_powers([(d, r, k), *left],
+    right, den).  With no radius on a fixed factor, one integer root gives
+    the least d of sign >= 0 and the least of sign 1 (one more exactly when
+    the root is exact), and a d of radius 0 is compared with them."""
+    lo = hi = None
+    if not any(rad for _, rad, _ in left + right):
+        e = k + sum(x for *_, x in left) - sum(x for *_, x in right)
+        num = math.prod(v ** x for v, _, x in right) * den ** max(e, 0)
+        div = math.prod(v ** x for v, _, x in left) * den ** max(-e, 0)
+        lo = ceil_root_ratio(num, div, k)
+        hi = lo + (lo ** k * div == num)
+    return lambda d, r: (d >= lo) + (d >= hi) - 1 if lo is not None and not r \
+        else _cmp_powers([(d, r, k), *left], right, den)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +470,6 @@ def scan_horizon(mid: int, rad: int, den: int, s: Fraction) -> int:
     return n_hi
 
 
-def _cmp_close(rec_m: MinimaRecord, rec_n: MinimaRecord, t: Fraction) -> Optional[int]:
-    """Certified sign of delta_m**q - delta_n**p for t = p/q."""
-    return _cmp_powers([(rec_m.d_units, rec_m.rad_units, t.denominator)],
-                       [(rec_n.d_units, rec_n.rad_units, t.numerator)], rec_n.den)
-
-
 # ---------------------------------------------------------------------------
 # probe parameters
 
@@ -670,8 +681,8 @@ def _close_pairs(circle, one: int, dn: int, rn: int, t: Fraction):
     of `circle` closer, wrap included, than the edge from which on twice
     the largest radius still certifies a distance > ((dn +- rn)/one)**t."""
     wide = 2 * max(p[1] for p in circle)
-    edge = _first(one // 2 + 1, lambda d: _cmp_powers(
-        [(d, wide, t.denominator)], [(dn, rn, t.numerator)], one) == 1)
+    sep = _power_sign(t.denominator, [], [(dn, rn, t.numerator)], one)
+    edge = _first(one // 2 + 1, lambda d: sep(d, wide) == 1)
     for a, p in enumerate(circle):
         hi = bisect_left(circle, (p[0] + edge,))
         lo = max(bisect_left(circle, (p[0] + one - edge + 1,)), hi)
@@ -805,7 +816,7 @@ def dichotomy_scan(word: Union[WordExpr, str], alpha, beta,
     units = {r.n: (r.d_units * (den // r.den), r.rad_units * (den // r.den))
              for r in minimal}
 
-    def classify(rec_n, rec_m, horizon: int) -> GapDichotomyReport:
+    def classify(rec_n, rec_m, horizon: int, sep_sign) -> GapDichotomyReport:
         n, m = rec_n.n, rec_m.n
         if len(is_x) < horizon:
             return GapDichotomyReport(n, m, True, f"orbit has {len(is_x)} "
@@ -819,16 +830,17 @@ def dichotomy_scan(word: Union[WordExpr, str], alpha, beta,
         circle.sort()
         separated, clustered = horizon * (horizon - 1) // 2, 0
         violations, undecided, min_gap_bad = [], [], []
+        clu_sign = _power_sign(sq, [(dn, rn, sp)], [(dm, rm, sq)], den)
         for p, q in _close_pairs(circle, den, dn, rn, params.t):
             d, r = _gap(p, q, den)
             pair = (p[2], q[2]) if p[2] < q[2] else (q[2], p[2])
             if _decide(d - dm, r + rm) == -1:
                 min_gap_bad.append(pair)
-            sep = _cmp_powers([(d, r, tq)], [(dn, rn, tp)], den)
+            sep = sep_sign(d, r)
             if sep in (0, 1):
                 continue
             separated -= 1
-            clu = _cmp_powers([(d, r, sq), (dn, rn, sp)], [(dm, rm, sq)], den)
+            clu = clu_sign(d, r)
             if clu in (-1, 0):
                 clustered += 1
             else:
@@ -849,14 +861,15 @@ def dichotomy_scan(word: Union[WordExpr, str], alpha, beta,
         except InsufficientPrecision as exc:
             notes.append(f"n={rec.n}: {exc}")
             continue
+        sep_sign = _power_sign(tq, [], [(*units[rec.n], tp)], den)
         for other in minimal:
             if not rec.n < other.n <= horizon:
                 continue
-            c = _cmp_close(other, rec, params.t)
+            c = sep_sign(*units[other.n])
             if c is None:
                 notes.append(f"(n={rec.n}, m={other.n}): closeness undecidable")
             elif c < 0:
-                reports.append(classify(rec, other, horizon))
+                reports.append(classify(rec, other, horizon, sep_sign))
     return QualifyingScan(tuple((r.n, r.m) for r in reports), tuple(reports),
                           sum(len(r.violations) for r in reports),
                           tuple((r.n, r.m, r.reason) for r in reports if r.refused),
@@ -976,27 +989,28 @@ def assouad_lower_probe(points, indices, records: Sequence[MinimaRecord],
         rho = Fraction(len(sel), horizon)
         d_n_dec = dec_sci(Fraction(rec.d_units, rec.den))
         note_bits: List[str] = []
+        dn, rn = units(rec)
+        sep_sign = _power_sign(tq, [], [(dn, rn, tp)], one)
 
         # nearest qualifying companion below the horizon
         close_m = None
         for other in records[:horizon]:
             if other.n == n or not other.minimal:
                 continue
-            c = _cmp_close(other, rec, params.t)
+            c = sep_sign(*units(other))
             if c is None:
                 note_bits.append(f"m={other.n} closeness undecidable")
             elif c < 0:
                 close_m = other.n
                 break
         neg_log_dn = -_log_of(rec.d_units, rec.den)
-        dn, rn = units(rec)
         ent = [(k, pts[k - 1]) for k in sel]
 
         if close_m is None:
             # every index pair below the horizon keeps distance >= delta_n**t;
             # only the pairs closer than the certified edge are compared
             circle = sorted((p % one, r) for _, (p, r) in ent)
-            signs = [_cmp_powers([(*_gap(p, q, one), tq)], [(dn, rn, tp)], one)
+            signs = [sep_sign(*_gap(p, q, one))
                      for p, q in _close_pairs(circle, one, dn, rn, params.t)]
             sep_bad, sep_und = signs.count(-1), signs.count(None)
             log_scale = neg_log_dn * tp / tq             # log(1/delta_n**t)
@@ -1009,7 +1023,7 @@ def assouad_lower_probe(points, indices, records: Sequence[MinimaRecord],
         def below_net_scale(p, q):
             """Certified sign of 2 d(p, q) - delta_n**t, or None."""
             d, rad = _gap(p, q, one)
-            return _cmp_powers([(2 * d, 2 * rad, tq)], [(dn, rn, tp)], one)
+            return sep_sign(2 * d, 2 * rad)
 
         # greedy net at half the separation scale
         net: List[Tuple[int, Tuple[int, int]]] = []
@@ -1040,31 +1054,16 @@ def assouad_lower_probe(points, indices, records: Sequence[MinimaRecord],
         best_k, best_v = max(net, key=lambda kf: sum(below_net_scale(v, kf[1]) == -1
                                                      for _, v in ent))
         dm, rm = units(records[close_m - 1])
+        win_sign = _power_sign(sq, [(dn, rn, sp)], [(dm, rm, sq)], one)
 
         def in_window(p) -> bool:
             """Certified d(p, best)**sq * delta_n**sp <= delta_m**sq."""
-            d, rad = _gap(p, best_v, one)
-            c = _cmp_powers([(d, rad, sq), (dn, rn, sp)], [(dm, rm, sq)], one)
-            return c is not None and c <= 0
+            return win_sign(*_gap(p, best_v, one)) in (-1, 0)
 
         in_window_orbit = sum(in_window(v) for _, v in ent)
-        # bulk count: float screen against the window radius, exact powers
-        # only for points within a 1e-9 relative band of the boundary; the
-        # inside shortcut needs every radius zero, as in_window counts no
-        # undecided point
+        in_window_full = sum(in_window(p) for p in pts)
         neg_log_w = -_log_of(dm, one) - neg_log_dn * sp / sq
         w_mp = mpmath.e ** (-neg_log_w)
-        w_f = float(w_mp)
-        in_window_full = 0
-        for p in pts:
-            if w_f > 0.0:
-                d, rad = _gap(p, best_v, one)
-                if not (rad or rn or rm) and d / one < w_f * (1.0 - 1e-9):
-                    in_window_full += 1
-                    continue
-                if (d - rad) / one > w_f * (1.0 + 1e-9):
-                    continue
-            in_window_full += in_window(p)
         # count >= rho * N * delta_n**r, via count**rq >= (rho N)**rq delta**rp
         thr = _cmp_powers([(in_window_orbit * one, 0, rq)],
                           [(len(sel) * one, 0, rq), (dn, rn, rp)], one)

@@ -26,8 +26,10 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    # Newton iteration started from above converges monotonically down.
-    x = 1 << -(-n.bit_length() // k)
+    # Newton iteration started from above converges monotonically down;
+    # past 128*k bits it starts one unit over the root of the leading bits.
+    s = (n.bit_length() - 64 * k) // k if n.bit_length() > 128 * k else 0
+    x = (iroot(n >> k * s, k) + 1) << s if s else 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -47,7 +49,8 @@ def ceil_root_ratio(num: int, den: int, k: int) -> int:
         raise ValueError("ceil_root_ratio needs den >= 1")
     if num <= 0:
         return 0
-    t = ceil_root(num // den, k)
+    cut = max(0, den.bit_length() - 64 - max(0, num.bit_length() - den.bit_length()) // k)
+    t = ceil_root((num >> cut) // (den >> cut), k)  # near enough for the loops
     while t ** k * den < num:
         t += 1
     while t > 0 and (t - 1) ** k * den >= num:

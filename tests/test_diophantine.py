@@ -12,6 +12,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -39,6 +40,7 @@ from abset.diophantine import (
     _decide,
     _first,
     _gap,
+    _power_sign,
     _resolve_pair,
 )
 from abset.errors import InsufficientPrecision, UsageError
@@ -725,8 +727,8 @@ def test_probe_index_subset():
 
 def test_probe_window_count_leaves_an_undecided_point_out():
     # a point whose interval ends 10^-3 of the radius inside the case-2b
-    # window: the float screen puts it inside, the certified test leaves
-    # it undecided, so it is not counted
+    # window: a float screen puts it inside, the certified test leaves it
+    # undecided, so it is not counted
     fixture = [F(1, k) for k in range(10**4, 0, -1)]
     recs = minima_sequence(EA, EB, 4)
     w = F("0.00988894533559")           # the window radius, as rendered
@@ -1371,17 +1373,24 @@ def test_dichotomy_separation_tie_splits_at_the_guard_edge(side, mult, certified
         assert rep.violations == rep.undecided == ()
 
 
-def test_dichotomy_reaches_the_deletion_tower_pair():
+def test_dichotomy_reaches_the_deletion_tower_pair(monkeypatch):
     # the deletion tower m = 1, eps1 = 2^-10, decay 3 at 3 stages (N = 2,
     # 980, 27,220): (490, 27220) and (13365, 27220) qualify with horizons
-    # 37,381 and 52,499, past W_3 and within W_3^2
+    # 37,381 and 52,499, past W_3 and within W_3^2.  The pair is rational,
+    # so every point and minimum has radius 0, and each of the 35,440
+    # close pairs, the closeness tests and the sweep's edge are decided by
+    # integer compares: no call reaches `_cmp_powers`.
     final = build_stages(ThinConfig(m=1, eps1=F(1, 2 ** 10), rho=lambda n: 3),
                          3)[-1]
     recs = minima_sequence(final.alpha, final.beta, 52499)
+    calls = []
+    monkeypatch.setattr(diophantine, "_cmp_powers",
+                        lambda *args: calls.append(args) or _cmp_powers(*args))
     t0 = time.monotonic()
     scan = dichotomy_scan(power(final.W, 2), final.alpha, final.beta, recs,
                           ProbeParams())
     elapsed = time.monotonic() - t0
+    assert len(calls) == 0
     assert scan.qualifying == ((1, 2), (490, 27220), (13365, 27220))
     assert scan.refusals == () and scan.violation_total == 0
     assert [r.horizon for r in scan.reports] == [2, 37381, 52499]
@@ -1431,6 +1440,58 @@ def test_close_pairs_leave_out_only_certified_separated_pairs(params, data):
         for q in circle[a + 1:]:
             if (p[2], q[2]) not in close:
                 assert separated(*_gap(p, q, one))
+
+
+@settings(max_examples=200, deadline=None)
+@given(probe_params, st.sampled_from(["separated", "clustered"]), st.data())
+def test_power_sign_thresholds_match_cmp_powers(params, test, data):
+    """At radius 0, `_power_sign` gives `_cmp_powers`'s sign at every d
+    from two below the least d of sign >= 0 to two past the least of sign
+    1, both found here by bisection on `_cmp_powers`, and at random d.
+    The separation (and net) test has one factor on the left, the cluster
+    (and window) test two.  Ties come from delta_n = 1 and from a lattice
+    where (d/one)**tq == (dn/one)**tp for d = c a**tp b**tq.  With a
+    radius on a fixed factor no root is taken, and with a radius anywhere
+    every sign is `_cmp_powers`'s."""
+    tp, tq = params.t.numerator, params.t.denominator
+    sp, sq = params.s.numerator, params.s.denominator
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(min_value=1, max_value=8))
+        b = a + data.draw(st.integers(min_value=1, max_value=8))
+        c = data.draw(st.integers(min_value=1, max_value=2 ** 20))
+        one, dn = c * b ** (tp + tq), c * a ** tq * b ** tp
+    else:
+        one = data.draw(st.integers(min_value=2, max_value=2 ** 40))
+        dn = data.draw(st.integers(min_value=1, max_value=one) | st.just(one))
+    dm = data.draw(st.integers(min_value=0, max_value=dn) | st.just(0))
+    k, left, right = (tq, [], [(dn, 0, tp)]) if test == "separated" else \
+        (sq, [(dn, 0, sp)], [(dm, 0, sq)])
+
+    def oracle(d, r=0):
+        return _cmp_powers([(d, r, k), *left], right, one)
+
+    top = 1
+    while oracle(top) != 1:
+        top *= 2
+    lo = _first(top + 1, lambda d: oracle(d) >= 0)
+    hi = _first(top + 1, lambda d: oracle(d) == 1)
+    assert hi - lo in (0, 1)
+    sign = _power_sign(k, left, right, one)
+    for d in {*range(max(lo - 2, 0), hi + 3),
+              data.draw(st.integers(min_value=0, max_value=2 * top))}:
+        assert sign(d, 0) == oracle(d)
+    r = data.draw(st.integers(min_value=1, max_value=top))
+    d = data.draw(st.integers(min_value=0, max_value=2 * top))
+    assert sign(d, r) == oracle(d, r)
+    # a radius on delta_n, or on delta_m in the cluster test
+    j = data.draw(st.sampled_from([j for j, side in enumerate((left, right)) if side]))
+    v, _, e = (left, right)[j][0]
+    (left, right)[j][0] = (v, data.draw(st.integers(min_value=1, max_value=max(v >> 8, 1))
+                                        | st.integers(min_value=1, max_value=one)), e)
+    with mock.patch.object(diophantine, "ceil_root_ratio", side_effect=AssertionError):
+        sign = _power_sign(k, left, right, one)
+    for d, r in ((d, 0), (d, r), (lo, 0), (hi, 0)):
+        assert sign(d, r) == oracle(d, r)
 
 
 def test_separation_forged_records_match_pair_loop_oracle():

@@ -47,8 +47,8 @@ def test_ceil_root_ratio_definition(num, den, k):
 
 
 def newton_iroot(n, k):
-    """The Newton iteration iroot ran for every k >= 2 before square roots
-    moved to math.isqrt; kept as the oracle for k = 2."""
+    """Newton's iteration from 1 << ceil(bits/k): the oracle for square
+    roots, and for the k >= 3 roots that start from their leading bits."""
     if n == 0:
         return 0
     x = 1 << -(-n.bit_length() // k)
@@ -69,6 +69,34 @@ def test_iroot_square_matches_newton(bits, data):
     r = iroot(n, 2)
     assert r * r <= n < (r + 1) ** 2
     assert r == newton_iroot(n, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(min_value=3, max_value=120), data=st.data())
+def test_iroot_from_the_leading_bits_matches_newton(k, data):
+    # radicands past 128*k bits, where Newton starts from the root of the
+    # leading bits; perfect powers and their neighbours among them
+    bits = data.draw(st.integers(min_value=128 * k + 1, max_value=20_000))
+    n = data.draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+    if data.draw(st.booleans()):
+        n = newton_iroot(n, k) ** k + data.draw(st.integers(-1, 1))
+    r = iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+    assert r == newton_iroot(n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(min_value=1, max_value=120), data=st.data())
+def test_ceil_root_ratio_on_a_denominator_past_the_root(k, data):
+    # den longer than the root by more than 64 bits, so the first guess
+    # comes from a truncated quotient; exact ratios and their neighbours
+    den = data.draw(st.integers(min_value=1 << 100, max_value=1 << 10_000))
+    t = data.draw(st.integers(min_value=0, max_value=1 << min(den.bit_length() - 66, 20_000 // k)))
+    num = max(0, t ** k * den + data.draw(st.sampled_from([-1, 0, 1]) |
+                                          st.integers(-den, den)))
+    got = ceil_root_ratio(num, den, k)
+    assert got ** k * den >= num
+    assert got == 0 or (got - 1) ** k * den < num
 
 
 def test_iroot_examples():
