@@ -252,6 +252,23 @@ def cmd_thin_orbit(args) -> Tuple[dict, List[Check], List[Warn]]:
     return report, checks, warns + _covering_warnings(covering)
 
 
+def _dichotomy_warnings(results: dict) -> List[Warn]:
+    """What gap-dichotomy does not count, when the dichotomy ran: no qualifying
+    pair, pairs left undecided or closer than delta_m, and the scan's notes."""
+    scan = results.get("dichotomy")
+    if scan is None:
+        return []
+    undecided = sum(len(r.undecided) for r in scan.reports)
+    close = sum(len(r.min_gap_violations) for r in scan.reports)
+    found = [("dichotomy_vacuous", not scan.qualifying, "no qualifying pair (n, m), "
+              "so gap-dichotomy compares no pair and cannot fail"),
+             ("dichotomy_undecided", undecided, f"{undecided} pairs neither separated "
+              "nor clustered at the working precision"),
+             ("dichotomy_min_gap", close, f"{close} pairs closer than delta_m"),
+             ("dichotomy_notes", scan.notes, "; ".join(scan.notes))]
+    return [(name, detail) for name, hit, detail in found if hit]
+
+
 _DIOPH_HEADER = ["scan", "n", "m", "a", "b", "ell", "ok", "value", "detail"]
 
 
@@ -366,7 +383,7 @@ def cmd_dioph(args) -> Tuple[dict, List[Check], List[Warn]]:
                    "prec": args.prec, "nmax": args.nmax, "scan": args.scan},
         "summary": summary,
     }
-    return report, checks, []
+    return report, checks, _dichotomy_warnings(results)
 
 
 def cmd_dim(args) -> Tuple[dict, List[Check], List[Warn]]:
@@ -412,7 +429,7 @@ def cmd_verify_all(args) -> Tuple[dict, List[Check], List[Warn]]:
     checks.extend(t_checks)
     covering = thin_orbit.restricted_covering(t_stages, 1, seed=args.seed)
 
-    d_summary, d_checks, _ = _run_dioph_scans(
+    d_summary, d_checks, d_results = _run_dioph_scans(
         "sqrt(2) - 1", "sqrt(3) - 1", 500, 256, "all")
     checks.extend(d_checks)
 
@@ -424,7 +441,8 @@ def cmd_verify_all(args) -> Tuple[dict, List[Check], List[Warn]]:
         "thin_orbit": {"stages": t_stages, "covering": covering},
         "dioph": d_summary,
     }
-    return report, checks, warns + _covering_warnings(covering)
+    return (report, checks,
+            warns + _covering_warnings(covering) + _dichotomy_warnings(d_results))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +450,8 @@ def cmd_verify_all(args) -> Tuple[dict, List[Check], List[Warn]]:
 
 
 def _build_parser() -> Tuple[_Parser, dict]:
-    parser = _Parser(prog="abset", description=__doc__.splitlines()[0])
+    # no prefixes: main() takes --config out of argv only when spelt in full
+    parser = _Parser(prog="abset", description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--version", action="version", version=VERSION)
     parser.add_argument("--config", metavar="FILE",
                         help="JSON object of flag values (long names, no "

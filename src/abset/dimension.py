@@ -183,7 +183,6 @@ class CoveringRow:
 class CoveringReport:
     rows: Tuple[CoveringRow, ...]
     nested_scales: bool          # every scale divides the previous one
-    monotone_checked: bool       # count monotonicity verified (nested only)
 
     def counts(self):
         return [r.count for r in self.rows]
@@ -240,7 +239,7 @@ def box_dim_series(points, scales) -> CoveringReport:
         for a, b in zip(rows, rows[1:]):
             assert a.count <= b.count, (
                 f"covering count dropped from {a.count} to {b.count} on nested grids")
-    return CoveringReport(tuple(rows), nested, nested)
+    return CoveringReport(tuple(rows), nested)
 
 
 def _window_counts(circle: CirclePoints, anchors, big_r: Fraction, delta: Fraction):

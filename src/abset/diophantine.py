@@ -55,7 +55,7 @@ import mpmath
 
 from .dimension import DEFAULT_PREC_BITS as DEC_PREC_BITS, LOG_DIGITS
 from .errors import InsufficientPrecision, UsageError
-from .exact import ceil_root_ratio, dec_sci
+from .exact import _ceil_root_ratio, ceil_root_ratio, dec_sci
 from .words import WordExpr, letters, parse_word, window_groups, window_pairs
 
 GUARD_BITS = 8
@@ -147,8 +147,8 @@ def _power_sign(k: int, left, right, den: int):
         e = k + sum(x for *_, x in left) - sum(x for *_, x in right)
         num = math.prod(v ** x for v, _, x in right) * den ** max(e, 0)
         div = math.prod(v ** x for v, _, x in left) * den ** max(-e, 0)
-        lo = ceil_root_ratio(num, div, k)
-        hi = lo + (lo ** k * div == num)
+        lo, exact = _ceil_root_ratio(num, div, k)
+        hi = lo + exact
     return lambda d, r: (d >= lo) + (d >= hi) - 1 if lo is not None and not r \
         else _cmp_powers([(d, r, k), *left], right, den)
 

@@ -45,17 +45,24 @@ def ceil_root(n: int, k: int) -> int:
 
 def ceil_root_ratio(num: int, den: int, k: int) -> int:
     """Smallest T >= 0 with T**k >= num/den.  Requires num >= 0, den >= 1."""
+    return _ceil_root_ratio(num, den, k)[0]
+
+
+def _ceil_root_ratio(num: int, den: int, k: int):
+    """(T, T**k * den == num) for T = ceil_root_ratio(num, den, k)."""
     if den < 1:
         raise ValueError("ceil_root_ratio needs den >= 1")
     if num <= 0:
-        return 0
+        return 0, num == 0
     cut = max(0, den.bit_length() - 64 - max(0, num.bit_length() - den.bit_length()) // k)
     t = ceil_root((num >> cut) // (den >> cut), k)  # near enough for the loops
-    while t ** k * den < num:
+    p = t ** k * den
+    while p < num:
         t += 1
-    while t > 0 and (t - 1) ** k * den >= num:
-        t -= 1
-    return t
+        p = t ** k * den
+    while t > 0 and (q := (t - 1) ** k * den) >= num:
+        t, p = t - 1, q
+    return t, p == num
 
 
 def pow_bracket(fr: Fraction, num: int, den: int, bits: int = 64):

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
-from .dimension import DEFAULT_PREC_BITS, LOG_DIGITS
+from .dimension import DEFAULT_PREC_BITS, LOG_DIGITS, CirclePoints
 from .errors import InvariantViolation, UsageError
 from .exact import common_units, mod1
 from .words import (
@@ -35,8 +35,9 @@ from .words import (
     evaluate_end,
     letters,
     power,
-    OrbitSample,
 )
+
+ENUMERATION_CAP = 200_000     # longest U_n that enumerate_E walks letter by letter
 
 
 @dataclass(frozen=True)
@@ -342,26 +343,34 @@ def gamma_report(schedule: Schedule, stages: int) -> dict:
     }
 
 
-def enumerate_E(stage: KStage, cap: int = 200_000) -> OrbitSample:
-    """All distinct orbit points of U_n, deduplicated and sorted on the
-    circle; each keeps its first visit time.  Refuses |U_n| > cap."""
+class OrbitSample(CirclePoints):
+    """An orbit's distinct points as `enumerate_E` makes them: integer keys
+    strictly increasing in [0, den), with no per-point `Fraction`."""
+
+    __slots__ = ()
+
+    def points(self) -> "OrbitSample":
+        return self
+
+
+def enumerate_E(stage: KStage) -> OrbitSample:
+    """All distinct orbit points of U_n: the walk's integer numerators over
+    the lcm of the pair's denominators, sorted once.  Refuses
+    |U_n| > ENUMERATION_CAP."""
     length = stage.U.length
-    if length > cap:
-        raise UsageError(f"enumeration capped at {cap} letters; |U| = {length}")
-    # integer accumulation over the common denominator
+    if length > ENUMERATION_CAP:
+        raise UsageError(f"enumeration capped at {ENUMERATION_CAP} letters; "
+                         f"|U| = {length}")
     common, step_x, step_y = common_units(stage.alpha, stage.beta)
-    first = {0: 0}
+    seen = {0}
     acc = 0
-    for idx, ch in enumerate(letters(stage.U), start=1):
+    for ch in letters(stage.U):
         acc = (acc + (step_x if ch == "x" else step_y)) % common
-        if acc not in first:
-            first[acc] = idx
-    nums = sorted(first)
-    sample = OrbitSample.from_numerators(common, nums, map(first.__getitem__, nums))
-    if len(sample) > stage.stats.point_count_upper:
+        seen.add(acc)
+    if len(seen) > stage.stats.point_count_upper:
         raise InvariantViolation("point-count-upper",
-                                 f"{len(sample)} > {stage.stats.point_count_upper}")
-    return sample
+                                 f"{len(seen)} > {stage.stats.point_count_upper}")
+    return OrbitSample(sorted(seen), common)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,8 @@ for the orbit separation check, whose threshold changes with the gap.
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import ge
 from typing import Iterator, List, NamedTuple
 
-from .dimension import CirclePoints
 from .exact import common_units
 
 
@@ -275,36 +273,3 @@ def evaluate_end(w: WordExpr, alpha: Fraction, beta: Fraction) -> Fraction:
     den, a, b = common_units(alpha, beta)
     return Fraction((w.counts.x * a + w.counts.y * b) % den, den)
 
-
-class OrbitSample:
-    """The distinct points an orbit visits, in circle order, as
-    `enumerate_E` builds them: numerators[i] / den, with the numerators
-    strictly increasing in [0, den), and visits[i] the time of the
-    first visit to that point.  Everything is held as integers."""
-
-    __slots__ = ("den", "numerators", "visits")
-
-    @classmethod
-    def from_numerators(cls, den: int, numerators, visits) -> "OrbitSample":
-        numerators, visits = tuple(numerators), tuple(visits)
-        if len(numerators) != len(visits):
-            raise ValueError("need one first visit time per numerator")
-        inside = not numerators or (numerators[0] >= 0 and numerators[-1] < den)
-        if any(map(ge, numerators, numerators[1:])) or not inside:
-            raise ValueError(f"numerators must increase strictly within [0, {den})")
-        sample = cls.__new__(cls)
-        sample.den, sample.numerators, sample.visits = den, numerators, visits
-        return sample
-
-    def __len__(self):
-        return len(self.numerators)
-
-    def __iter__(self):
-        """(first visit time, point) pairs in circle order."""
-        return zip(self.visits, self.points())
-
-    def points(self) -> CirclePoints:
-        return CirclePoints(self.numerators, self.den)
-
-    def indices(self):
-        return list(self.visits)

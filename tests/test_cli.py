@@ -260,6 +260,42 @@ def test_dioph_exact_separation(capsys, alpha, beta, nmax, line):
     assert f"PASS orbit-separation: {line}" in stdout
 
 
+VACUOUS = ("dichotomy_vacuous: no qualifying pair (n, m), so gap-dichotomy compares "
+           "no pair and cannot fail")
+
+
+@pytest.mark.parametrize("argv,warns", [
+    (SURDS + ["--nmax", "200"], [VACUOUS]),
+    (["--alpha", "0.100000001", "--beta", "0.2508", "--nmax", "20000"],
+     ["dichotomy_notes: n=2500: zero minimum, no horizon"]),
+    (["--alpha", "89/233", "--beta", "55/144", "--nmax", "400"],
+     [VACUOUS, "dichotomy_notes: n=144: zero minimum, no horizon"]),
+], ids=["surd", "rational", "early-zero"])
+def test_dioph_dichotomy_findings_reach_the_console(capsys, argv, warns):
+    rc, stdout, stderr = run(capsys, "dioph", *argv, "--scan", "dichotomy")
+    assert rc == 0 and stderr == ""
+    assert [line for line in stdout.splitlines() if line.startswith("WARN ")] == [
+        f"WARN {w} (recorded, not enforced)" for w in warns]
+    assert "dichotomy_" not in stdout[stdout.index("\n{"):]     # not in the report
+
+
+def test_dichotomy_warnings_count_every_report():
+    rep = diophantine.GapDichotomyReport
+    scan = diophantine.QualifyingScan(
+        ((1, 4), (4, 10)),
+        (rep(1, 4, False, undecided=((1, 2), (3, 5)), min_gap_violations=((2, 3),)),
+         rep(4, 10, False, undecided=((2, 7),), min_gap_violations=((1, 9),))),
+        0, (), ("n=7: zero minimum, no horizon", "(n=4, m=12): closeness undecidable"))
+    assert cli._dichotomy_warnings({"dichotomy": scan}) == [
+        ("dichotomy_undecided", "3 pairs neither separated nor clustered at the "
+         "working precision"),
+        ("dichotomy_min_gap", "2 pairs closer than delta_m"),
+        ("dichotomy_notes", "n=7: zero minimum, no horizon; (n=4, m=12): "
+         "closeness undecidable"),
+    ]
+    assert cli._dichotomy_warnings({}) == []
+
+
 @pytest.mark.parametrize("argv,zero_row", [
     (["--alpha", "sqrt(5) - 2", "--beta", "1/3", "--nmax", "80"],
      "minima,3,,0,3,,True,0/1,"),
@@ -386,7 +422,7 @@ def test_dim_closed_orbit_fixture(capsys):
     stages = katznelson.build_stages(katznelson.Schedule.explicit([(32, 64), (256, 1024)]), 2)
     sample = katznelson.enumerate_E(stages[1])
     assert len(sample) == 108162
-    counts = [len({num * 4 ** j // sample.den for num in sample.numerators})
+    counts = [len({num * 4 ** j // sample.den for num in sample.keys})
               for j in range(4, 9)]
     assert counts == [46, 93, 160, 358, 1150]
     assert [r["count"] for r in report["rows"]] == counts
@@ -440,6 +476,8 @@ def test_verify_all_desk_green_and_deterministic(capsys, tmp_path):
         "(recorded, not enforced)",
         "WARN drift_bound_ok: max drift 4.99993602555e-02 >= sqrt(eps_1) "
         "at n0 = 1 (recorded, not enforced)",
+        "WARN dichotomy_vacuous: no qualifying pair (n, m), so gap-dichotomy "
+        "compares no pair and cannot fail (recorded, not enforced)",
     ]
 
     report = json.loads(a.read_text())
@@ -612,6 +650,18 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert run(capsys, "katznelson", "--stages", "1")[0] == 1
     assert run(capsys, "dioph", "--alpha", "1/3")[0] == 1
     assert len(calls) == 1
+
+
+def test_config_flag_is_never_abbreviated(capsys, tmp_path):
+    # main() takes the file out of argv only under the full name --config;
+    # a prefix the parser matched to it would drop the file without a word
+    cfg = _write_config(tmp_path, {"stages": 2})
+    rc, stdout, stderr = run(capsys, "--conf", cfg, "katznelson", "--schedule", DS,
+                             "--stages", "1")
+    assert rc == 1 and stdout == "" and stderr.startswith("usage error:")
+    # a subcommand's own flags still take prefixes
+    rc, stdout, _ = run(capsys, "katznelson", "--sched", DS, "--sta", "1")
+    assert rc == 0 and "PASS closure-u-1" in stdout
 
 
 def test_config_file_missing_exits_1(capsys, tmp_path):

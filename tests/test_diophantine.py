@@ -1488,7 +1488,7 @@ def test_power_sign_thresholds_match_cmp_powers(params, test, data):
     v, _, e = (left, right)[j][0]
     (left, right)[j][0] = (v, data.draw(st.integers(min_value=1, max_value=max(v >> 8, 1))
                                         | st.integers(min_value=1, max_value=one)), e)
-    with mock.patch.object(diophantine, "ceil_root_ratio", side_effect=AssertionError):
+    with mock.patch.object(diophantine, "_ceil_root_ratio", side_effect=AssertionError):
         sign = _power_sign(k, left, right, one)
     for d, r in ((d, 0), (d, r), (lo, 0), (hi, 0)):
         assert sign(d, r) == oracle(d, r)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abset.exact import (
+    _ceil_root_ratio,
     ceil_root,
     ceil_root_ratio,
     dec_sci,
@@ -97,6 +98,19 @@ def test_ceil_root_ratio_on_a_denominator_past_the_root(k, data):
     got = ceil_root_ratio(num, den, k)
     assert got ** k * den >= num
     assert got == 0 or (got - 1) ** k * den < num
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(min_value=1, max_value=40), data=st.data())
+def test_ceil_root_ratio_flags_an_exact_root(k, data):
+    # the flag is the loops' own T**k * den == num; exact ratios and their
+    # neighbours, short and long denominators
+    den = data.draw(st.integers(min_value=1, max_value=1 << data.draw(st.sampled_from([8, 200]))))
+    t = data.draw(st.integers(min_value=0, max_value=1 << 80))
+    num = max(0, t ** k * den + data.draw(st.sampled_from([-1, 0, 1]) | st.integers(-den, den)))
+    got, exact = _ceil_root_ratio(num, den, k)
+    assert got == ceil_root_ratio(num, den, k)
+    assert exact == (got ** k * den == num)
 
 
 def test_iroot_examples():

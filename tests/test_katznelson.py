@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abset import katznelson
 from abset.dimension import assouad_probe_windows, grid_covering, maximal_separated_subset
 from abset.errors import InvariantViolation, UsageError
 from abset.katznelson import (
@@ -151,12 +152,12 @@ class TestEnumerate:
     def test_e1_points(self):
         sample = enumerate_E(stage1(2, 3))
         assert sample.points() == [Fraction(k, 10) for k in (0, 1, 2, 3, 4, 7)]
-        assert sample.indices() == [0, 1, 2, 3, 4, 5]
 
-    def test_cap_refusal(self):
+    def test_cap_refusal(self, monkeypatch):
         s2 = advance(stage1(2, 3), 4, 8)
+        monkeypatch.setattr(katznelson, "ENUMERATION_CAP", 50)
         with pytest.raises(UsageError):
-            enumerate_E(s2, cap=50)
+            enumerate_E(s2)
 
     def test_matches_walk(self):
         s2 = advance(stage1(2, 3), 4, 8)
@@ -168,7 +169,6 @@ class TestEnumerate:
             val = (val + (s2.alpha if ch == "x" else s2.beta)) % 1
             seen.setdefault(val, i)
         assert sample.points() == sorted(seen)
-        assert sample.indices() == [seen[p] for p in sorted(seen)]
 
 
 class TestFrequency:
@@ -213,11 +213,11 @@ class TestDeskSchedule:
 
     def test_enumeration_all_distinct(self, desk_stages):
         stages = desk_stages
-        sample = enumerate_E(stages[1], cap=200_000)
+        sample = enumerate_E(stages[1])
         # every prefix lands somewhere new until the final closure
         assert len(sample) == stages[1].U.length == 108162
         # the points are eps_2-separated, and some gap is exactly eps_2
-        nums, den = sample.numerators, sample.den
+        nums, den = sample.keys, sample.den
         gaps = [b - a for a, b in zip(nums, nums[1:])] + [den + nums[0] - nums[-1]]
         assert Fraction(min(gaps), den) == stages[1].eps
 

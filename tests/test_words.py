@@ -7,19 +7,22 @@ window groups' bit masks are checked against the list of every window's
 x-count per gap in `dioph_oracle`.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abset.dimension import CirclePoints
+import abset.words
 from abset.exact import mod1
 from abset.words import (
     EMPTY,
     X,
     Y,
     CountVector,
-    OrbitSample,
     block,
     concat,
     evaluate_end,
@@ -134,30 +137,13 @@ def test_orbit_example():
     assert orbit(w, Fraction(1, 10), Fraction(3, 10)) == expect
 
 
-def test_orbit_sample_from_numerators():
-    sample = OrbitSample.from_numerators(10, [0, 2, 5, 7], [0, 5, 1, 3])
-    pts = sample.points()
-    assert type(pts) is CirclePoints and (pts.keys, pts.den) == ((0, 2, 5, 7), 10)
-    assert pts == [Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(7, 10)]
-    assert sample.indices() == [0, 5, 1, 3]
-    assert list(sample) == [
-        (0, Fraction(0)), (5, Fraction(1, 5)), (1, Fraction(1, 2)), (3, Fraction(7, 10))]
-    assert len(OrbitSample.from_numerators(7, [], [])) == 0
-    with pytest.raises(ValueError):
-        OrbitSample.from_numerators(10, [1, 2], [0])
-
-
-@pytest.mark.parametrize("items", [
-    [(1, 0), (1, 1)],            # repeated numerator
-    [(3, 0), (2, 1)],            # decreasing
-    [(-1, 0), (2, 1)],           # below 0
-    [(0, 0), (10, 1)],           # at den
-    [(0, 0), (4, 1), (13, 2)],   # past den
-])
-def test_orbit_sample_from_numerators_rejects(items):
-    nums, visits = zip(*items)
-    with pytest.raises(ValueError):
-        OrbitSample.from_numerators(10, nums, visits)
+def test_words_imports_only_exact():
+    # a fresh interpreter, so no other test has loaded the estimators yet
+    src = str(Path(abset.words.__file__).resolve().parents[1])
+    code = "import sys, abset.words; print(*sorted(m for m in sys.modules if 'abset' in m))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.split() == ["abset", "abset.exact", "abset.words"]
 
 
 def test_parse_format_roundtrip_examples():
