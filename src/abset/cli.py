@@ -603,6 +603,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         config_path, argv = _extract_config_flag(list(argv))
         if config_path is not None:
             argv = _apply_config_file(config_path, argv, subs)
+        # argparse would skip an unknown option here and name its value
+        if argv and argv[0][:1] == "-" and argv[0] not in ("-h", "--help", "--version", "--"):
+            raise UsageError(f"unrecognized option {argv[0]!r} before the subcommand")
         args = parser.parse_args(argv)
         report, checks, warnings = args.handler(args)
     except UsageError as exc:

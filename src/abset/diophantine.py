@@ -16,10 +16,12 @@ scans read them as an argument:
     at least delta_(j-i).
   * dichotomy_scan: for each qualifying (n, m), pairwise distances on an
     orbit prefix either exceed delta_n^t or fall below
-    delta_m / delta_n^s; nothing in between.  One sorted sweep compares
-    only the pairs closer than a certified edge (`_close_pairs`).
+    delta_m / delta_n^s; nothing in between.
   * assouad_lower_probe: the localized covering case analysis behind the
     min(s/t, r/t, r) lower-bound exponent, on given points.
+Every pair test reads one sorted sweep (`_close_pairs`) that yields only
+the pairs not certified past its scale: delta_n^t in the dichotomy and
+the probe's case 1, delta_n^t / 2 in the probe's net and densest ball.
 
 Representation: every circle value is an integer midpoint and an integer
 radius over one common denominator.  An exact rational pair sits on the
@@ -53,7 +55,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
-from .dimension import DEFAULT_PREC_BITS as DEC_PREC_BITS, LOG_DIGITS
+from .dimension import DEFAULT_PREC_BITS as DEC_PREC_BITS, LOG_DIGITS, _log_inverse
 from .errors import InsufficientPrecision, UsageError
 from .exact import _ceil_root_ratio, ceil_root_ratio, dec_sci
 from .words import WordExpr, letters, parse_word, window_groups, window_pairs
@@ -676,13 +678,12 @@ def _first(hi: int, pred) -> int:
     return lo
 
 
-def _close_pairs(circle, one: int, dn: int, rn: int, t: Fraction):
+def _close_pairs(circle, one: int, sign):
     """The pairs (p, q), p first, of the sorted points (units, radius, ...)
-    of `circle` closer, wrap included, than the edge from which on twice
-    the largest radius still certifies a distance > ((dn +- rn)/one)**t."""
+    of `circle` closer, wrap included, than the least d with sign(d, wide)
+    == 1: certified at every radius up to wide, twice the largest one."""
     wide = 2 * max(p[1] for p in circle)
-    sep = _power_sign(t.denominator, [], [(dn, rn, t.numerator)], one)
-    edge = _first(one // 2 + 1, lambda d: sep(d, wide) == 1)
+    edge = _first(one // 2 + 1, lambda d: sign(d, wide) == 1)
     for a, p in enumerate(circle):
         hi = bisect_left(circle, (p[0] + edge,))
         lo = max(bisect_left(circle, (p[0] + one - edge + 1,)), hi)
@@ -831,7 +832,7 @@ def dichotomy_scan(word: Union[WordExpr, str], alpha, beta,
         separated, clustered = horizon * (horizon - 1) // 2, 0
         violations, undecided, min_gap_bad = [], [], []
         clu_sign = _power_sign(sq, [(dn, rn, sp)], [(dm, rm, sq)], den)
-        for p, q in _close_pairs(circle, den, dn, rn, params.t):
+        for p, q in _close_pairs(circle, den, sep_sign):
             d, r = _gap(p, q, den)
             pair = (p[2], q[2]) if p[2] < q[2] else (q[2], p[2])
             if _decide(d - dm, r + rm) == -1:
@@ -916,13 +917,6 @@ class AssouadProbeReport:
     implied_exponent_limit: Fraction
 
 
-def _log_of(mid: int, den: int):
-    """log(mid/den), from the reduced fraction so that it does not depend
-    on the denominator the value was held on."""
-    v = Fraction(mid, den)
-    return mpmath.log(v.numerator) - mpmath.log(v.denominator)
-
-
 def _probe_exponent(count: int, neg_log_scale) -> str:
     with mpmath.workprec(DEC_PREC_BITS):
         if count <= 1 or neg_log_scale <= 0:
@@ -994,8 +988,8 @@ def assouad_lower_probe(points, indices, records: Sequence[MinimaRecord],
 
         # nearest qualifying companion below the horizon
         close_m = None
-        for other in records[:horizon]:
-            if other.n == n or not other.minimal:
+        for other in records[n:horizon]:
+            if not other.minimal:
                 continue
             c = sep_sign(*units(other))
             if c is None:
@@ -1003,15 +997,15 @@ def assouad_lower_probe(points, indices, records: Sequence[MinimaRecord],
             elif c < 0:
                 close_m = other.n
                 break
-        neg_log_dn = -_log_of(rec.d_units, rec.den)
+        neg_log_dn = _log_inverse(Fraction(rec.d_units, rec.den))
         ent = [(k, pts[k - 1]) for k in sel]
+        circle = sorted((p % one, r, i) for i, (_, (p, r)) in enumerate(ent))
 
         if close_m is None:
             # every index pair below the horizon keeps distance >= delta_n**t;
             # only the pairs closer than the certified edge are compared
-            circle = sorted((p % one, r) for _, (p, r) in ent)
             signs = [sep_sign(*_gap(p, q, one))
-                     for p, q in _close_pairs(circle, one, dn, rn, params.t)]
+                     for p, q in _close_pairs(circle, one, sep_sign)]
             sep_bad, sep_und = signs.count(-1), signs.count(None)
             log_scale = neg_log_dn * tp / tq             # log(1/delta_n**t)
             return ProbeCase(n, "case1", "; ".join(note_bits), horizon, rho,
@@ -1020,22 +1014,26 @@ def assouad_lower_probe(points, indices, records: Sequence[MinimaRecord],
                              sep_bad, sep_und, None, None,
                              _probe_exponent(len(ent), log_scale))
 
-        def below_net_scale(p, q):
-            """Certified sign of 2 d(p, q) - delta_n**t, or None."""
-            d, rad = _gap(p, q, one)
-            return sep_sign(2 * d, 2 * rad)
+        def half(d, r):         # the net scale: 2 d against delta_n**t
+            return sep_sign(2 * d, 2 * r)
 
-        # greedy net at half the separation scale
-        net: List[Tuple[int, Tuple[int, int]]] = []
+        # each point's neighbours (index: sign) not certified far
+        near = [{} for _ in ent]
+        for p, q in _close_pairs(circle, one, half):
+            c = half(*_gap(p, q, one))
+            if c is None or c < 0:
+                near[p[2]][q[2]] = near[q[2]][p[2]] = c
+        # greedy net in index order: a point joins when it has no net
+        # neighbour, the first one deciding
+        net, joined = [], [False] * len(ent)
         net_und = 0
-        for k, v in ent:
-            # the first net point that v is not certified far from, if any
-            bad = next((c for c in (below_net_scale(v, f) for _, f in net)
-                        if c is None or c < 0), 0)
-            if bad is None:
+        for i, nb in enumerate(near):
+            first = min((j for j in nb if joined[j]), default=None)
+            if first is None:
+                net.append(i)
+                joined[i] = True
+            elif nb[first] is None:
                 net_und += 1
-            elif not bad:
-                net.append((k, v))
         if net_und:
             note_bits.append(f"{net_und} net decisions undecided, kept out")
         # len(net)**rq * delta_n**rp against 1
@@ -1051,8 +1049,8 @@ def assouad_lower_probe(points, indices, records: Sequence[MinimaRecord],
             note_bits.append("net size vs delta**-r undecidable, fell through to 2b")
 
         # pigeonhole: densest ball of the net, then the cluster-radius window
-        best_k, best_v = max(net, key=lambda kf: sum(below_net_scale(v, kf[1]) == -1
-                                                     for _, v in ent))
+        best_k, best_v = ent[max(net, key=lambda i: (half(0, 2 * ent[i][1][1]) == -1)
+                                 + list(near[i].values()).count(-1))]
         dm, rm = units(records[close_m - 1])
         win_sign = _power_sign(sq, [(dn, rn, sp)], [(dm, rm, sq)], one)
 
@@ -1062,7 +1060,7 @@ def assouad_lower_probe(points, indices, records: Sequence[MinimaRecord],
 
         in_window_orbit = sum(in_window(v) for _, v in ent)
         in_window_full = sum(in_window(p) for p in pts)
-        neg_log_w = -_log_of(dm, one) - neg_log_dn * sp / sq
+        neg_log_w = _log_inverse(Fraction(dm, one)) - neg_log_dn * sp / sq
         w_mp = mpmath.e ** (-neg_log_w)
         # count >= rho * N * delta_n**r, via count**rq >= (rho N)**rq delta**rp
         thr = _cmp_powers([(in_window_orbit * one, 0, rq)],

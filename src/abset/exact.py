@@ -1,5 +1,5 @@
-"""Exact integer and rational helpers: integer roots, power brackets,
-circle reduction, and deterministic decimal rendering.
+"""Exact integer and rational helpers: integer roots, square-root
+brackets, circle reduction, and deterministic decimal rendering.
 
 All functions are pure and deterministic.  Roots come with ceiling or
 bracketing semantics so callers never touch floating point when a
@@ -65,26 +65,13 @@ def _ceil_root_ratio(num: int, den: int, k: int):
     return t, p == num
 
 
-def pow_bracket(fr: Fraction, num: int, den: int, bits: int = 64):
-    """Rational bracket (lo, hi) with lo <= fr**(num/den) <= hi.
-
-    Width is at most 2**-bits before the exponentiation rounding, i.e.
-    hi - lo == 2**-bits exactly.  Requires fr > 0.
-    """
-    if fr <= 0:
-        raise ValueError("pow_bracket needs fr > 0")
-    p = fr.numerator ** num
-    q = fr.denominator ** num
-    scaled = (p << (bits * den)) // q
-    m = iroot(scaled, den)
-    lo = Fraction(m, 1 << bits)
-    hi = Fraction(m + 1, 1 << bits)
-    return lo, hi
-
-
 def sqrt_bracket(fr: Fraction, bits: int = 64):
-    """Rational bracket around sqrt(fr)."""
-    return pow_bracket(fr, 1, 2, bits)
+    """Rational bracket (lo, hi) with lo <= sqrt(fr) <= hi and
+    hi - lo == 2**-bits exactly.  Requires fr > 0."""
+    if fr <= 0:
+        raise ValueError("sqrt_bracket needs fr > 0")
+    m = math.isqrt((fr.numerator << 2 * bits) // fr.denominator)
+    return Fraction(m, 1 << bits), Fraction(m + 1, 1 << bits)
 
 
 def exact_sqrt(fr: Fraction):

@@ -349,8 +349,8 @@ def assouad_lower_probe(points, indices, recs, params,
         note_bits: List[str] = []
 
         close_m = None
-        for other in recs[:horizon]:
-            if other.n == n or not other.minimal:
+        for other in recs[n:horizon]:
+            if not other.minimal:
                 continue
             c = cmp_products([(other.delta, tq)], [(d_n, tp)])
             if c is None:

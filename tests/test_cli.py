@@ -553,6 +553,8 @@ def test_version_flag(capsys):
          "prec -20"),
         (["dim", "--fixture", "closed-orbit:3"], "closed-orbit:3"),
         (["dim", "--fixture", "closed-orbit:0"], "closed-orbit:0"),
+        (["--conf", "run.json", "verify-all"], "'--conf'"),
+        (["--seed", "5", "verify-all"], "'--seed'"),
     ],
 )
 def test_usage_errors_exit_1_and_name_the_token(capsys, argv, fragment):

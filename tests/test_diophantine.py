@@ -45,7 +45,7 @@ from abset.diophantine import (
 )
 from abset.errors import InsufficientPrecision, UsageError
 from abset.exact import ceil_root_ratio
-from abset.thin_orbit import ThinConfig, build_stages
+from abset.thin_orbit import ThinConfig, build_stages, deleted_union
 from abset.words import EMPTY, X, Y, concat, format_word, power
 
 import dioph_oracle as oracle
@@ -1401,6 +1401,39 @@ def test_dichotomy_reaches_the_deletion_tower_pair(monkeypatch):
     assert elapsed < 10, f"tower dichotomy took {elapsed:.1f} s"
 
 
+def test_probe_reaches_case2b_on_the_deletion_tower_pair(monkeypatch):
+    # the same tower: n = 490 and n = 13,365 both find the companion
+    # m = 27,220 and reach case 2b.  The greedy delta_n**t / 2 net holds
+    # one period of W_3, or 16,056 points once the times k whose place
+    # (k - 1) mod N_3 + 1 lies in a balancing block are deleted.  The net
+    # and the densest ball read the sweep at the net scale, so each case
+    # makes two `_cmp_powers` calls: the net-size and threshold tests.
+    stages = build_stages(ThinConfig(m=1, eps1=F(1, 2 ** 10), rho=lambda n: 3), 3)
+    final = stages[-1]
+    points = orbit_of_word(power(final.W, 2), final.alpha, final.beta)
+    recs = minima_sequence(final.alpha, final.beta, 52499)
+    deleted = deleted_union(stages, 1)
+    kept = [k for k in range(1, len(points) + 1)
+            if (k - 1) % final.N + 1 not in deleted]
+    calls = []
+    monkeypatch.setattr(diophantine, "_cmp_powers",
+                        lambda *args: calls.append(args) or _cmp_powers(*args))
+    t0 = time.monotonic()
+    reps = [assouad_lower_probe(points, indices, recs, ProbeParams(), [490, 13365])
+            for indices in (None, kept)]
+    elapsed = time.monotonic() - t0
+    assert len(calls) == 2 * 4
+    for rep, net, rho in ((reps[0], 27220, [1, 1]),
+                          (reps[1], 16056, [F(25337, 37381), F(32112, 52499)])):
+        assert [(c.outcome, c.horizon, c.close_m, c.sep_count, c.threshold_ok)
+                for c in rep.cases] == [("case2b", 37381, 27220, net, True),
+                                        ("case2b", 52499, 27220, net, True)]
+        assert [c.rho_n for c in rep.cases] == rho
+        for c in rep.cases:
+            assert (c.window.count_orbit, c.window.count_full, c.note) == (2, 2, "")
+    assert elapsed < 10, f"tower probe took {elapsed:.1f} s"
+
+
 @settings(max_examples=300, deadline=None)
 @given(probe_params, st.data())
 def test_close_pairs_leave_out_only_certified_separated_pairs(params, data):
@@ -1433,7 +1466,8 @@ def test_close_pairs_leave_out_only_certified_separated_pairs(params, data):
                                     1 - edge, -edge, -edge - 1)])
     circle = sorted((data.draw(units), r, k) for k, r in enumerate(radii))
     where = {p[2]: a for a, p in enumerate(circle)}
-    close = [(p[2], q[2]) for p, q in _close_pairs(circle, one, dn, rn, params.t)]
+    sign = _power_sign(tq, [], [(dn, rn, tp)], one)
+    close = [(p[2], q[2]) for p, q in _close_pairs(circle, one, sign)]
     assert all(where[i] < where[j] for i, j in close)
     assert len(set(close)) == len(close)
     for a, p in enumerate(circle):
